@@ -39,11 +39,6 @@ class LoweringError(Exception):
     """Raised when a schedule cannot be lowered to the canonical structure."""
 
 
-def _np_dtype(dtype: str):
-    return {"float16": np.float16, "float32": np.float32, "float64": np.float64,
-            "int8": np.int8, "int32": np.int32}[dtype]
-
-
 def _make_fill_zero() -> Callable:
     def fill_zero(out: np.ndarray) -> None:
         out[...] = 0

@@ -6,7 +6,6 @@ a discrete-event model of the memory/computation pipeline."""
 
 from .config import A100, A100_NO_ASYNC, H100, V100, GpuSpec
 from .engine import SimResult, simulate_kernel, simulate_wave
-from .events import FifoServer, Simulator
 from .occupancy import CompileError, check_launchable, tb_per_sm
 from .spec import KernelTimingSpec, extract_timing_spec
 from .trace import format_timeline, stall_time
@@ -20,8 +19,6 @@ __all__ = [
     "SimResult",
     "simulate_kernel",
     "simulate_wave",
-    "FifoServer",
-    "Simulator",
     "CompileError",
     "check_launchable",
     "tb_per_sm",

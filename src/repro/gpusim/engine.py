@@ -20,15 +20,23 @@ threadblocks (``N_mplx``), wave quantization, bank conflicts and exposed
 shared-memory latency are modelled here but deliberately *not* in the
 analytical model, which keeps the model's best-in-top-k below 100% as in
 the paper.
+
+Each threadblock process is a generator that keeps its own clock and
+yields the absolute time it resumes at. :func:`simulate_wave` resumes the
+earliest one first from a ``(time, seq, generator)`` heap, ties broken in
+push order. Because the threadblocks therefore act in nondecreasing time
+order, each FIFO server (L2, DRAM, the SM's tensor cores) is a single
+float — the time it next falls free — and a request at ``now`` completes
+at ``free = max(now, free) + service``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from typing import Dict, List, Optional, Tuple
 
 from .config import A100, GpuSpec
-from .events import FifoServer, Simulator
 from .occupancy import CompileError, tb_per_sm
 from .spec import KernelTimingSpec
 
@@ -69,23 +77,15 @@ class SimResult:
 def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
     """Fraction of the wave's load traffic that misses L2 and hits DRAM.
 
-    Derived from the working set of one threadblock-batch, as in the
-    paper's memory latency model: tiles sharing a row re-use the A chunk,
-    tiles sharing a column re-use the B chunk.
+    Derived from the working set of one threadblock-batch
+    (:meth:`KernelTimingSpec.workset_bytes`), as in the paper's memory
+    latency model.
     """
     if ts.a_chunk_bytes + ts.b_chunk_bytes == 0:
         return 1.0
-    tiles_per_batch = ts.m_tiles * ts.n_tiles
     covered = min(wave_tbs, ts.grid)
-    batches_covered = max(1, -(-covered // tiles_per_batch))
-    # Raster order: n (column) index varies fastest.
-    unique_a_tiles = min(covered, -(-covered // ts.n_tiles) if ts.n_tiles else covered)
-    unique_b_tiles = min(covered, ts.n_tiles * batches_covered)
+    unique = ts.workset_bytes(covered)
     requested = covered * (ts.a_chunk_bytes + ts.b_chunk_bytes)
-    unique = (
-        unique_a_tiles * ts.a_chunk_bytes * ts.a_footprint_ratio
-        + unique_b_tiles * ts.b_chunk_bytes * ts.b_footprint_ratio
-    )
     # If the live working set overflows L2, re-reads also go to DRAM.
     resident = unique * (ts.smem_stages + 1)
     if resident > gpu.l2_size:
@@ -136,69 +136,87 @@ def simulate_wave(
     else:
         inner_service = t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead
 
-    sim = Simulator()
-    l2_server = FifoServer("l2")
-    dram_server = FifoServer("dram")
-    math_server = FifoServer("tensorcore")
     trace: Optional[list] = [] if collect_trace else None
-    finish: Dict[int, float] = {}
+    finish: List[float] = []
+    # Time each FIFO server next falls free.
+    l2_free = dram_free = tc_free = 0.0
 
     def issue_chunk(now: float) -> float:
         """Post one outer chunk's copies; returns their completion time."""
+        nonlocal l2_free, dram_free
         done = 0.0
         for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes):
             if nbytes <= 0:
                 continue
-            t_l2 = l2_server.request(now, nbytes / l2_rate)
-            t_dram = dram_server.request(now, nbytes * dram_frac / dram_rate)
-            done = max(done, t_l2, t_dram)
+            l2_free = max(now, l2_free) + nbytes / l2_rate
+            dram_free = max(now, dram_free) + nbytes * dram_frac / dram_rate
+            done = max(done, l2_free, dram_free)
         return done + mem_latency
 
-    def tb_process(tb_idx: int):
+    def tb_process(tb_idx: int, now: float):
+        nonlocal dram_free, tc_free
         smem_done: Dict[int, float] = {}
         # Prologue: the first S-1 chunks are issued ahead of the loop.
         for p in range(S - 1):
-            smem_done[p] = issue_chunk(sim.now)
-            yield ("delay", 2 * gpu.issue_overhead)
+            smem_done[p] = issue_chunk(now)
+            now += 2 * gpu.issue_overhead
+            yield now
         if ts.reg_stages >= 2 and S >= 2:
             # Hoisted inner-pipeline prologue (holistic pipeline): one
             # fragment load after the first chunk lands.
-            yield ("wait_until", smem_done[0])
-            yield ("delay", t_load + gpu.smem_latency)
+            now = max(now, smem_done[0])
+            yield now
+            now += t_load + gpu.smem_latency
+            yield now
         for ko in range(E_o):
-            issue_at = sim.now
-            smem_done[ko + S - 1] = issue_chunk(sim.now)
-            yield ("delay", 2 * gpu.issue_overhead)
-            wait_start = sim.now
-            yield ("wait_until", smem_done[ko])
+            smem_done[ko + S - 1] = issue_chunk(now)
+            now += 2 * gpu.issue_overhead
+            yield now
+            wait_start = now
+            now = max(now, smem_done[ko])
+            yield now
             if trace is not None:
-                trace.append((tb_idx, f"smem_wait[{ko}]", wait_start, sim.now))
+                trace.append((tb_idx, f"smem_wait[{ko}]", wait_start, now))
             if t_store_through > 0.0:
                 # Register-staged stores into shared memory occupy the SM.
-                done = math_server.request(sim.now, t_store_through)
-                yield ("wait_until", done)
+                tc_free = max(now, tc_free) + t_store_through
+                now = max(now, tc_free)
+                yield now
             if ts.reg_stages >= 2 and S == 1:
                 # Recursive (non-fused) inner pipeline refills each chunk.
-                yield ("delay", t_load + gpu.smem_latency)
-            use_start = sim.now
-            for ki in range(E_i):
-                done = math_server.request(sim.now, inner_service)
-                yield ("wait_until", done)
+                now += t_load + gpu.smem_latency
+                yield now
+            use_start = now
+            for _ in range(E_i):
+                tc_free = max(now, tc_free) + inner_service
+                now = max(now, tc_free)
+                yield now
             if trace is not None:
-                trace.append((tb_idx, f"use[{ko}]", use_start, sim.now))
-            yield ("delay", gpu.sync_overhead)
+                trace.append((tb_idx, f"use[{ko}]", use_start, now))
+            now += gpu.sync_overhead
+            yield now
         # Epilogue write-back.
-        ep_start = sim.now
-        t_dram = dram_server.request(sim.now, ts.epilogue_bytes / dram_rate)
-        yield ("wait_until", t_dram + gpu.dram_write_latency)
+        ep_start = now
+        dram_free = max(now, dram_free) + ts.epilogue_bytes / dram_rate
+        now = max(now, dram_free + gpu.dram_write_latency)
+        yield now
         if trace is not None:
-            trace.append((tb_idx, "epilogue", ep_start, sim.now))
-        finish[tb_idx] = sim.now
+            trace.append((tb_idx, "epilogue", ep_start, now))
+        finish.append(now)
 
-    for i in range(n_tb_on_sm):
-        sim.add_process(tb_process(i), start_time=i * _TB_STAGGER)
-    sim.run()
-    return max(finish.values()), dram_frac, trace
+    # Sorted by (start time, seq), so already a heap.
+    heap = [(i * _TB_STAGGER, i, tb_process(i, i * _TB_STAGGER)) for i in range(n_tb_on_sm)]
+    seq = n_tb_on_sm
+    while heap:
+        tb = heap[0][2]
+        try:
+            when = next(tb)
+        except StopIteration:
+            heapq.heappop(heap)
+            continue
+        heapq.heapreplace(heap, (when, seq, tb))
+        seq += 1
+    return max(finish), dram_frac, trace
 
 
 def _wave_latency_extrapolated(
@@ -213,6 +231,13 @@ def _wave_latency_extrapolated(
     steady-state rate measured over two truncated runs."""
     if max_outer_iters is None or ts.outer_extent <= max_outer_iters:
         return simulate_wave(ts, gpu, n_tb, active, collect_trace)
+    if max_outer_iters <= ts.smem_stages + 1:
+        # The shorter truncated run has at least smem_stages + 1 iterations.
+        raise ValueError(
+            f"max_outer_iters={max_outer_iters} is too small to extrapolate a "
+            f"{ts.outer_extent}-iteration loop; it must exceed "
+            f"smem_stages + 1 = {ts.smem_stages + 1}"
+        )
     e_long = max_outer_iters
     e_short = max(ts.smem_stages + 1, max_outer_iters // 2)
     t_long, frac, trace = simulate_wave(ts, gpu, n_tb, active, collect_trace, outer_extent=e_long)

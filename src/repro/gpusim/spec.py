@@ -11,7 +11,7 @@ simulator honest as the ground truth for tuning experiments.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..ir.analysis import loop_extent_int
 from ..ir.buffer import Scope
@@ -67,6 +67,19 @@ class KernelTimingSpec:
     @property
     def total_flops(self) -> int:
         return self.flops_chunk_tb * self.inner_extent * self.outer_extent * self.grid
+
+    def workset_bytes(self, tbs: int) -> float:
+        """Unique A/B bytes the first ``tbs`` threadblocks load per outer
+        iteration. Raster order varies the n (column) tile fastest, so
+        tiles sharing a row re-use the A chunk and tiles sharing a column
+        re-use the B chunk."""
+        batches = max(1, -(-tbs // (self.m_tiles * self.n_tiles)))
+        unique_a = min(tbs, -(-tbs // self.n_tiles))
+        unique_b = min(tbs, self.n_tiles * batches)
+        return (
+            unique_a * self.a_chunk_bytes * self.a_footprint_ratio
+            + unique_b * self.b_chunk_bytes * self.b_footprint_ratio
+        )
 
     def validate(self) -> None:
         if self.grid < 1 or self.outer_extent < 1 or self.inner_extent < 1:

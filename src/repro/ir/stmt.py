@@ -55,10 +55,6 @@ class ForKind(enum.Enum):
     UNROLLED = "unroll"  # fully unrolled at codegen
     VECTORIZED = "vectorize"
 
-    @property
-    def is_parallel(self) -> bool:
-        return self in (ForKind.BLOCK, ForKind.THREAD)
-
 
 class For(Stmt):
     """``for var in range(extent)`` with an execution-mapping kind.

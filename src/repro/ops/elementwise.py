@@ -32,10 +32,6 @@ class MemoryBoundOp:
     bytes_written: int
     count: int = 1
 
-    @property
-    def total_bytes(self) -> int:
-        return (self.bytes_read + self.bytes_written) * self.count
-
 
 def memory_bound_latency(
     op: MemoryBoundOp, gpu: GpuSpec = A100, launch_overhead: float = 3.0

@@ -186,7 +186,7 @@ def _tb_per_sm_batch(gpu: GpuSpec, ta: BatchTimingArrays) -> "tuple[_Array, _Arr
 
 
 def _batch_workset_bytes(ta: BatchTimingArrays, tbs_per_batch: _Array) -> _Array:
-    """Vectorized mirror of ``kernel_model._batch_workset_bytes``."""
+    """Vectorized mirror of ``KernelTimingSpec.workset_bytes``."""
     covered = tbs_per_batch
     tiles_per_batch_dim = ta.m_tiles * ta.n_tiles
     batches_covered = np.maximum(1, _float_ceil(covered / tiles_per_batch_dim))

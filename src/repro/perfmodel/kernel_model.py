@@ -74,7 +74,9 @@ def predict_breakdown(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> ModelBreakdo
     frag_bytes_warp = ts.frag_bytes_tb / ts.warps_per_tb
     t_reg_load = frag_bytes_warp * resident_warps / gpu.smem_bw_per_sm
     t_llc_load = gpu.l2_latency + ts.smem_chunk_bytes * tbs_per_batch / gpu.l2_bw
-    workset = _batch_workset_bytes(ts, tbs_per_batch)
+    # LLC is shared by all SMs, so DRAM sees the batch's working set, not
+    # the sum of all threadblocks' requests (Table I, memory model note).
+    workset = ts.workset_bytes(tbs_per_batch)
     t_dram_load = gpu.dram_latency + workset / gpu.dram_bw
     t_smem_load = max(t_llc_load, t_dram_load)
 
@@ -112,23 +114,6 @@ def predict_breakdown(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> ModelBreakdo
         t_compute=t_compute,
         n_threadblk_per_sm=occ,
         util=util,
-    )
-
-
-def _batch_workset_bytes(ts: KernelTimingSpec, tbs_per_batch: int) -> float:
-    """Unique DRAM bytes one threadblock-batch loads per outer iteration.
-
-    LLC is shared by all SMs, so DRAM traffic is the batch's working set,
-    not the sum of all threadblocks' requests (Table I, memory model note).
-    """
-    covered = tbs_per_batch
-    tiles_per_batch_dim = ts.m_tiles * ts.n_tiles
-    batches_covered = max(1, math.ceil(covered / tiles_per_batch_dim))
-    unique_a = min(covered, math.ceil(covered / max(1, ts.n_tiles)))
-    unique_b = min(covered, ts.n_tiles * batches_covered)
-    return (
-        unique_a * ts.a_chunk_bytes * ts.a_footprint_ratio
-        + unique_b * ts.b_chunk_bytes * ts.b_footprint_ratio
     )
 
 

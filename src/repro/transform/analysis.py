@@ -96,17 +96,6 @@ class PipelinePlan:
 
     groups: List[GroupPlan]
 
-    @property
-    def chain_roots(self) -> List[GroupPlan]:
-        """Groups with no parent: heads of fused pipeline chains."""
-        return [g for g in self.groups if g.parent is None]
-
-    def group_of(self, buffer: Buffer) -> Optional[GroupPlan]:
-        for g in self.groups:
-            if buffer in g.buffers:
-                return g
-        return None
-
 
 def _find_pipelined_loop(copy: MemCopy, path: Tuple[Stmt, ...]) -> For:
     """Analysis step three: the sequential load-and-use loop of a copy."""

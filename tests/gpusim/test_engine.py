@@ -2,14 +2,16 @@
 qualitative phenomena the paper builds on."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
-from repro.gpusim import A100, A100_NO_ASYNC, CompileError, simulate_kernel
+from repro.gpusim import A100, A100_NO_ASYNC, H100, V100, CompileError, simulate_kernel
 from repro.gpusim.trace import format_timeline, stall_time
 from repro.perfmodel import timing_spec_from_config
 from repro.schedule import TileConfig
 from repro.tensor import GemmSpec
+from repro.tuning.space import enumerate_space
 
 
 def ts_for(m=2048, n=2048, k=2048, bm=128, bn=128, bk=32, wm=64, wn=64, ck=16, ss=1, rs=1,
@@ -131,3 +133,96 @@ class TestTrace:
 
     def test_empty_trace(self):
         assert "empty" in format_timeline([])
+
+
+class TestExtrapolationCap:
+    """Extrapolation needs two truncated runs of different lengths, both
+    longer than the pipeline fill; a cap at or below ``smem_stages + 1``
+    cannot give them."""
+
+    def _ts(self):
+        ts = ts_for(m=512, n=512, k=4096, bk=32, ss=4, rs=2)
+        assert ts.outer_extent == 128 and ts.smem_stages == 4
+        return ts
+
+    @pytest.mark.parametrize("cap", [1, 4, 5])
+    def test_cap_at_or_below_fill_rejected(self, cap):
+        with pytest.raises(ValueError, match=f"max_outer_iters={cap} .* smem_stages \\+ 1 = 5"):
+            simulate_kernel(self._ts(), max_outer_iters=cap)
+
+    def test_smallest_valid_cap_extrapolates(self):
+        assert simulate_kernel(self._ts(), max_outer_iters=6).latency_us > 0
+
+    def test_cap_ignored_when_loop_fits(self):
+        ts = ts_for(m=512, n=512, k=128, bk=32, ss=4, rs=2)
+        assert ts.outer_extent == 4
+        assert (simulate_kernel(ts, max_outer_iters=4).latency_us
+                == simulate_kernel(ts, max_outer_iters=None).latency_us)
+
+
+#: Problem shapes ``(batch, m, n, k)`` of the pinned identity test.
+_PIN_SHAPES = {
+    "1024x1024x1024": (1, 1024, 1024, 1024),
+    "512x3072x768": (1, 512, 3072, 768),
+    "12x128x128x64": (12, 128, 128, 64),
+    "256x256x4096": (1, 256, 256, 4096),  # long reduction: extrapolated waves
+    "4x384x64x512": (4, 384, 64, 512),  # grids that leave a tail wave
+}
+_PIN_GPUS = {"A100": A100, "V100": V100, "H100": H100}  # V100: cp.async rejections
+#: sha256 per (GPU, shape) of :func:`_sim_digest`. Any change to the
+#: engine's arithmetic, event order, traces or errors changes a digest;
+#: re-pin only for a declared, intended change of simulated results.
+_PINNED = {
+    ("A100", "1024x1024x1024"):
+        "2100d6c890a41fade41b50d291f11abb752f50944eaa18f6fd696ae0a1c2cd47",
+    ("A100", "512x3072x768"):
+        "a894298285562bad3293cdde303ed84a507060590a4797231ed40fe3806275ea",
+    ("A100", "12x128x128x64"):
+        "ea0a36f28916251683f08afa04ffb9e2759da59f6e28c685b2b1186dc77b0e99",
+    ("A100", "256x256x4096"):
+        "27fe57a0e45d2d8aee6697b187524db4e32386be41a3cf2981b7cb4fc452245f",
+    ("A100", "4x384x64x512"):
+        "fbd77e8355bf9db7b8179e8282bfb667414e60efcb2932e4229fee2d3d16ec30",
+    ("V100", "1024x1024x1024"):
+        "011bfd767207a83e333fd80122237377a3e88928fbf94a38391448d8b4415caa",
+    ("V100", "512x3072x768"):
+        "7519560cd814a881c495cf78ab3164698abb81df7726b2ee9454ea6ebeb79ed0",
+    ("V100", "12x128x128x64"):
+        "5a3666e9f45a7c4ddbd0f71d11bd64af703282661eb1db09e050931d199bb0f0",
+    ("V100", "256x256x4096"):
+        "7926153d8942d4694b98161ed3485cca1c702d570965b522d34e53efe54fc00c",
+    ("V100", "4x384x64x512"):
+        "e59bd5ca5c8cff4295ee36fecc71dc1e3ea29d9873d577a82782c02af36901fa",
+    ("H100", "1024x1024x1024"):
+        "a4d95b7c526ef24077366c20f380531e8a85fc0a678c5bba2a0619bf9bace8a8",
+    ("H100", "512x3072x768"):
+        "c72e9a6cfc9a01254617c391c31ec3a0546d701754e9d00f5881b457f3bbb34b",
+    ("H100", "12x128x128x64"):
+        "0e2e0816a249fde23d52ddd696eb34bdf2f4e7c02daaf1bf300cf825affbd53f",
+    ("H100", "256x256x4096"):
+        "1d315cb930b65f8df7eed0496424d2557fd298b310f96c992c546e4d1df510a2",
+    ("H100", "4x384x64x512"):
+        "24c60d323462eb71aa371e95c8ba65435e8e3fb373cb66f0fb08f901fe425d3d",
+}
+
+
+def _sim_digest(spec, gpu):
+    """Digest every ``SimResult`` field's ``repr`` (floats bit for bit), or
+    the rejection's type and message, over every 47th config of the full
+    space; every 5th sampled config also collects its trace."""
+    h = hashlib.sha256()
+    for i, cfg in enumerate(enumerate_space(spec)[::47]):
+        try:
+            res = simulate_kernel(timing_spec_from_config(spec, cfg), gpu,
+                                  collect_trace=i % 5 == 0)
+            record = [repr(getattr(res, f.name)) for f in dataclasses.fields(res)]
+        except CompileError as exc:
+            record = [type(exc).__name__, str(exc)]
+        h.update(repr(record).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("gpu_name,shape", sorted(_PINNED))
+def test_simulation_matches_pinned_digest(gpu_name, shape):
+    spec = GemmSpec("pin", *_PIN_SHAPES[shape])
+    assert _sim_digest(spec, _PIN_GPUS[gpu_name]) == _PINNED[gpu_name, shape]

@@ -1,121 +1,115 @@
-"""Tests for the discrete-event scheduler core."""
+"""Tests of the wave simulator's event loop and FIFO bandwidth servers.
 
-import pytest
+:func:`simulate_wave` resumes its threadblock generators earliest first and
+keeps the L2, DRAM and tensor-core servers as single floats. These tests
+drive it on hand-built timing specs with round-number rates and zeroed
+fixed costs, so every simulated time is an exact small float that can be
+worked out by hand.
+"""
 
-from repro.gpusim.events import FifoServer, Simulator
+import dataclasses
+
+from repro.gpusim import A100, KernelTimingSpec
+from repro.gpusim.engine import _TB_STAGGER, simulate_wave
+
+
+def toy_gpu(**kw):
+    """A100 with 100 B/us L2, 10 B/us DRAM, 2048 FLOP/us tensor cores and
+    no latencies or issue/barrier overheads unless given."""
+    params = dict(
+        l2_bw=100.0, dram_bw=10.0, tc_flops_per_sm=2048.0,
+        l2_latency=0.0, dram_latency=0.0, dram_write_latency=0.0, smem_latency=0.0,
+        issue_overhead=0.0, sync_overhead=0.0, mma_issue_cost=0.0,
+    )
+    params.update(kw)
+    return dataclasses.replace(A100, name="toy", **params)
+
+
+def toy_spec(a=0, b=0, **kw):
+    """One outer and one inner iteration of 8192 FLOPs (4 us on
+    :func:`toy_gpu`) per threadblock, copying ``a`` + ``b`` bytes per chunk."""
+    params = dict(
+        name="toy", grid=4, threads_per_tb=128, warps_per_tb=4, smem_bytes_per_tb=0,
+        regs_per_thread=64, outer_extent=1, smem_chunk_bytes=a + b, smem_stages=1,
+        inner_extent=1, frag_bytes_tb=0, flops_chunk_tb=8192, reg_stages=1,
+        epilogue_bytes=0, a_chunk_bytes=a, b_chunk_bytes=b,
+    )
+    params.update(kw)
+    return KernelTimingSpec(**params)
+
+
+def run(ts, gpu, n_tb=1):
+    """Simulate ``n_tb`` threadblocks on one SM; returns (latency, trace)."""
+    latency, _, trace = simulate_wave(ts, gpu, n_tb, 1, collect_trace=True)
+    return latency, trace
+
+
+def waits(trace, ko=0):
+    """``(tb, start, end)`` of every threadblock's wait for chunk ``ko``."""
+    return [(tb, s, e) for tb, what, s, e in trace if what == f"smem_wait[{ko}]"]
 
 
 class TestFifoServer:
     def test_idle_server_serves_immediately(self):
-        s = FifoServer("x")
-        assert s.request(now=1.0, service=2.0) == 3.0
+        # Chunk 0 is issued at 0: 10 us on DRAM + 3 us latency. Chunk 1 is
+        # issued at 17, after 4 us of math, when DRAM has been idle since
+        # 10: its service starts at 17, not when the server fell free.
+        gpu = toy_gpu(l2_latency=1.0, dram_latency=3.0)
+        _, trace = run(toy_spec(a=100, outer_extent=2), gpu)
+        assert waits(trace, 0) == [(0, 0.0, 13.0)]
+        assert waits(trace, 1) == [(0, 17.0, 30.0)]
 
     def test_queueing(self):
-        s = FifoServer("x")
-        s.request(0.0, 5.0)
-        assert s.request(1.0, 2.0) == 7.0  # waits for first request
-
-    def test_latency_does_not_occupy_server(self):
-        s = FifoServer("x")
-        t1 = s.request(0.0, 1.0, latency=10.0)
-        t2 = s.request(0.0, 1.0, latency=10.0)
-        assert t1 == 11.0
-        assert t2 == 12.0  # pipelined: only service serializes
-
-    def test_busy_time_accumulates(self):
-        s = FifoServer("x")
-        s.request(0.0, 1.5)
-        s.request(0.0, 2.5)
-        assert s.busy_time == 4.0
-
-    def test_negative_service_rejected(self):
-        with pytest.raises(ValueError):
-            FifoServer("x").request(0.0, -1.0)
+        # A and B are both requested at 0; B's 10 us of DRAM service
+        # waits for A's to finish.
+        _, trace = run(toy_spec(a=100, b=100), toy_gpu())
+        assert waits(trace) == [(0, 0.0, 20.0)]
 
 
 class TestSimulator:
     def test_single_process_delay(self):
-        sim = Simulator()
-
-        def proc():
-            yield ("delay", 5.0)
-            yield ("delay", 2.0)
-
-        sim.add_process(proc())
-        assert sim.run() == 7.0
+        # Nothing to copy: a lone threadblock's time is its issue delay
+        # (2 x 1 us), its math (4 us + 2 x 1 us issue) and its barrier (5 us).
+        latency, trace = run(toy_spec(), toy_gpu(issue_overhead=1.0, sync_overhead=5.0))
+        assert latency == 13.0
+        assert trace == [
+            (0, "smem_wait[0]", 2.0, 2.0),
+            (0, "use[0]", 2.0, 8.0),
+            (0, "epilogue", 13.0, 13.0),
+        ]
 
     def test_wait_until_past_is_now(self):
-        sim = Simulator()
-        times = []
-
-        def proc():
-            yield ("delay", 4.0)
-            yield ("wait_until", 1.0)  # already past
-            times.append(sim.now)
-
-        sim.add_process(proc())
-        sim.run()
-        assert times == [4.0]
+        # Two stages: chunk 1 is issued at 0 and lands at 20 + 3 = 23, but
+        # its wait comes after 32 us of math on chunk 0, at 45. Waiting
+        # for a time already past resumes at the current time.
+        gpu = toy_gpu(tc_flops_per_sm=256.0, l2_latency=1.0, dram_latency=3.0)
+        _, trace = run(toy_spec(a=100, outer_extent=2, smem_stages=2), gpu)
+        assert waits(trace, 0) == [(0, 0.0, 13.0)]
+        assert waits(trace, 1) == [(0, 45.0, 45.0)]
 
     def test_two_processes_interleave(self):
-        sim = Simulator()
-        order = []
-
-        def proc(name, dt):
-            yield ("delay", dt)
-            order.append((name, sim.now))
-
-        sim.add_process(proc("slow", 3.0))
-        sim.add_process(proc("fast", 1.0))
-        sim.run()
-        assert order == [("fast", 1.0), ("slow", 3.0)]
+        # Threadblock 1 starts later, but acts at 0.01 while threadblock 0
+        # computes until 4: events run in time order, not one threadblock
+        # to completion after the other. Threadblock 1 then queues behind
+        # threadblock 0 on the tensor cores.
+        latency, trace = run(toy_spec(), toy_gpu(), n_tb=2)
+        assert latency == 8.0
+        assert trace == [
+            (0, "smem_wait[0]", 0.0, 0.0),
+            (1, "smem_wait[0]", _TB_STAGGER, _TB_STAGGER),
+            (0, "use[0]", 0.0, 4.0),
+            (0, "epilogue", 4.0, 4.0),
+            (1, "use[0]", _TB_STAGGER, 8.0),
+            (1, "epilogue", 8.0, 8.0),
+        ]
 
     def test_server_contention_via_time_order(self):
-        """The later-starting process must queue behind the earlier one."""
-        sim = Simulator()
-        server = FifoServer("s")
-        done = {}
-
-        def proc(name, start_delay):
-            yield ("delay", start_delay)
-            t = server.request(sim.now, 10.0)
-            yield ("wait_until", t)
-            done[name] = sim.now
-
-        sim.add_process(proc("a", 0.0))
-        sim.add_process(proc("b", 1.0))
-        sim.run()
-        assert done == {"a": 10.0, "b": 20.0}
-
-    def test_unknown_command_rejected(self):
-        sim = Simulator()
-
-        def proc():
-            yield ("sleep", 1.0)
-
-        sim.add_process(proc())
-        with pytest.raises(ValueError):
-            sim.run()
-
-    def test_event_budget(self):
-        sim = Simulator()
-
-        def forever():
-            while True:
-                yield ("delay", 1.0)
-
-        sim.add_process(forever())
-        with pytest.raises(RuntimeError, match="exceeded"):
-            sim.run(max_events=10)
+        """The later-starting threadblock must queue behind the earlier one."""
+        _, trace = run(toy_spec(a=100), toy_gpu(), n_tb=2)
+        assert waits(trace) == [(0, 0.0, 10.0), (1, _TB_STAGGER, 20.0)]
 
     def test_start_time_offsets(self):
-        sim = Simulator()
-        seen = []
-
-        def proc():
-            seen.append(sim.now)
-            yield ("delay", 0.0)
-
-        sim.add_process(proc(), start_time=2.5)
-        sim.run()
-        assert seen == [2.5]
+        _, trace = run(toy_spec(), toy_gpu(), n_tb=3)
+        assert [(tb, s) for tb, s, _ in waits(trace)] == [
+            (i, i * _TB_STAGGER) for i in range(3)
+        ]

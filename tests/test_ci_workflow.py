@@ -277,3 +277,18 @@ def test_bench_smoke_checks_incremental_engine_fields(workflow):
     assert "'incremental_cold_configs_per_s' in r" in cmds
     assert "'lower_reuse_ratio' in r" in cmds
     assert "r['incremental_identity_checked'] is True" in cmds
+
+
+def test_bench_smoke_runs_traced_perfbench(workflow):
+    """A traced perfbench run of compile and tune must stay correct,
+    deterministic and see the simulator: a refactor that silently unhooks a
+    layer perfbench wraps (``simulate.wave_sims`` falling to 0) fails CI."""
+    cmds = [c for c in job_commands(workflow["jobs"]["bench-smoke"]) if "perfbench/run.py" in c]
+    assert len(cmds) == 1, "bench-smoke must run the traced perfbench step once"
+    cmd = cmds[0]
+    assert "set -o pipefail" in cmd, "a failing run.py must not be masked by tee"
+    assert "for w in compile tune" in cmd
+    assert "python3 perfbench/run.py --workload $w --seed 1 --seconds 5 --trace 1" in cmd
+    assert 'r["correct"] is True' in cmd
+    assert 'm["nondeterministic.counts"] == 0' in cmd
+    assert 'm["simulate.wave_sims"] > 0' in cmd
