@@ -35,7 +35,7 @@ JOBS = 1
 
 
 def make_measurer(gpu=A100, via_ir: bool = False) -> Measurer:
-    """A measurer wired to the session's disk cache and process pool."""
+    """A measurer wired to the session's disk cache and worker width."""
     return Measurer(gpu, via_ir=via_ir, cache=SESSION_CACHE, jobs=JOBS)
 
 #: Cap on enumerated spaces for the exhaustive studies (strided, see

@@ -33,7 +33,7 @@ from ..interp import run_kernel
 from ..ir.stmt import Kernel
 from ..schedule.auto import auto_schedule
 from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, Tensor, contraction, placeholder
+from ..tensor.operation import GemmSpec, Tensor, gemm_graph
 from ..transform import apply_pipelining
 from ..tuning.measure import Measurer
 from ..tuning.space import SpaceOptions, enumerate_space, restrict_space
@@ -153,11 +153,7 @@ class AlcopCompiler:
     ) -> Kernel:
         """Schedule, lower and pipeline one problem at a fixed config."""
         if graph_output is None:
-            a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
-            b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
-            a = placeholder("A", a_shape, dtype=spec.dtype)
-            b = placeholder("B", b_shape, dtype=spec.dtype)
-            graph_output = contraction(a, b, spec)
+            graph_output = gemm_graph(spec)
         with profiling.stage("schedule"):
             sch = auto_schedule(graph_output, config)
         with profiling.stage("lower"):

@@ -1,8 +1,8 @@
 """Deterministic, seedable fault injection for the compile/tune stack.
 
 Chaos engineering for the ALCOP flow: a :class:`FaultPlan` names *where*
-(injection sites wired into the compile path, the measurement pool worker,
-the simulator and the compiler driver) and *what* (``crash``, ``hang``,
+(injection sites wired into the compile path, the fleet's measurement
+workers, the simulator and the compiler driver) and *what* (``crash``, ``hang``,
 ``corrupt-latency``, ``worker-death``) goes wrong, deterministically.
 Every recovery path of the fault-tolerance layer — worker respawn, trial
 timeout, retry-with-backoff, quarantine, the degradation ladder, journal
@@ -14,9 +14,11 @@ Injection sites
     Inside :meth:`repro.tuning.measure.Measurer._compile_and_time`, i.e.
     the schedule→lower→transform→simulate path of one measurement trial.
 ``worker``
-    At entry of a measurement pool worker process (before it compiles).
-    ``worker-death`` here hard-kills the process (``os._exit``), the way a
-    segfaulting compiler would.
+    In a fleet local worker process (:mod:`repro.tuning.fleet`), at the
+    start of each trial attempt, after the start marker and before the
+    compile; the token is ``<config-token>#a<attempt>``. ``worker-death``
+    here hard-kills the process (``os._exit``), the way a segfaulting
+    compiler would; the coordinator charges the death to that trial.
 ``simulate``
     Inside :func:`repro.gpusim.engine.simulate_kernel`; ``corrupt-latency``
     multiplies the simulated latency, modelling a misbehaving runner.
@@ -56,9 +58,11 @@ Determinism
 Whether a rule fires for a given event is a pure function of
 ``(plan.seed, site, kind, token)`` — the *token* identifies the event
 (config key, attempt number). The same plan over the same work always
-fails the same trials, regardless of pool width or scheduling order.
+fails the same trials, regardless of worker width or scheduling order.
 Rules can also pin an exact token substring (``match``) for surgically
-targeted chaos, and bound themselves with ``max_hits`` (per process).
+targeted chaos, and bound themselves with ``max_hits``, which counts per
+process: a fleet worker runs many trials, so a ``worker``-site rule's
+``max_hits`` bounds its firings in each worker process, not per trial.
 
 Activation
 ----------
@@ -139,7 +143,9 @@ class FaultRule:
         Optional substring the event token must contain; lets tests target
         e.g. only first attempts (``"#a0"``) or one config.
     max_hits:
-        Stop firing after this many injections *in this process*.
+        Stop firing after this many injections *in this process* (for the
+        ``worker`` site: in each fleet worker process, which runs many
+        trials).
     ignore_sigterm:
         ``hang`` only: the hanging process first installs a SIGTERM
         ignorer, modelling a worker wedged somewhere ``terminate()``

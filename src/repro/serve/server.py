@@ -38,8 +38,9 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Dict, List, Optional, Tuple
 
-from ..codegen import emit_cuda, lower
+from ..codegen import emit_cuda
 from ..core import profiling
+from ..core.compiler import AlcopCompiler
 from ..core.errors import (
     CompileError,
     DeadlineExceededError,
@@ -50,10 +51,7 @@ from ..gpusim.config import A100, GpuSpec
 from ..ir.printer import format_kernel
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..schedule.auto import auto_schedule
-from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, contraction, placeholder
-from ..transform import apply_pipelining
+from ..tensor.operation import GemmSpec
 from ..tuning.cache import MeasurementCache, compiler_version_hash, gpu_fingerprint
 from ..tuning.measure import Measurer
 from ..tuning.space import SpaceOptions, enumerate_space, restrict_space
@@ -193,7 +191,8 @@ class ReproServer:
     cache_dir:
         Optional disk measurement cache backing the shared measurer.
     jobs:
-        Measurement pool width used by sweeps the daemon runs.
+        Measurement worker width (fleet local workers) used by sweeps the
+        daemon runs.
     workers:
         Request-handling threads draining the connection queue.
     via_ir:
@@ -241,6 +240,10 @@ class ReproServer:
         self.registry = registry if registry is not None else ArtifactRegistry()
         cache = MeasurementCache(cache_dir) if cache_dir else None
         self.measurer = Measurer(gpu, via_ir=via_ir, cache=cache, jobs=jobs)
+        #: builds each winning config sync-verified, with the same stage
+        #: annotations as the measurement path so per-request profiles
+        #: account for it.
+        self._compiler = AlcopCompiler(gpu, measurer=self.measurer, verify_sync=True)
         self.workers = max(1, int(workers))
         self.default_space = int(default_space)
         #: None (or <= 0) disables the idle bound — tests only; a shared
@@ -844,7 +847,7 @@ class ReproServer:
             cfg, latency = self.measurer.best(spec, space, deadline=deadline)
         self._count("sweeps_run")
         with obs_trace.span("build-kernel"):
-            kernel = self._build_kernel(spec, cfg)
+            kernel = self._compiler.build(spec, cfg)
         artifact = KernelArtifact(
             key=key,
             spec=dataclasses.asdict(spec),
@@ -867,23 +870,6 @@ class ReproServer:
         stored = self.registry.put(artifact)
         self._count("artifacts_built")
         return stored
-
-    def _build_kernel(self, spec: GemmSpec, cfg: TileConfig):
-        """Schedule/lower/pipeline the winning config (sync-verified), with
-        the same stage annotations as the measurement path so per-request
-        profiles account for it."""
-        a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
-        b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
-        a = placeholder("A", a_shape, dtype=spec.dtype)
-        b = placeholder("B", b_shape, dtype=spec.dtype)
-        c = contraction(a, b, spec)
-        with profiling.stage("schedule"):
-            sched = auto_schedule(c, cfg)
-        with profiling.stage("lower"):
-            kernel = lower(sched)
-        with profiling.stage("transform"):
-            kernel = apply_pipelining(kernel, verify_sync=True)
-        return kernel
 
     # ------------------------------------------------------------------ status
     def _op_status(self) -> Dict:

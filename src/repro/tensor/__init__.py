@@ -12,6 +12,7 @@ from .operation import (
     Tensor,
     contraction,
     elementwise,
+    gemm_graph,
     placeholder,
 )
 
@@ -26,5 +27,6 @@ __all__ = [
     "Tensor",
     "contraction",
     "elementwise",
+    "gemm_graph",
     "placeholder",
 ]

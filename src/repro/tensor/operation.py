@@ -34,6 +34,7 @@ __all__ = [
     "CacheReadOp",
     "ContractionOp",
     "ELEMENTWISE_FNS",
+    "gemm_graph",
 ]
 
 #: Registry of elementwise semantics by name. Each maps an ndarray to an
@@ -246,3 +247,13 @@ def contraction(a: Tensor, b: Tensor, spec: GemmSpec, name: str = "C") -> Tensor
     """Create the contraction output tensor ``C`` of shape (batch, m, n)."""
     shape = (spec.batch, spec.m, spec.n) if spec.batch > 1 else (spec.m, spec.n)
     return Tensor(name, shape, ContractionOp(a, b, spec), dtype=spec.dtype)
+
+
+def gemm_graph(spec: GemmSpec) -> Tensor:
+    """The canonical graph of ``spec``: placeholders ``A`` (m x k) and
+    ``B`` (n x k), with a leading batch axis when ``spec.batch > 1``, feeding
+    the contraction ``C``. Returns ``C``."""
+    lead = (spec.batch,) if spec.batch > 1 else ()
+    a = placeholder("A", lead + (spec.m, spec.k), dtype=spec.dtype)
+    b = placeholder("B", lead + (spec.n, spec.k), dtype=spec.dtype)
+    return contraction(a, b, spec)

@@ -1,21 +1,18 @@
 """Distributed, elastic tuning fleet (docs/distributed.md).
 
-The process-pool :class:`~repro.tuning.measure.Measurer` is one box wide;
-this module scales the measurement loop beyond it, modelled on TVM's
-RPC-tracker measurement farm: a :class:`FleetCoordinator` shards an
-enumerated design space across many expendable workers, streams results
-back asynchronously as each trial lands, work-steals the unmeasured
-remainder of straggler shards, tolerates worker death at any point, and
-scales the fleet up or down mid-sweep (:meth:`FleetCoordinator.scale_to`).
+The one process-parallel measurement runner (``Measurer`` sends every
+batch needing process isolation here), modelled on TVM's RPC-tracker
+measurement farm: a :class:`FleetCoordinator` shards an enumerated design
+space across expendable workers, streams results back as each trial
+lands, work-steals the unmeasured remainder of straggler shards,
+tolerates worker death at any point, and scales the fleet up or down
+mid-sweep (:meth:`FleetCoordinator.scale_to`).
 
 Workers come in two kinds:
 
 :class:`LocalProcessWorker`
-    One long-lived worker *process* per fleet slot (amortizing spawn cost
-    across trials, unlike the pool's process-per-trial isolation). Each
-    trial runs through the hardened ``Measurer`` trial protocol — retry
-    with backoff, quarantine — inside the worker, so per-trial crashes
-    never surface as worker failures.
+    One long-lived worker *process* per fleet slot, running each trial
+    with retry, quarantine and a ``trial_timeout_s`` watchdog.
 :class:`RemoteServeWorker`
     A ``repro serve`` / ``repro fleet-worker`` daemon reached over the
     newline-JSON Unix socket or HTTP transport, answering the ``measure``
@@ -31,14 +28,17 @@ coordinator merges duplicates first-write-wins and the chaos suite
 
 Failure model
 -------------
-A worker dying mid-shard (``fleet`` fault site, ``worker-death``) costs
-the shard's unmeasured remainder, which is requeued at the next attempt
-number while the slot respawns its worker. A lost dispatch
-(``coordinator`` token, ``crash``) requeues the whole shard. A shard that
-fails :attr:`FleetCoordinator.max_shard_retries` times aborts the sweep
-with :class:`~repro.core.errors.WorkerCrash` — by then the fault is
-systemic, not transient. Results already streamed are never lost: they
-are committed to the coordinator (and through :func:`fleet_sweep`, to the
+A trial attempt that raises or kills its worker (``worker`` fault site)
+is retried after a backoff, then quarantined FAILED; a trial outliving
+``trial_timeout_s`` is recorded FAILED. The trial pays for either, not
+its shard. A worker dying between trials (``fleet`` fault site,
+``worker-death``) costs the shard's unmeasured remainder, which is
+requeued at the next attempt number while the slot respawns its worker.
+A lost dispatch (``coordinator`` token, ``crash``) requeues the whole
+shard. A shard that fails :attr:`FleetCoordinator.max_shard_retries`
+times aborts the sweep with :class:`~repro.core.errors.WorkerCrash` — by
+then the fault is systemic, not transient. Results already streamed are
+never lost: they are committed (through :func:`fleet_sweep`, into the
 measurer's caches) the moment they arrive.
 
 Endpoint health is tracked per slot by a :class:`CircuitBreaker`
@@ -61,13 +61,14 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
-from ..core.errors import FaultInjected, ServeError, WorkerCrash
+from ..core import profiling
+from ..core.errors import DeadlineExceededError, FaultInjected, ServeError, WorkerCrash
 from ..gpusim.config import A100, GpuSpec
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec
-from .measure import Measurer, _cfg_token
+from .measure import FAILED, Measurer, _cfg_token
 
 __all__ = [
     "CircuitBreaker",
@@ -85,6 +86,11 @@ Item = Tuple[int, TileConfig]
 
 #: on_result callback signature: (index, latency_us, persist_to_disk).
 ResultSink = Callable[[int, float, bool], None]
+
+#: on_trial callback signature: (index, outcome, attempt, detail). The
+#: outcome is "compiled" (detail: (compile_s, stage_times)), "crash" or
+#: "timeout" (detail: a description).
+TrialSink = Callable[[int, str, int, object], None]
 
 
 #: Process-global mirrors of the fleet telemetry counters, so a long
@@ -109,54 +115,80 @@ def _worker_token(spec: GemmSpec, cfg: TileConfig, sid: int, attempt: int) -> st
 
 
 # --------------------------------------------------------------------- workers
-def _fleet_worker_main(conn, gpu: GpuSpec, via_ir: bool, retries: int) -> None:
-    """Fleet worker process: a long-lived loop answering shard requests.
+class _TrialLost(WorkerCrash):
+    """A local worker went down with a trial in flight, already charged to
+    that trial; the shard's remainder is requeued at no cost to it."""
 
-    Each trial goes through the serial ``Measurer`` recovery path (retry
-    with backoff, quarantine), so the values returned are bit-identical to
-    a serial sweep's. Results stream back one message per trial —
-    ``("result", sid, index, latency, persist)`` — so the coordinator
-    loses at most the trial in flight when this process dies. ``persist``
-    is False for crash-quarantined FAILED placeholders, which are run
-    properties, not config properties, and must stay out of disk caches.
 
-    A shard message may carry a sixth element, ``(trace_id, span_id)``:
-    the coordinator's trace context. The worker then records a
-    ``fleet:worker-shard`` span with per-trial children and ships the
-    serialized spans back on the ``done`` message, stitching the child
-    process into the coordinator's tree. Older coordinators send 5-tuples
-    and older workers ignore the extra element — both directions stay
-    compatible. A worker that dies mid-shard simply never ships its spans:
-    the trace loses that shard's detail, never its validity.
+def _run_trial(conn, measurer: Measurer, spec: GemmSpec, sid: int, idx: int,
+               cfg: TileConfig, first: int, retries: int, backoff_s: float) -> None:
+    """Every attempt of one config from attempt ``first`` on, each
+    announced by ``("start", sid, idx, attempt)`` so the coordinator knows
+    what was in flight if this process dies or hangs; a retry first waits
+    ``backoff_s * 2**(attempt - 1)``. A raising attempt sends ``("crash",
+    sid, idx, attempt, detail)``. The trial ends with ``("result", sid,
+    idx, latency, True, (attempt, compile_s, stage_times))``, or with
+    ``("result", sid, idx, inf, False)`` once retries are spent
+    (quarantined: a run property, kept out of disk caches)."""
+    token = _cfg_token(spec, cfg)
+    for attempt in range(first, retries + 1):
+        if attempt:
+            time.sleep(backoff_s * 2 ** (attempt - 1))
+        conn.send(("start", sid, idx, attempt))
+        measurer.compile_time_s = 0.0
+        measurer.stage_times = profiling.StageTimes()
+        try:
+            faults.inject("worker", token=f"{token}#a{attempt}")
+            latency = measurer._compile_and_time(spec, cfg, token=f"{token}#a{attempt}")
+        except Exception as e:  # crash-class fault or unexpected compiler bug
+            conn.send(("crash", sid, idx, attempt, repr(e)))
+            continue
+        cost = (attempt, measurer.compile_time_s, dict(measurer.stage_times))
+        conn.send(("result", sid, idx, latency, True, cost))
+        return
+    conn.send(("result", sid, idx, FAILED, False))
+
+
+def _fleet_worker_main(conn, gpu: GpuSpec, via_ir: bool, retries: int,
+                       backoff_s: float) -> None:
+    """Fleet worker process: a long-lived loop answering shard requests
+    ``("shard", sid, attempt, spec, items, trace_ctx, first_attempts)``.
+
+    Each trial runs the serial compile path (:func:`_run_trial`, from the
+    attempt ``first_attempts`` names, default 0), so the values returned
+    are bit-identical to a serial sweep's, and streams back as it lands,
+    so the coordinator loses at most the trial in flight when this
+    process dies. Given the coordinator's ``(trace_id, span_id)``, the
+    worker records a ``fleet:worker-shard`` span with per-trial children
+    and ships the spans back on the ``done`` message, stitching the child
+    process into the coordinator's tree; a worker that dies mid-shard
+    never ships its spans, so the trace loses detail, never validity.
     """
     try:
         faults.ensure_env_plan()
-        measurer = Measurer(gpu, via_ir=via_ir, retries=retries, backoff_s=0.01)
+        measurer = Measurer(gpu, via_ir=via_ir)
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
                 return
-            _, sid, attempt, spec, items = msg[:5]
-            wire_ctx = msg[5] if len(msg) > 5 else None
-            ctx = None
-            if (isinstance(wire_ctx, (tuple, list)) and len(wire_ctx) == 2
-                    and all(isinstance(x, str) for x in wire_ctx)):
-                ctx = obs_trace.SpanContext(wire_ctx[0], wire_ctx[1])
+            _, sid, attempt, spec, items, wire_ctx, first = msg
             tracer = None
             with contextlib.ExitStack() as scope:
-                if ctx is not None:
+                if wire_ctx is not None:
                     tracer = scope.enter_context(
                         obs_trace.activate(obs_trace.Tracer(capacity=4096)))
                     scope.enter_context(obs_trace.span(
-                        "fleet:worker-shard", parent=ctx,
+                        "fleet:worker-shard", parent=obs_trace.SpanContext(*wire_ctx),
                         attrs={"shard": sid, "attempt": attempt,
                                "trials": len(items)}))
+                if measurer.engine is not None:
+                    measurer.engine.note_batch(spec, [cfg for _, cfg in items])
                 for idx, cfg in items:
+                    # Between trials: a death here is a shard loss.
                     faults.inject("fleet", token=_worker_token(spec, cfg, sid, attempt))
                     with obs_trace.span("fleet:trial", attrs={"index": idx}):
-                        latency = measurer.measure(spec, cfg)
-                    persist = measurer._key(spec, cfg) not in measurer.quarantined
-                    conn.send(("result", sid, idx, latency, persist))
+                        _run_trial(conn, measurer, spec, sid, idx, cfg,
+                                   first.get(idx, 0), retries, backoff_s)
             spans = [s.as_dict() for s in tracer.spans()] if tracer is not None else None
             conn.send(("done", sid, spans))
     except (EOFError, OSError, KeyboardInterrupt):
@@ -173,10 +205,13 @@ class LocalProcessWorker:
 
     kind = "process"
 
-    def __init__(self, gpu: GpuSpec, via_ir: bool, retries: int = 2) -> None:
+    def __init__(self, gpu: GpuSpec, via_ir: bool, retries: int = 2,
+                 backoff_s: float = 0.01, trial_timeout_s: Optional[float] = None) -> None:
         self.gpu = gpu
         self.via_ir = via_ir
         self.retries = retries
+        self.backoff_s = backoff_s
+        self.trial_timeout_s = trial_timeout_s
         self._proc = None
         self._conn = None
 
@@ -187,7 +222,7 @@ class LocalProcessWorker:
         self._conn, child = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
             target=_fleet_worker_main,
-            args=(child, self.gpu, self.via_ir, self.retries),
+            args=(child, self.gpu, self.via_ir, self.retries, self.backoff_s),
             daemon=True,
         )
         self._proc.start()
@@ -196,41 +231,91 @@ class LocalProcessWorker:
     def measure_shard(
         self, spec: GemmSpec, sid: int, attempt: int, items: Sequence[Item],
         on_result: ResultSink, should_abort: Optional[Callable[[], bool]] = None,
+        attempts: Optional[Dict[int, int]] = None,
+        on_trial: Optional[TrialSink] = None,
     ) -> None:
-        """Run ``items`` on the worker, streaming each trial's result into
-        ``on_result`` as it lands. Raises :class:`WorkerCrash` when the
-        worker dies mid-shard (the caller requeues the remainder) or when
-        ``should_abort`` turns true (sweep already complete elsewhere)."""
+        """Run ``items`` (each from the attempt ``attempts`` names, default
+        0) on the worker, streaming each result into ``on_result`` as it
+        lands (a compile's cost as a fourth argument) and each crashed or
+        timed-out attempt into ``on_trial``. Raises :class:`WorkerCrash`
+        when the worker dies between trials or ``should_abort`` turns true.
+        A worker lost with a trial in flight — dead, or put down once the
+        trial outlives ``trial_timeout_s`` — raises :class:`_TrialLost`
+        after charging that trial a crash (FAILED once its retries are
+        spent) or a timeout (FAILED, unless its result raced the kill)."""
         ctx = obs_trace.current_context()
         wire_ctx = (ctx.trace_id, ctx.span_id) if ctx is not None else None
+        report = on_trial or (lambda *_: None)
+        #: (index, attempt, monotonic start) of the attempt in flight
+        trial = None
+
+        def handle(msg) -> bool:
+            """Apply one worker message; True once the shard is done."""
+            nonlocal trial
+            if msg[0] == "start":
+                trial = (msg[2], msg[3], time.monotonic())
+                return False
+            trial = None
+            if msg[0] == "crash":
+                report(msg[2], "crash", msg[3], msg[4])
+            elif msg[0] == "result":
+                on_result(*msg[2:])
+            else:
+                # Adopt the child process's spans (message element 3,
+                # absent from older workers) into every active tracer.
+                if len(msg) > 2 and msg[2]:
+                    for tracer in obs_trace.active_tracers():
+                        tracer.import_spans(msg[2])
+                return True
+            return False
+
         try:
-            self._conn.send(("shard", sid, attempt, spec, list(items), wire_ctx))
+            self._conn.send(("shard", sid, attempt, spec, list(items), wire_ctx,
+                             dict(attempts or {})))
             while True:
-                if not self._conn.poll(0.05):
-                    if should_abort is not None and should_abort():
-                        raise WorkerCrash(f"shard {sid} abandoned: sweep over")
-                    if self._proc.is_alive() or self._conn.poll():
-                        continue
-                    raise WorkerCrash(
-                        f"fleet worker died mid-shard {sid} "
-                        f"(exit code {self._proc.exitcode})"
-                    )
-                msg = self._conn.recv()
-                if msg[0] == "done":
-                    # Adopt the child process's spans (message element 3,
-                    # absent from older workers) into every active tracer.
-                    if len(msg) > 2 and msg[2]:
-                        for tracer in obs_trace.active_tracers():
-                            tracer.import_spans(msg[2])
-                    return
-                _, _, idx, latency, persist = msg
-                on_result(idx, latency, persist)
-        except (EOFError, OSError, BrokenPipeError) as e:
-            raise WorkerCrash(f"fleet worker pipe broke on shard {sid}: {e}") from e
+                if self._conn.poll(0.05):
+                    if handle(self._conn.recv()):
+                        return
+                elif should_abort is not None and should_abort():
+                    raise WorkerCrash(f"shard {sid} abandoned: sweep over")
+                elif not self._proc.is_alive():
+                    if not self._conn.poll():
+                        raise EOFError("worker exited")
+                elif (trial is not None and self.trial_timeout_s is not None
+                      and time.monotonic() - trial[2] > self.trial_timeout_s):
+                    idx, n, _ = trial
+                    self._proc.terminate()
+                    # Drain before recording the timeout: a result that
+                    # landed between the deadline check and the terminate
+                    # is a finished measurement, not a hang.
+                    try:
+                        while trial is not None and self._conn.poll(0.05):
+                            handle(self._conn.recv())
+                    except (EOFError, OSError):
+                        pass
+                    if trial is not None:
+                        report(idx, "timeout", n,
+                               f"exceeded {self.trial_timeout_s}s wall clock")
+                        on_result(idx, FAILED, False)
+                    raise _TrialLost(f"trial {idx} of shard {sid} outlived its "
+                                     f"{self.trial_timeout_s}s budget")
+        except (EOFError, OSError) as e:
+            self._proc.join(timeout=1.0)
+            code = self._proc.exitcode
+            if trial is None:
+                raise WorkerCrash(
+                    f"fleet worker died mid-shard {sid} (exit code {code}): {e}"
+                ) from e
+            idx, n, _ = trial
+            report(idx, "crash", n, f"worker died (exit code {code})")
+            if n >= self.retries:
+                on_result(idx, FAILED, False)
+            raise _TrialLost(f"fleet worker died in trial {idx} of shard {sid} "
+                             f"(exit code {code})") from e
 
     def stop(self) -> None:
-        """Retire the worker with the same SIGTERM → SIGKILL escalation as
-        the measurement pool: never leak a child or its pipe fd."""
+        """Retire the worker with SIGTERM → SIGKILL escalation: never leak a
+        child or its pipe fd, even one wedged where SIGTERM cannot reach."""
         if self._conn is not None:
             try:
                 self._conn.send(("stop",))
@@ -258,7 +343,9 @@ class LocalProcessWorker:
 class RemoteServeWorker:
     """One fleet slot backed by a ``repro serve`` / ``repro fleet-worker``
     daemon answering the ``measure`` op. Result streaming is per-shard (one
-    request/response round trip per shard) rather than per-trial."""
+    request/response round trip per shard) rather than per-trial. The
+    daemon's own measurer retries and quarantines its trials, so
+    ``attempts`` and ``on_trial`` are accepted and unused."""
 
     kind = "remote"
 
@@ -276,6 +363,8 @@ class RemoteServeWorker:
     def measure_shard(
         self, spec: GemmSpec, sid: int, attempt: int, items: Sequence[Item],
         on_result: ResultSink, should_abort: Optional[Callable[[], bool]] = None,
+        attempts: Optional[Dict[int, int]] = None,
+        on_trial: Optional[TrialSink] = None,
     ) -> None:
         result = self._client.measure(spec, [cfg for _, cfg in items])
         if bool(result.get("via_ir")) != bool(self.via_ir):
@@ -501,11 +590,15 @@ class FleetCoordinator:
         granularity for balancing and stealing without drowning in
         dispatch overhead).
     max_shard_retries:
-        Times one shard may be lost (worker death / lost dispatch) before
-        the sweep aborts with :class:`WorkerCrash`.
+        Times one shard may be lost (worker death between trials / lost
+        dispatch) before the sweep aborts with :class:`WorkerCrash`.
     steal:
         Allow idle slots to clone the unmeasured remainder of an in-flight
         shard (first result wins; duplicates are identical by determinism).
+    trial_retries / trial_backoff_s / trial_timeout_s:
+        Local workers' retries of a crashed trial before quarantine, the
+        base of their exponential backoff, and the wall-clock budget after
+        which a trial's worker is put down (None: unbounded).
     breaker_threshold / breaker_cooldown_s / breaker_max_opens:
         Per-slot :class:`CircuitBreaker` tuning — consecutive transport
         failures before the slot stops taking shards, base cooldown before
@@ -525,6 +618,8 @@ class FleetCoordinator:
         max_shard_retries: int = 8,
         steal: bool = True,
         trial_retries: int = 2,
+        trial_backoff_s: float = 0.01,
+        trial_timeout_s: Optional[float] = None,
         remote_timeout: float = 600.0,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 0.25,
@@ -538,6 +633,8 @@ class FleetCoordinator:
         self.max_shard_retries = max(0, int(max_shard_retries))
         self.steal = steal
         self.trial_retries = trial_retries
+        self.trial_backoff_s = trial_backoff_s
+        self.trial_timeout_s = trial_timeout_s
         self.remote_timeout = remote_timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
@@ -559,7 +656,12 @@ class FleetCoordinator:
         self._n_shards = len(self._queue)
         self._inflight: Dict[int, _Shard] = {}
         self._results: Dict[int, float] = {}
+        #: next attempt number per index, once an attempt has failed
+        self._attempts: Dict[int, int] = {}
         self._on_result: Optional[ResultSink] = None
+        self._on_trial: Optional[TrialSink] = None
+        #: commits land one at a time, as on the serial path
+        self._sink_lock = threading.Lock()
         self._slots: List[_Slot] = []
         self._next_slot = 0
         self._done = False
@@ -580,22 +682,32 @@ class FleetCoordinator:
         self._trace_ctx: Optional[obs_trace.SpanContext] = None
 
     # ------------------------------------------------------------- public api
-    def run(self, on_result: Optional[ResultSink] = None) -> FleetResult:
+    def run(self, on_result: Optional[ResultSink] = None,
+            on_trial: Optional[TrialSink] = None,
+            deadline: Optional[float] = None) -> FleetResult:
         """Measure everything; returns when every config has a result.
 
         ``on_result(index, latency, persist)`` is invoked exactly once per
         config, as its first result streams in (the hook
         :func:`fleet_sweep` uses to commit into a measurer's caches).
+        ``on_trial(index, outcome, attempt, detail)`` hears, once per
+        trial however many stolen copies ran, each first result's compile
+        cost and every crashed or timed-out attempt from local workers.
+        The two are never called concurrently. ``deadline`` (absolute
+        ``time.monotonic``) aborts with :class:`DeadlineExceededError`,
+        putting workers down; streamed results stay committed.
         """
         with obs_trace.span(
             "fleet:coordinator",
             attrs={"configs": len(self.configs), "shards": self._n_shards},
         ) as root:
             self._trace_ctx = root.context() if root is not None else None
-            return self._run(on_result)
+            return self._run(on_result, on_trial, deadline)
 
-    def _run(self, on_result: Optional[ResultSink]) -> FleetResult:
+    def _run(self, on_result: Optional[ResultSink], on_trial: Optional[TrialSink],
+             deadline: Optional[float]) -> FleetResult:
         self._on_result = on_result
+        self._on_trial = on_trial
         if not self.configs:
             return FleetResult([], self._telemetry_locked())
         with self._cond:
@@ -606,6 +718,13 @@ class FleetCoordinator:
         try:
             with self._cond:
                 while len(self._results) < len(self.configs) and self._failure is None:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        self._failure = DeadlineExceededError(
+                            f"sweep of {self.spec.name} ran out of its deadline after "
+                            f"{len(self._results)}/{len(self.configs)} uncached trials; "
+                            "committed results are kept"
+                        )
+                        break
                     self._cond.wait(0.05)
         finally:
             with self._cond:
@@ -648,7 +767,8 @@ class FleetCoordinator:
 
     # ---------------------------------------------------------------- slots
     def _local_factory(self) -> Callable[[], object]:
-        return lambda: LocalProcessWorker(self.gpu, self.via_ir, self.trial_retries)
+        return lambda: LocalProcessWorker(self.gpu, self.via_ir, self.trial_retries,
+                                          self.trial_backoff_s, self.trial_timeout_s)
 
     def _remote_factory(self, endpoint: str) -> Callable[[], object]:
         return lambda: RemoteServeWorker(endpoint, self.via_ir, self.remote_timeout)
@@ -699,6 +819,8 @@ class FleetCoordinator:
                     if shard.steal_of is None:
                         self._inflight[shard.sid] = shard
                     self._dispatched += 1
+                    attempts = {i: self._attempts[i] for i, _ in shard.items
+                                if i in self._attempts}
                 if worker is None:
                     try:
                         worker = slot.factory()
@@ -735,6 +857,7 @@ class FleetCoordinator:
                         worker.measure_shard(
                             self.spec, shard.sid, shard.attempt, shard.items,
                             self._commit, should_abort=self._over,
+                            attempts=attempts, on_trial=self._trial,
                         )
                 except FaultInjected:
                     # Lost dispatch (shard-loss): the worker never saw the
@@ -828,18 +951,34 @@ class FleetCoordinator:
     def _remaining(self, items: Sequence[Item]) -> List[Item]:
         return [it for it in items if it[0] not in self._results]
 
-    def _commit(self, idx: int, latency: float, persist: bool) -> None:
+    def _commit(self, idx: int, latency: float, persist: bool,
+                cost: Optional[Tuple] = None) -> None:
+        """First-write-wins merge of one streamed result; ``cost`` is a
+        local worker's ``(attempt, compile_s, stage_times)``."""
         with self._cond:
             self._streamed += 1
             if idx in self._results:
                 self._duplicates += 1
                 return
             self._results[idx] = latency
-            fresh = True
             if len(self._results) == len(self.configs):
                 self._cond.notify_all()
-        if fresh and self._on_result is not None:
-            self._on_result(idx, latency, persist)
+        with self._sink_lock:
+            if cost is not None and self._on_trial is not None:
+                self._on_trial(idx, "compiled", cost[0], cost[1:])
+            if self._on_result is not None:
+                self._on_result(idx, latency, persist)
+
+    def _trial(self, idx: int, outcome: str, attempt: int, detail: object) -> None:
+        """A local worker's crashed or timed-out attempt; the next dispatch
+        of ``idx`` resumes after it. Repeats from stolen copies drop."""
+        with self._cond:
+            if idx in self._results or attempt < self._attempts.get(idx, 0):
+                return
+            self._attempts[idx] = attempt + 1
+        if self._on_trial is not None:
+            with self._sink_lock:
+                self._on_trial(idx, outcome, attempt, detail)
 
     def _finish(self, shard: _Shard) -> None:
         with self._cond:
@@ -853,7 +992,8 @@ class FleetCoordinator:
 
     def _abandon(self, shard: _Shard, death: bool,
                  error: Optional[BaseException] = None) -> None:
-        """A dispatch failed: requeue whatever the shard still owes."""
+        """A dispatch failed: requeue whatever the shard still owes, at the
+        next shard attempt unless a trial in flight already paid."""
         with self._cond:
             if death:
                 self._deaths += 1
@@ -872,7 +1012,9 @@ class FleetCoordinator:
             if not remaining:
                 self._cond.notify_all()
                 return
-            if shard.attempt >= self.max_shard_retries:
+            if isinstance(error, _TrialLost):
+                self._queue.append(_Shard(shard.sid, remaining, shard.attempt))
+            elif shard.attempt >= self.max_shard_retries:
                 if self._failure is None:
                     self._failure = WorkerCrash(
                         f"fleet shard {shard.sid} lost {shard.attempt + 1} "
@@ -913,38 +1055,26 @@ def fleet_sweep(
     breaker_threshold: int = 3,
     breaker_cooldown_s: float = 0.25,
     breaker_max_opens: int = 5,
-    coordinator: Optional[FleetCoordinator] = None,
+    deadline: Optional[float] = None,
 ) -> Tuple[List[float], FleetTelemetry]:
     """Sweep ``space`` over a worker fleet, committing every result into
-    ``measurer``'s caches exactly as a serial sweep would.
+    ``measurer`` exactly as a serial sweep would.
 
-    Cache hits (memory, then disk) are answered locally without touching
-    the fleet; duplicates within the batch dispatch once. The returned
-    latencies are positionally aligned with ``space`` and bitwise-equal to
-    ``measurer.sweep(spec, space)``. After the call, every config is a
-    memory-cache hit, so a tuner running on ``measurer`` afterwards (the
-    ``repro tune --fleet`` path) replays the fleet's answers for free.
+    This is ``measurer``'s own batch path (cache lookup, in-batch dedup,
+    commit) with the uncached configs run on ``workers`` local processes
+    plus one slot per remote ``endpoints`` daemon. Local workers take the
+    measurer's ``retries``, ``backoff_s`` and ``trial_timeout_s``, and
+    their compiles, crashes and timeouts land in its telemetry. The
+    latencies are aligned with ``space`` and bitwise-equal to
+    ``measurer.sweep(spec, space)``; afterwards every config is a
+    memory-cache hit, so a tuner running on ``measurer`` (the ``repro
+    tune --fleet`` path) replays the fleet's answers for free. ``deadline``
+    is as in :meth:`FleetCoordinator.run`.
     """
-    space = list(space)
-    results: Dict[int, float] = {}
-    pending: Dict[Tuple, List[int]] = {}
-    order: List[Tuple[Tuple, TileConfig]] = []
-    for i, cfg in enumerate(space):
-        key = measurer._key(spec, cfg)
-        if key in pending:
-            pending[key].append(i)
-            continue
-        hit = measurer._lookup(key, spec, cfg)
-        if hit is not None:
-            results[i] = hit
-            continue
-        pending[key] = [i]
-        order.append((key, cfg))
-    if not order:
-        return [results[i] for i in range(len(space))], FleetTelemetry(
-            0, 0, 0, 0, 0, 0, 0, 0, 0
-        )
-    if coordinator is None:
+    telemetry = FleetTelemetry(0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+    def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
+        nonlocal telemetry
         coordinator = FleetCoordinator(
             spec,
             [cfg for _, cfg in order],
@@ -955,17 +1085,27 @@ def fleet_sweep(
             shard_size=shard_size,
             steal=steal,
             trial_retries=measurer.retries,
+            trial_backoff_s=measurer.backoff_s,
+            trial_timeout_s=measurer.trial_timeout_s,
             breaker_threshold=breaker_threshold,
             breaker_cooldown_s=breaker_cooldown_s,
             breaker_max_opens=breaker_max_opens,
         )
 
-    def record(pos: int, latency: float, persist: bool) -> None:
-        key, cfg = order[pos]
-        measurer._record(key, spec, cfg, latency, persist=persist)
+        def on_result(pos: int, latency: float, persist: bool) -> None:
+            key, cfg = order[pos]
+            measurer._record(key, spec, cfg, latency, persist=persist)
 
-    fleet = coordinator.run(on_result=record)
-    for pos, (key, _) in enumerate(order):
-        for i in pending[key]:
-            results[i] = fleet.latencies[pos]
-    return [results[i] for i in range(len(space))], fleet.telemetry
+        def on_trial(pos: int, outcome: str, attempt: int, detail) -> None:
+            key, cfg = order[pos]
+            if outcome == "compiled":
+                measurer._tally_compile(*detail)
+            else:
+                measurer._tally_failure(spec, key, cfg, outcome, attempt, detail)
+
+        try:
+            coordinator.run(on_result, on_trial, deadline)
+        finally:
+            telemetry = coordinator.telemetry
+
+    return measurer._measure_batch(spec, space, run), telemetry

@@ -6,21 +6,21 @@ transformation, timing-spec extraction from the produced IR — and then the
 discrete-event simulator (the reproduction's "hardware"). Results are
 cached by their full identity (GPU, problem, config, measurement mode) in
 memory, optionally persisted to disk (:class:`~repro.tuning.cache.
-MeasurementCache`), and batch measurements fan out over worker processes
-(``jobs > 1``) while returning bitwise-identical latencies to the serial
-path.
+MeasurementCache`). A batch runs in-process or, when it needs process
+isolation (``jobs > 1`` or a ``trial_timeout_s``), on the tuning fleet's
+local workers (:mod:`repro.tuning.fleet`), with the same bits either way.
 
 Fault tolerance (docs/robustness.md): per-trial crashes, hangs and worker
-deaths are ordinary measurement outcomes, never sweep aborts. Each pooled
-trial runs in its own process so a dying worker takes down exactly one
-attempt; crashed attempts retry with exponential backoff up to
-``retries`` times before the config is recorded :data:`FAILED` and
-quarantined; trials exceeding ``trial_timeout_s`` are terminated and
-recorded :data:`FAILED`. Crash/timeout failures are kept out of the disk
-cache (they are properties of the run, not of the config), while genuine
-compile failures persist as ``inf``. The ``compile`` and ``worker``
-fault-injection sites (:mod:`repro.faults`) live here, so every one of
-those recovery paths is exercised by the chaos suite.
+deaths are ordinary measurement outcomes, never sweep aborts. Crashed
+(or, on the fleet, worker-killing) attempts retry with exponential
+backoff up to ``retries`` times before the config is recorded
+:data:`FAILED` and quarantined; trials exceeding ``trial_timeout_s`` have
+their worker put down and are recorded :data:`FAILED`. Crash/timeout
+failures are kept out of the disk cache (they are properties of the run,
+not of the config), while genuine compile failures persist as ``inf``.
+The ``compile`` fault-injection site (:mod:`repro.faults`) lives here and
+the ``worker`` site in the fleet worker loop, so the chaos suite
+exercises every one of those recovery paths.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..codegen import lower
@@ -51,7 +51,7 @@ from ..gpusim.spec import extract_timing_spec
 from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.auto import auto_schedule
 from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, Tensor, contraction, placeholder
+from ..tensor.operation import GemmSpec, Tensor, gemm_graph
 from .cache import MeasurementCache, measurement_key
 from .prune import prune_space
 
@@ -180,32 +180,6 @@ def _cfg_token(spec: GemmSpec, cfg: TileConfig) -> str:
     )
 
 
-def _trial_main(conn, gpu: GpuSpec, via_ir: bool, spec: GemmSpec, cfg: TileConfig,
-                token: str) -> None:
-    """Measurement worker process: one compile+simulate in a fresh Measurer.
-
-    Runs exactly the serial code path, so a pooled sweep returns the same
-    bits as a serial one. Sends ``("ok", latency, compile_s, stage_times)``
-    on success (``inf`` for genuine compile failures; ``stage_times`` is the
-    worker's per-stage breakdown dict), ``("crash", detail)`` when the
-    trial raised, and nothing at all when the process is killed outright
-    (worker death) — the parent treats silence as a crash.
-    """
-    try:
-        faults.ensure_env_plan()
-        faults.inject("worker", token=token)
-        m = Measurer(gpu, via_ir=via_ir)
-        latency = m._compile_and_time(spec, cfg, token=token)
-        conn.send(("ok", latency, m.compile_time_s, dict(m.stage_times)))
-    except Exception as e:  # crash-class fault or unexpected compiler bug
-        try:
-            conn.send(("crash", repr(e)))
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
-
-
 class Measurer:
     """Compile-and-simulate with caching and fault tolerance.
 
@@ -230,15 +204,18 @@ class Measurer:
         sharing the directory) warm-start.
     jobs:
         Worker-process width for batch measurement (:meth:`sweep` /
-        :meth:`measure_many`). 1 (default) keeps everything in-process
-        unless ``trial_timeout_s`` forces process isolation.
+        :meth:`measure_many`): ``jobs > 1`` runs uncached trials on that
+        many fleet local workers, which live for one batch. 1 (default)
+        keeps everything in-process unless ``trial_timeout_s`` forces
+        process isolation.
     trial_timeout_s:
-        Per-trial wall-clock budget. Trials exceeding it are terminated
-        and recorded :data:`FAILED`. Requires process isolation, so when
-        set, even ``jobs=1`` measurements run in a worker process.
+        Per-trial wall-clock budget. A trial exceeding it has its worker
+        put down and is recorded :data:`FAILED`. Requires process
+        isolation, so when set, even ``jobs=1`` batches run on a
+        one-worker fleet.
     retries:
-        How many times a crashed attempt (dead or raising worker) is
-        resubmitted before the config is recorded :data:`FAILED` and
+        How many times a crashed attempt (raising, or killing its worker)
+        is resubmitted before the config is recorded :data:`FAILED` and
         quarantined.
     backoff_s:
         Base of the exponential retry backoff (``backoff_s * 2**attempt``).
@@ -269,10 +246,9 @@ class Measurer:
         self.trial_timeout_s = trial_timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
-        #: guards every telemetry counter and the in-memory caches below;
-        #: reentrant because the pool's crash handler tallies a failure and
-        #: records its result in one critical section.
-        self._lock = threading.RLock()
+        #: guards every telemetry counter and the in-memory caches below
+        #: (fleet driver threads commit concurrently).
+        self._lock = threading.Lock()
         self._cache: Dict[Tuple, float] = {}
         #: canonical tensor-expression graph per problem: building the
         #: placeholders + contraction is config-independent, so one graph
@@ -303,7 +279,7 @@ class Measurer:
         #: newest :class:`~repro.tuning.prune.PruneStats` from a pruned sweep
         self.last_prune_stats = None
         #: accumulated per-stage compile-path wall clock (schedule / lower /
-        #: transform / spec-extract / simulate), including pooled workers.
+        #: transform / spec-extract / simulate), including fleet workers.
         self.stage_times = profiling.StageTimes()
         #: in-memory keys of configs that exhausted retries by killing
         #: workers; they are never resubmitted by this measurer.
@@ -351,11 +327,7 @@ class Measurer:
             if c is not None:
                 self._te_cache.move_to_end(spec)
                 return c
-        a_shape = (spec.batch, spec.m, spec.k) if spec.batch > 1 else (spec.m, spec.k)
-        b_shape = (spec.batch, spec.n, spec.k) if spec.batch > 1 else (spec.n, spec.k)
-        a = placeholder("A", a_shape, dtype=spec.dtype)
-        b = placeholder("B", b_shape, dtype=spec.dtype)
-        c = contraction(a, b, spec)
+        c = gemm_graph(spec)
         with self._lock:
             self._te_cache[spec] = c
             self._te_cache.move_to_end(spec)
@@ -462,10 +434,26 @@ class Measurer:
         return None
 
     # ------------------------------------------------------------- recovery
-    def _note_failure(
-        self, spec: GemmSpec, cfg: TileConfig, reason: str, detail: str, attempt: int
-    ) -> None:
+    def _tally_compile(self, compile_s: float, stage_times: Dict[str, float]) -> None:
+        """Count one compile a fleet worker ran for this measurer."""
         with self._lock:
+            self.n_compiled += 1
+            self.compile_time_s += compile_s
+            self.stage_times.merge(stage_times)
+
+    def _tally_failure(self, spec: GemmSpec, key: Tuple, cfg: TileConfig,
+                       reason: str, attempt: int, detail: str) -> None:
+        """Count one crashed or timed-out attempt; a crash with no retries
+        left quarantines its config."""
+        with self._lock:
+            if reason == "timeout":
+                self.n_timeouts += 1
+            else:
+                self.n_crashes += 1
+                if attempt < self.retries:
+                    self.n_retries += 1
+                else:
+                    self.quarantined.add(key)
             self.failures.append(
                 MeasureFailure(
                     spec=spec.name, config=cfg.key(), reason=reason,
@@ -487,15 +475,9 @@ class Measurer:
                 self._record(key, spec, cfg, latency)
                 return
             except Exception as e:
-                with self._lock:
-                    self.n_crashes += 1
-                self._note_failure(spec, cfg, "crash", repr(e), attempt)
+                self._tally_failure(spec, key, cfg, "crash", attempt, repr(e))
                 if attempt < self.retries:
-                    with self._lock:
-                        self.n_retries += 1
                     time.sleep(self.backoff_s * (2**attempt))
-        with self._lock:
-            self.quarantined.add(key)
         self._record(key, spec, cfg, FAILED, persist=False)
 
     @staticmethod
@@ -510,169 +492,6 @@ class Measurer:
                 f"{done}/{total} uncached trials; committed results are kept"
             )
 
-    # ----------------------------------------------------------------- pool
-    def _run_pool(self, spec: GemmSpec, tasks: List[Tuple[Tuple, TileConfig]],
-                  width: int, sweep_deadline: Optional[float] = None) -> None:
-        """Fault-tolerant worker pool: one process per trial attempt,
-        per-future deadlines, crash recovery with retry/backoff, quarantine
-        for repeat offenders. A dead or hung worker affects exactly its own
-        trial; the sweep always completes."""
-        import collections
-        import multiprocessing as mp
-        from multiprocessing import connection as mp_conn
-
-        ctx = mp.get_context()
-        # (key, cfg, attempt, not_before_monotonic)
-        queue = collections.deque((key, cfg, 0, 0.0) for key, cfg in tasks)
-        running: Dict[object, tuple] = {}
-
-        def pop_ready(now: float):
-            for _ in range(len(queue)):
-                item = queue.popleft()
-                if item[3] <= now:
-                    return item
-                queue.append(item)
-            return None
-
-        def on_crash(key, cfg, attempt, detail):
-            with self._lock:
-                self.n_crashes += 1
-            self._note_failure(spec, cfg, "crash", detail, attempt)
-            if attempt < self.retries:
-                with self._lock:
-                    self.n_retries += 1
-                queue.append(
-                    (key, cfg, attempt + 1,
-                     time.monotonic() + self.backoff_s * (2**attempt))
-                )
-            else:
-                with self._lock:
-                    self.quarantined.add(key)
-                self._record(key, spec, cfg, FAILED, persist=False)
-
-        def put_down(proc, conn):
-            """Retire one worker: join, escalating to SIGKILL when it
-            ignores SIGTERM (or is wedged in uninterruptible state), and
-            always release the pipe fd — a hung trial must never leak a
-            zombie process or its descriptor for the rest of the sweep."""
-            try:
-                proc.join(timeout=1.0)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            finally:
-                conn.close()
-
-        def reap(sid):
-            proc, conn, *_ = running.pop(sid)
-            put_down(proc, conn)
-
-        try:
-            while queue or running:
-                if sweep_deadline is not None and time.monotonic() >= sweep_deadline:
-                    # Put every in-flight worker down (same escalation as a
-                    # Ctrl-C) before aborting: a deadline must never leak a
-                    # child process. Committed trials stay cached.
-                    for proc, *_ in running.values():
-                        proc.terminate()
-                    for proc, conn, *_ in running.values():
-                        put_down(proc, conn)
-                    done = len(tasks) - len(queue) - len(running)
-                    running.clear()
-                    self._deadline_check(sweep_deadline, spec, done, len(tasks))
-                now = time.monotonic()
-                while len(running) < width:
-                    item = pop_ready(now)
-                    if item is None:
-                        break
-                    key, cfg, attempt, _ = item
-                    if key in self.quarantined:
-                        self._record(key, spec, cfg, FAILED, persist=False)
-                        continue
-                    token = f"{_cfg_token(spec, cfg)}#a{attempt}"
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_trial_main,
-                        args=(child_conn, self.gpu, self.via_ir, spec, cfg, token),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    deadline = (
-                        now + self.trial_timeout_s
-                        if self.trial_timeout_s is not None else None
-                    )
-                    running[proc.sentinel] = (proc, parent_conn, key, cfg, attempt, deadline)
-                if not running:
-                    # everything is backing off; wait out the shortest delay
-                    time.sleep(min(self.backoff_s, 0.05))
-                    continue
-                waitables = [r[1] for r in running.values()]
-                waitables += [r[0].sentinel for r in running.values()]
-                mp_conn.wait(waitables, timeout=0.05)
-                for sid in list(running):
-                    proc, conn, key, cfg, attempt, deadline = running[sid]
-                    if conn.poll():
-                        try:
-                            payload = conn.recv()
-                        except (EOFError, OSError):
-                            payload = None
-                        if payload is not None and payload[0] == "ok":
-                            _, latency, compile_s, stage_times = payload
-                            with self._lock:
-                                self.n_compiled += 1
-                                self.compile_time_s += compile_s
-                            self.stage_times.merge(stage_times)
-                            self._record(key, spec, cfg, latency)
-                        else:
-                            detail = payload[1] if payload else "worker closed pipe"
-                            on_crash(key, cfg, attempt, detail)
-                        reap(sid)
-                    elif not proc.is_alive():
-                        if conn.poll():
-                            continue  # result raced process exit; next pass
-                        on_crash(key, cfg, attempt, f"worker died (exit code {proc.exitcode})")
-                        reap(sid)
-                    elif deadline is not None and time.monotonic() > deadline:
-                        proc.terminate()
-                        # Drain the pipe once before recording the timeout: a
-                        # result that landed in the race window between the
-                        # deadline check and the terminate is a completed
-                        # measurement, and discarding it would make retries
-                        # (or a fleet coordinator) re-measure a config that
-                        # actually finished.
-                        payload = None
-                        try:
-                            if conn.poll(0.05):
-                                payload = conn.recv()
-                        except (EOFError, OSError):
-                            payload = None
-                        if payload is not None and payload[0] == "ok":
-                            _, latency, compile_s, stage_times = payload
-                            with self._lock:
-                                self.n_compiled += 1
-                                self.compile_time_s += compile_s
-                            self.stage_times.merge(stage_times)
-                            self._record(key, spec, cfg, latency)
-                        else:
-                            with self._lock:
-                                self.n_timeouts += 1
-                            self._note_failure(
-                                spec, cfg, "timeout",
-                                f"exceeded {self.trial_timeout_s}s wall clock", attempt,
-                            )
-                            self._record(key, spec, cfg, FAILED, persist=False)
-                        reap(sid)
-        except KeyboardInterrupt:
-            # Completed trials are already committed to the caches; just
-            # put the workers down before propagating (same SIGTERM →
-            # SIGKILL escalation as reap, so Ctrl-C never leaks children).
-            for proc, *_ in running.values():
-                proc.terminate()
-            for proc, conn, *_ in running.values():
-                put_down(proc, conn)
-            raise
-
     # ------------------------------------------------------------------ api
     def measure(self, spec: GemmSpec, cfg: TileConfig) -> float:
         """Latency in us, or :data:`FAILED` when compilation fails."""
@@ -682,22 +501,40 @@ class Measurer:
         self, spec: GemmSpec, cfgs: Sequence[TileConfig], jobs: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> List[float]:
-        """Measure a batch; fans out over worker processes.
+        """Measure a batch, in input order, bit for bit as the serial path.
 
-        ``jobs`` explicitly overrides the pool width for this call only —
+        ``jobs`` explicitly overrides the worker width for this call only —
         the measurer's configured width is never mutated, so re-entrant or
-        failed sweeps cannot leave a stale pool width behind. Cache hits
-        are answered in-process; only distinct uncached configs reach the
-        pool. Results (and cache writes) are merged in input order, so the
-        output is identical to the serial path bit for bit.
+        failed sweeps cannot leave a stale width behind. Cache hits are
+        answered in-process; distinct uncached configs compile here or,
+        for a width above 1 or a ``trial_timeout_s``, on that many fleet
+        local workers (:func:`~repro.tuning.fleet.fleet_sweep`).
 
         ``deadline`` (absolute ``time.monotonic`` seconds) aborts the batch
-        cleanly with :class:`DeadlineExceededError` once passed: in-flight
+        cleanly with :class:`DeadlineExceededError` once passed: fleet
         workers are put down, committed results stay cached. The serving
         daemon uses this to stop burning a worker thread on a request whose
         client budget has already expired.
         """
         width = self.jobs if jobs is None else max(1, int(jobs))
+        if width > 1 or self.trial_timeout_s is not None:
+            from .fleet import fleet_sweep
+
+            return fleet_sweep(self, spec, cfgs, workers=width, deadline=deadline)[0]
+
+        def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
+            for done, (key, cfg) in enumerate(order):
+                self._deadline_check(deadline, spec, done, len(order))
+                self._measure_with_recovery(spec, cfg, key)
+
+        return self._measure_batch(spec, cfgs, run)
+
+    def _measure_batch(self, spec: GemmSpec, cfgs: Sequence[TileConfig],
+                       run: Callable[[List[Tuple[Tuple, TileConfig]]], None]) -> List[float]:
+        """The one cache-lookup / dedup / commit path: answer hits from the
+        caches, hand the distinct uncached ``(key, config)`` pairs to
+        ``run`` (which commits each through :meth:`_record`), and read the
+        batch back from the memory cache in input order."""
         results: Dict[int, float] = {}
         pending: Dict[Tuple, List[int]] = {}
         order: List[Tuple[Tuple, TileConfig]] = []
@@ -714,20 +551,16 @@ class Measurer:
             order.append((key, cfg))
         if self.engine is not None and len(order) > 1:
             # Group uncached trials by shared schedule-key prefix so one
-            # memoized base kernel's reuse window is contiguous, and tell
-            # the engine which tile keys this batch repeats (so even their
-            # first trial goes through it). Results are merged back by key
-            # into input positions below, so the recorded latencies — and
-            # which configs are measured — are unchanged.
+            # memoized base kernel's reuse window is contiguous (within a
+            # fleet shard too), and tell the engine which tile keys this
+            # batch repeats (so even their first trial goes through it).
+            # Results are merged back by key into input positions below, so
+            # the recorded latencies — and which configs are measured — are
+            # unchanged.
             order.sort(key=lambda kc: _incremental_sort_key(kc[1]))
             self.engine.note_batch(spec, [cfg for _, cfg in order])
         if order:
-            if width <= 1 and self.trial_timeout_s is None:
-                for done, (key, cfg) in enumerate(order):
-                    self._deadline_check(deadline, spec, done, len(order))
-                    self._measure_with_recovery(spec, cfg, key)
-            else:
-                self._run_pool(spec, order, width, sweep_deadline=deadline)
+            run(order)
             for key, _ in order:
                 for i in pending[key]:
                     results[i] = self._cache[key]
@@ -743,7 +576,7 @@ class Measurer:
     ) -> List[float]:
         """Measure every config; failed builds yield :data:`FAILED`.
 
-        ``jobs`` overrides the pool width for this sweep only (passed
+        ``jobs`` overrides the worker width for this sweep only (passed
         through :meth:`measure_many` explicitly, never stored).
 
         ``prune_ratio`` (opt-in, default off) runs the model-guided pruning

@@ -133,6 +133,20 @@ class TestWorkerDeath:
                 result, _ = run_fleet(space, workers=workers, shard_size=2)
             assert result.latencies == serial
 
+    def test_trial_deaths_spend_trial_retries_not_the_shards(self, space, serial):
+        """A worker killed during a trial (``worker`` site, after the trial's
+        start marker) is that trial's crash: it is retried at its next
+        attempt without spending the shard's budget, so even
+        max_shard_retries=0 completes with the serial bits."""
+        plan = faults.FaultPlan(
+            [faults.FaultRule("worker", "worker-death", match="#a0")], seed=1
+        )
+        with faults.injected(plan):
+            result, _ = run_fleet(space, workers=2, shard_size=len(space),
+                                  steal=False, max_shard_retries=0)
+        assert result.latencies == serial
+        assert result.telemetry.worker_deaths == len(space)
+
     def test_persistent_shard_killer_aborts_with_worker_crash(self, space):
         """A shard that dies on every attempt exhausts max_shard_retries and
         the sweep aborts loudly instead of spinning forever."""
@@ -278,7 +292,10 @@ class TestFleetSweep:
         # measurer replays the fleet's answers for free.
         again = m.sweep(SPEC, space)
         assert again == serial
-        assert m.n_compiled == 0  # the fleet compiled, not this process
+        # The fleet's compiles are counted once each; the replay compiles
+        # nothing more.
+        assert m.n_compiled == len(space)
+        assert m.n_memory_hits == len(space)
 
     def test_cache_hits_never_touch_the_fleet(self, space, serial):
         m = Measurer(A100, via_ir=False)
@@ -315,6 +332,67 @@ class TestFleetSweep:
         # cleanly: the crash-FAILED placeholder was never persisted.
         m2 = Measurer(A100, via_ir=False, cache=MeasurementCache(tmp_path))
         assert math.isfinite(m2.measure(SPEC, victim))
+
+    def test_trial_timeout_puts_a_hung_trial_down(self, space, serial):
+        """The measurer's trial_timeout_s covers fleet_sweep: a trial hung
+        in its compile is put down and recorded FAILED once, every other
+        config keeps the serial bits, and no worker outlives the sweep."""
+        import multiprocessing
+        import time
+
+        from repro.tuning import FAILED
+
+        victim = 3
+        plan = faults.FaultPlan(
+            [faults.FaultRule("compile", "hang", hang_s=60.0,
+                              match=_cfg_token(SPEC, space[victim]))],
+            seed=1,
+        )
+        m = Measurer(A100, via_ir=False, trial_timeout_s=1.0)
+        with faults.injected(plan):
+            latencies, _ = fleet_sweep(m, SPEC, space, workers=2)
+        assert latencies[victim] == FAILED
+        assert m.n_timeouts == 1
+        assert [x for i, x in enumerate(latencies) if i != victim] == [
+            x for i, x in enumerate(serial) if i != victim
+        ]
+        t0 = time.monotonic()
+        while time.monotonic() - t0 < 5.0:
+            alive = [p for p in multiprocessing.active_children() if p.is_alive()]
+            if not alive:
+                break
+            time.sleep(0.05)
+        assert not alive, f"fleet leaked worker processes: {alive}"
+
+    def test_compiles_count_once_under_contention(self, space, serial):
+        """More workers than cores, a tiny thread switch interval and a
+        stolen shard whose owner and thief both finish most of it: the
+        measurer counts every compile exactly once, a duplicate not at all.
+        The owner stalls before its first trial, so a thief runs the shard;
+        the thief stalls before its last trial, so the owner, awake again,
+        re-runs what the thief already committed and finishes first."""
+        import sys
+
+        plan = faults.FaultPlan(
+            [faults.FaultRule("fleet", "hang", hang_s=0.75,
+                              match=f"|attempt=0|{_cfg_token(SPEC, space[0])}"),
+             faults.FaultRule("fleet", "hang", hang_s=5.0,
+                              match=f"|attempt=1|{_cfg_token(SPEC, space[-1])}")],
+            seed=1,
+        )
+        m = Measurer(A100, via_ir=False)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with faults.injected(plan):
+                latencies, tel = fleet_sweep(m, SPEC, space, workers=4,
+                                             shard_size=len(space))
+        finally:
+            sys.setswitchinterval(old)
+        assert latencies == serial
+        assert tel.steals >= 1 and tel.duplicates >= 1
+        assert m.n_compiled == len(space) == tel.results_streamed - tel.duplicates
+        assert dict(m.telemetry.stage_time_s)["simulate"] > 0
 
     def test_fleet_with_faults_equals_serial_end_to_end(self, space, serial):
         plan = faults.FaultPlan(

@@ -168,7 +168,7 @@ class TestCorruptLatency:
 
     def test_pool_and_serial_agree_under_faults(self, space):
         """Fault decisions are token-hashed, not scheduling-dependent: the
-        same plan over the same work yields identical results at any pool
+        same plan over the same work yields identical results at any worker
         width."""
         plan = faults.FaultPlan(
             [faults.FaultRule("worker", "worker-death", rate=0.4, match="#a0")], seed=2
@@ -260,29 +260,34 @@ class TestZombieReap:
 
 
 class TestTimeoutResultRace:
+    """The trial hook is ``Measurer._compile_and_time``: forked fleet
+    workers inherit the patched class and run it for every attempt."""
+
     def test_result_landing_at_the_deadline_is_kept(self, space, clean, monkeypatch):
         """Regression: a result that arrives in the window between the
         deadline check and terminate() used to be discarded as a timeout.
         The drain after terminate() must record it as a real measurement."""
-        import os
         import signal
         import time as timelib
 
-        from repro.tuning import measure as measure_mod
+        class Delivered(Exception):
+            pass
 
-        def racy_trial_main(conn, gpu, via_ir, spec, cfg, token):
+        def racy_compile(self, spec, cfg, token=""):
             # Deliver the result only when the parent's terminate() lands:
             # by then the parent has already decided "timeout", which is
             # exactly the race the drain must win.
             def on_term(signum, frame):
-                conn.send(("ok", 42.0, 0.01, {}))
-                conn.close()
-                os._exit(0)
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                raise Delivered
 
             signal.signal(signal.SIGTERM, on_term)
-            timelib.sleep(60.0)
+            try:
+                timelib.sleep(60.0)
+            except Delivered:
+                return 42.0
 
-        monkeypatch.setattr(measure_mod, "_trial_main", racy_trial_main)
+        monkeypatch.setattr(Measurer, "_compile_and_time", racy_compile)
         m = Measurer(A100, via_ir=False, jobs=1, trial_timeout_s=0.3, retries=0)
         got = m.measure(SPEC, space[0])
         assert got == 42.0
@@ -295,16 +300,49 @@ class TestTimeoutResultRace:
         empty pipe and the trial is recorded FAILED as before."""
         import time as timelib
 
-        from repro.tuning import measure as measure_mod
-
-        def hung_trial_main(conn, gpu, via_ir, spec, cfg, token):
+        def hung_compile(self, spec, cfg, token=""):
             timelib.sleep(60.0)
 
-        monkeypatch.setattr(measure_mod, "_trial_main", hung_trial_main)
+        monkeypatch.setattr(Measurer, "_compile_and_time", hung_compile)
         m = Measurer(A100, via_ir=False, jobs=1, trial_timeout_s=0.3, retries=0)
         got = m.measure(SPEC, space[0])
         assert got == FAILED
         assert m.n_timeouts == 1
+
+
+class TestParallelDeadline:
+    def test_deadline_mid_sweep_keeps_committed_trials(self, space, clean):
+        """A jobs=2 sweep whose deadline passes mid-sweep (one trial hangs)
+        raises DeadlineExceededError, leaves no child alive, and keeps what
+        it committed: a re-run without a deadline compiles only the rest."""
+        import multiprocessing
+        import time as timelib
+
+        from repro.core.errors import DeadlineExceededError
+
+        plan = faults.FaultPlan(
+            [faults.FaultRule("compile", "hang", hang_s=60.0,
+                              match=_cfg_token(SPEC, space[1]))],
+            seed=1,
+        )
+        m = Measurer(A100, via_ir=False, jobs=2)
+        with faults.injected(plan):
+            with pytest.raises(DeadlineExceededError):
+                m.sweep(SPEC, space, deadline=timelib.monotonic() + 1.5)
+        committed = m.n_compiled
+        assert 0 < committed < len(space)
+        deadline = timelib.monotonic() + 5.0
+        while timelib.monotonic() < deadline:
+            alive = [p for p in multiprocessing.active_children() if p.is_alive()]
+            if not alive:
+                break
+            timelib.sleep(0.05)
+        assert not alive, f"expired sweep leaked worker process(es): {alive}"
+
+        hits = m.n_memory_hits
+        assert m.sweep(SPEC, space) == clean
+        assert m.n_memory_hits - hits == committed
+        assert m.n_compiled == len(space)
 
 
 class TestSweepJobsOverride:

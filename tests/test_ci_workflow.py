@@ -76,7 +76,7 @@ def test_chaos_job_contract(workflow):
     cmd = faulted[0]
     assert "repro.cli tune" in cmd
     assert "--trial-timeout" in cmd, "hang recovery needs a trial timeout"
-    assert "--jobs" in cmd, "worker-death recovery needs a process pool"
+    assert "--jobs" in cmd, "worker-death recovery needs worker processes"
     for kind in ("worker-death", "hang", "corrupt-latency"):
         assert kind in cmd, f"fault plan must inject {kind}"
 
@@ -173,21 +173,36 @@ class TestServeSmokeJob:
 
 class TestFleetSmokeJob:
     """The fleet-smoke job is the executable acceptance criterion for the
-    distributed tuning fleet: the same seeded tune run serially and through
-    a 3-worker fleet under injected worker death must produce bitwise-equal
-    trial logs and the same best config."""
+    distributed tuning fleet: the same seeded tune run serially, through a
+    3-worker fleet under injected worker death, and with --jobs 3 under
+    per-trial worker death must produce bitwise-equal trial logs and the
+    same best config."""
 
     def test_runs_serial_then_fleet_with_same_seeded_problem(self, workflow):
         cmds = job_commands(workflow["jobs"]["fleet-smoke"])
         tunes = [c for c in cmds if "repro.cli tune" in c]
-        assert len(tunes) == 2, "fleet-smoke must run a serial and a fleet tune"
-        serial, fleet = tunes
-        assert "--fleet" not in serial and "--out serial.json" in serial
+        assert len(tunes) == 3, "fleet-smoke must run a serial, a fleet and a --jobs tune"
+        serial, fleet, jobs = tunes
+        assert "--fleet" not in serial and "--jobs" not in serial
+        assert "--out serial.json" in serial
         assert "--fleet 3" in fleet and "--out fleet.json" in fleet
+        assert "--jobs 3" in jobs and "--out jobs.json" in jobs
         # Identical problem/method/seed, or the comparison is meaningless.
         for flag in ("--m 256", "--n 256", "--k 512", "--space 32",
                      "--trials 8", "--method xgb", "--seed 3"):
-            assert flag in serial and flag in fleet
+            assert flag in serial and flag in fleet and flag in jobs
+
+    def test_jobs_tune_kills_every_first_attempt(self, workflow):
+        cmds = job_commands(workflow["jobs"]["fleet-smoke"])
+        jobs = next(c for c in cmds if "--jobs 3" in c)
+        assert "--fault-plan" in jobs
+        assert '{"site": "worker", "kind": "worker-death", "match": "#a0"}' in jobs
+
+    def test_asserts_jobs_log_equals_serial_entry_by_entry(self, workflow):
+        cmds = "\n".join(job_commands(workflow["jobs"]["fleet-smoke"]))
+        assert 'j = json.load(open("jobs.json"))' in cmds
+        assert "for a, b in zip(j, s):" in cmds
+        assert "assert a == b" in cmds
 
     def test_fleet_tune_injects_worker_death(self, workflow):
         cmds = job_commands(workflow["jobs"]["fleet-smoke"])

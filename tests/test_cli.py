@@ -127,6 +127,23 @@ class TestCommands:
         for stage_name in ("schedule", "lower", "transform", "simulate"):
             assert stage_name in out, stage_name
 
+    def test_tune_counts_worker_compiles_like_serial(self, capsys):
+        """Serial, --jobs 2 and --fleet 2 report the same compiled count and
+        a stage breakdown: compiles run in worker processes are merged into
+        the measurer's telemetry, not mistaken for memory hits."""
+        import re
+
+        argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "64",
+                "--trials", "8", "--method", "xgb", "--seed", "3", "--profile"]
+        compiled = []
+        for extra in ([], ["--jobs", "2"], ["--fleet", "2"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            compiled.append(int(re.search(r"(\d+) compiled \(", out).group(1)))
+            assert "no stages recorded" not in out, extra
+            assert "simulate" in out.split("per-stage compile/simulate breakdown")[1]
+        assert compiled == [64, 64, 64]
+
     def test_tune_prune_ratio_reports_and_matches(self, capsys):
         base = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "40",
                 "--method", "grid", "--trials", "6"]
