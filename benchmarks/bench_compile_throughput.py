@@ -4,8 +4,10 @@ Three numbers, recorded as JSON so their trajectory is tracked from PR to
 PR by the CI artifact:
 
 * **batch-model speedup** — ``analytical_rank`` via the vectorized batch
-  model (:mod:`repro.perfmodel.batch`) against the pre-batching scalar
-  loop, on a multi-thousand-config full space;
+  model (:mod:`repro.perfmodel.batch`) against the per-config scalar loop,
+  on a multi-thousand-config full space. Both run the same Table-I
+  expressions, on columns or on one config's scalars, so the ratio prices
+  numpy overhead per config as much as batching;
 * **cold configs/sec** — trials through the full ``via_ir`` compiler path
   (schedule, lower, pipelining transform, spec extraction, simulation) on
   an empty cache, with the per-stage breakdown alongside;

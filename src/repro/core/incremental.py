@@ -69,11 +69,11 @@ from typing import Dict, Optional, Tuple
 
 from ..codegen.lower import lower
 from ..gpusim.spec import KernelTimingSpec, extract_timing_spec
-from ..ir.buffer import Scope
+from ..ir.buffer import DTYPE_BYTES, Scope
 from ..ir.stmt import Kernel
 from ..obs import metrics as _metrics
 from ..schedule.auto import auto_schedule
-from ..schedule.config import TileConfig
+from ..schedule.config import TileConfig, tile_resources
 from ..tensor.operation import ContractionOp, GemmSpec, PlaceholderOp, Tensor
 from ..transform import RewriteCaches, analyze, instantiate_plan, transform_with_plan
 from . import profiling
@@ -364,9 +364,7 @@ class IncrementalEngine:
                 elif g.scope is Scope.REGISTER:
                     rs = g.stages
             base = entry.ts_hi if ss >= 2 else entry.ts_lo
-            effective = cfg if (cfg.smem_stages == ss and cfg.reg_stages == rs) \
-                else cfg.with_stages(ss, rs)
-            regs = effective.resource_usage(spec.dtype).regs_per_thread
+            regs = tile_resources(cfg, ss, rs, DTYPE_BYTES[spec.dtype])[1]
             ts = dataclasses.replace(
                 base,
                 smem_bytes_per_tb=(

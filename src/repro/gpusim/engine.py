@@ -84,7 +84,7 @@ def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
     if ts.a_chunk_bytes + ts.b_chunk_bytes == 0:
         return 1.0
     covered = min(wave_tbs, ts.grid)
-    unique = ts.workset_bytes(covered)
+    unique = float(ts.workset_bytes(covered))
     requested = covered * (ts.a_chunk_bytes + ts.b_chunk_bytes)
     # If the live working set overflows L2, re-reads also go to DRAM.
     resident = unique * (ts.smem_stages + 1)

@@ -13,8 +13,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+import numpy as np
+
 from ..ir.analysis import loop_extent_int
-from ..ir.buffer import Scope
+from ..ir.buffer import DTYPE_BYTES, Scope
 from ..ir.stmt import (
     Allocate,
     ComputeStmt,
@@ -25,7 +27,7 @@ from ..ir.stmt import (
     MemCopy,
     SeqStmt,
 )
-from ..schedule.config import TileConfig
+from ..schedule.config import TileConfig, tile_resources
 from ..tensor.operation import GemmSpec
 
 __all__ = ["KernelTimingSpec", "extract_timing_spec"]
@@ -33,7 +35,11 @@ __all__ = ["KernelTimingSpec", "extract_timing_spec"]
 
 @dataclasses.dataclass
 class KernelTimingSpec:
-    """Everything the timing engine needs to simulate one kernel."""
+    """Everything the timing engine needs to simulate one kernel.
+
+    The analytical model's batch path (:mod:`repro.perfmodel.batch`) fills
+    the numeric fields with columns, one entry per config of a space.
+    """
 
     name: str
     grid: int
@@ -68,14 +74,18 @@ class KernelTimingSpec:
     def total_flops(self) -> int:
         return self.flops_chunk_tb * self.inner_extent * self.outer_extent * self.grid
 
-    def workset_bytes(self, tbs: int) -> float:
+    def workset_bytes(self, tbs):
         """Unique A/B bytes the first ``tbs`` threadblocks load per outer
         iteration. Raster order varies the n (column) tile fastest, so
         tiles sharing a row re-use the A chunk and tiles sharing a column
-        re-use the B chunk."""
-        batches = max(1, -(-tbs // (self.m_tiles * self.n_tiles)))
-        unique_a = min(tbs, -(-tbs // self.n_tiles))
-        unique_b = min(tbs, self.n_tiles * batches)
+        re-use the B chunk.
+
+        Elementwise when ``tbs`` and the fields are columns; a numpy
+        scalar otherwise. Assumes ``tbs >= 0`` and tile counts ``>= 1``.
+        """
+        batches = -(-tbs // (self.m_tiles * self.n_tiles))
+        unique_a = -(-tbs // self.n_tiles)
+        unique_b = np.minimum(tbs, self.n_tiles * batches)
         return (
             unique_a * self.a_chunk_bytes * self.a_footprint_ratio
             + unique_b * self.b_chunk_bytes * self.b_footprint_ratio
@@ -240,11 +250,8 @@ def extract_timing_spec(kernel: Kernel) -> KernelTimingSpec:
         threads = config.threads_per_block
         warps = config.warps_per_block
         # Register budget follows the *realized* stage counts in the IR.
-        if config.smem_stages == smem_stages and config.reg_stages == reg_stages:
-            effective = config
-        else:
-            effective = config.with_stages(smem_stages, reg_stages)
-        regs = effective.resource_usage(spec.dtype if spec else "float16").regs_per_thread
+        eb = DTYPE_BYTES[spec.dtype if spec else "float16"]
+        regs = tile_resources(config, smem_stages, reg_stages, eb)[1]
         m_tiles = (spec.m // config.block_m) if spec else 1
         n_tiles = (spec.n // config.block_n) if spec else 1
     else:

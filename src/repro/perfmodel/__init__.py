@@ -1,12 +1,7 @@
 """Pipeline-aware analytical performance model (paper Sec. IV, Table I)
 plus the bottleneck-analysis baseline it is compared against."""
 
-from .batch import (
-    BatchTimingArrays,
-    derive_timing_arrays,
-    pipeline_latency_batch,
-    predict_latency_batch,
-)
+from .batch import derive_timing_arrays, predict_latency_batch
 from .bottleneck import bottleneck_latency
 from .kernel_model import ModelBreakdown, predict_breakdown, predict_latency
 from .pipeline_model import is_load_bound, pipeline_latency
@@ -14,9 +9,7 @@ from .roofline import RooflineReport, analyze_operator
 from .static_spec import timing_spec_from_config
 
 __all__ = [
-    "BatchTimingArrays",
     "derive_timing_arrays",
-    "pipeline_latency_batch",
     "predict_latency_batch",
     "bottleneck_latency",
     "ModelBreakdown",

@@ -16,14 +16,15 @@ approximate* model ranks schedules well enough to guide tuning.
 from __future__ import annotations
 
 import dataclasses
-import math
+
+import numpy as np
 
 from ..gpusim.config import A100, GpuSpec
 from ..gpusim.occupancy import CompileError, tb_per_sm
 from ..gpusim.spec import KernelTimingSpec
-from .pipeline_model import pipeline_latency
+from .pipeline_model import loop_latency
 
-__all__ = ["ModelBreakdown", "predict_latency", "predict_breakdown"]
+__all__ = ["ModelBreakdown", "predict_latency", "predict_breakdown", "table1"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,28 +45,24 @@ class ModelBreakdown:
     util: float
 
 
-def _util(n_warps: int, n_tb_per_sm: int) -> float:
-    """SM throughput utilization given available warp parallelism.
+def table1(ts: KernelTimingSpec, gpu: GpuSpec, occ) -> ModelBreakdown:
+    """Evaluate Table I for a launchable kernel with ``occ`` co-resident
+    threadblocks per SM, without checks.
 
-    An A100 SM has four tensor-core-equipped sub-partitions; fewer than
-    four resident warps cannot saturate them.
+    Plain arithmetic and numpy ufuncs only, so the same expressions price
+    one kernel (scalar fields, numpy scalar results) or a whole space
+    (column fields and ``occ``, column results).
     """
-    return min(1.0, (n_warps * n_tb_per_sm) / 4.0)
-
-
-def predict_breakdown(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> ModelBreakdown:
-    """Evaluate Table I for one kernel. Raises CompileError when the
-    threadblock cannot launch (the model is occupancy-aware)."""
-    ts.validate()
-    occ = tb_per_sm(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread, ts.threads_per_tb)
-    n_batch = math.ceil(ts.grid / (occ * gpu.num_sms))
-    tbs_per_batch = min(ts.grid, occ * gpu.num_sms)
+    n_batch = np.ceil(ts.grid / (occ * gpu.num_sms)).astype(np.int64)
+    tbs_per_batch = np.minimum(ts.grid, occ * gpu.num_sms)
 
     # ---- Computation Latency Model ------------------------------------------
     # An SM time-slices its tensor-core throughput across every resident
     # warp, so one warp's chunk takes ``resident_warps`` fair shares. The
-    # Util term models under-filled SM sub-partitions (< 4 resident warps).
-    util = _util(ts.warps_per_tb, occ)
+    # Util term models under-filled SM sub-partitions: an A100 SM has four
+    # tensor-core-equipped sub-partitions, which fewer than four resident
+    # warps cannot saturate.
+    util = np.minimum(1.0, (ts.warps_per_tb * occ) / 4.0)
     resident_warps = ts.warps_per_tb * occ
     flops_chunk_warp = ts.flops_chunk_tb / ts.warps_per_tb
     t_compute = flops_chunk_warp * resident_warps / (gpu.tc_flops_per_sm * util)
@@ -78,17 +75,17 @@ def predict_breakdown(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> ModelBreakdo
     # the sum of all threadblocks' requests (Table I, memory model note).
     workset = ts.workset_bytes(tbs_per_batch)
     t_dram_load = gpu.dram_latency + workset / gpu.dram_bw
-    t_smem_load = max(t_llc_load, t_dram_load)
+    t_smem_load = np.maximum(t_llc_load, t_dram_load)
 
     # ---- Threadblock Latency Model --------------------------------------------
-    t_smem_use = pipeline_latency(
+    t_smem_use = loop_latency(
         t_reg_load,
         t_compute,
         n_loop=ts.inner_extent,
         n_pipe=ts.reg_stages,
         n_mplx=ts.warps_per_tb,
     )
-    t_main_loop = pipeline_latency(
+    t_main_loop = loop_latency(
         t_smem_load,
         t_smem_use,
         n_loop=ts.outer_extent,
@@ -114,6 +111,18 @@ def predict_breakdown(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> ModelBreakdo
         t_compute=t_compute,
         n_threadblk_per_sm=occ,
         util=util,
+    )
+
+
+def predict_breakdown(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> ModelBreakdown:
+    """Evaluate Table I for one kernel. Raises CompileError when the
+    threadblock cannot launch (the model is occupancy-aware)."""
+    ts.validate()
+    occ = tb_per_sm(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread, ts.threads_per_tb)
+    bd = table1(ts, gpu, occ)
+    # One kernel evaluates to numpy scalars; report plain Python numbers.
+    return ModelBreakdown(
+        *(np.asarray(getattr(bd, f.name)).item() for f in dataclasses.fields(bd))
     )
 
 

@@ -16,7 +16,9 @@ bottleneck and the loop advances one full load-use round trip per
 
 from __future__ import annotations
 
-__all__ = ["pipeline_latency", "is_load_bound"]
+import numpy as np
+
+__all__ = ["pipeline_latency", "is_load_bound", "loop_latency"]
 
 
 def _check(t_load: float, t_use: float, n_loop: int, n_pipe: int, n_mplx: int) -> None:
@@ -31,11 +33,19 @@ def is_load_bound(t_load: float, t_use: float, n_pipe: int, n_mplx: int) -> bool
     return t_load > (n_pipe * n_mplx - 1) * t_use
 
 
+def loop_latency(t_load, t_use, n_loop, n_pipe, n_mplx):
+    """The model's formula without input checks, elementwise on numpy
+    columns; on scalars it returns a numpy scalar."""
+    return np.where(
+        is_load_bound(t_load, t_use, n_pipe, n_mplx),
+        (t_load + t_use) * n_loop / n_pipe,
+        t_use * n_loop,
+    )[()]
+
+
 def pipeline_latency(
     t_load: float, t_use: float, n_loop: int, n_pipe: int, n_mplx: int
 ) -> float:
     """Stable-state latency of the whole load-and-use loop (Table I)."""
     _check(t_load, t_use, n_loop, n_pipe, n_mplx)
-    if not is_load_bound(t_load, t_use, n_pipe, n_mplx):
-        return t_use * n_loop
-    return (t_load + t_use) * n_loop / n_pipe
+    return float(loop_latency(t_load, t_use, n_loop, n_pipe, n_mplx))

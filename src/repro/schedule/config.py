@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 from ..ir.buffer import DTYPE_BYTES
 from ..tensor.operation import GemmSpec
 
-__all__ = ["TileConfig", "ResourceUsage", "WARP_SIZE"]
+__all__ = ["TileConfig", "ResourceUsage", "WARP_SIZE", "tile_resources"]
 
 WARP_SIZE = 32
 
@@ -21,6 +21,24 @@ WARP_SIZE = 32
 _BASE_REGS_PER_THREAD = 40
 #: Bytes per register.
 _REG_BYTES = 4
+
+
+def tile_resources(c, smem_stages, reg_stages, elem_bytes: int):
+    """Shared-memory bytes and registers per thread of one threadblock of
+    tile ``c`` at the given pipeline stage counts.
+
+    Matches the occupancy-limiting quantities the paper's scheduling
+    policy considers (Sec. IV-A). ``c`` is a :class:`TileConfig` or a
+    space's tile fields as int64 columns; the same arithmetic then yields
+    ints or columns.
+    """
+    smem = (c.block_m + c.block_n) * c.block_k * elem_bytes * smem_stages
+    # Accumulator fragments: fp32 accumulation, one warp owns warp_m*warp_n.
+    accum_regs = (c.warp_m * c.warp_n * 4) // (_REG_BYTES * WARP_SIZE)
+    # Operand fragments at the register level, double-buffered if staged.
+    frag_bytes = (c.warp_m + c.warp_n) * c.chunk_k * elem_bytes * reg_stages
+    frag_regs = -(-frag_bytes // (_REG_BYTES * WARP_SIZE))
+    return smem, _BASE_REGS_PER_THREAD + accum_regs + frag_regs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,25 +130,10 @@ class TileConfig:
 
     # -- resource usage --------------------------------------------------------
     def resource_usage(self, dtype: str = "float16") -> ResourceUsage:
-        """Shared memory and register consumption of one threadblock.
-
-        Matches the occupancy-limiting quantities the paper's scheduling
-        policy considers (Sec. IV-A).
-        """
-        eb = DTYPE_BYTES[dtype]
-        smem_per_stage = (self.block_m + self.block_n) * self.block_k * eb
-        smem = smem_per_stage * self.smem_stages
-        # Accumulator fragments: fp32 accumulation, one warp owns warp_m*warp_n.
-        accum_regs = (self.warp_m * self.warp_n * 4) // (_REG_BYTES * WARP_SIZE)
-        # Operand fragments at the register level, double-buffered if staged.
-        frag_bytes = (self.warp_m + self.warp_n) * self.chunk_k * eb * self.reg_stages
-        frag_regs = -(-frag_bytes // (_REG_BYTES * WARP_SIZE))
-        regs = _BASE_REGS_PER_THREAD + accum_regs + frag_regs
-        return ResourceUsage(
-            smem_bytes=smem,
-            regs_per_thread=regs,
-            threads=self.threads_per_block,
-        )
+        """Shared memory and register consumption of one threadblock
+        (:func:`tile_resources` at this config's stage counts)."""
+        smem, regs = tile_resources(self, self.smem_stages, self.reg_stages, DTYPE_BYTES[dtype])
+        return ResourceUsage(smem_bytes=smem, regs_per_thread=regs, threads=self.threads_per_block)
 
     # -- helpers ----------------------------------------------------------------
     def with_stages(self, smem_stages: int, reg_stages: int) -> "TileConfig":

@@ -47,11 +47,11 @@ __all__ = [
 def _analytical_rank_scalar(
     spec: GemmSpec, space: Sequence[TileConfig], gpu: GpuSpec = A100, model=predict_latency
 ) -> List[int]:
-    """One scalar model call per config — the pre-batching reference path.
-
-    Kept (a) for custom ``model`` callables, which only speak the scalar
-    ``(KernelTimingSpec, GpuSpec)`` interface, and (b) as the baseline the
-    compile-throughput benchmark measures the batch speedup against.
+    """One scalar model call per config: the path for custom ``model``
+    callables, which speak the scalar ``(KernelTimingSpec, GpuSpec)``
+    interface (fig12 ranks with ``bottleneck_latency``). The
+    compile-throughput benchmark also times it with the default model as
+    the per-config baseline of the batch speedup.
     """
     scored = []
     rejected = []

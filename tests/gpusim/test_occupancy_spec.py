@@ -7,6 +7,7 @@ import pytest
 from repro.codegen import lower
 from repro.gpusim import (
     A100,
+    V100,
     CompileError,
     check_launchable,
     extract_timing_spec,
@@ -14,8 +15,9 @@ from repro.gpusim import (
 )
 from repro.perfmodel import timing_spec_from_config
 from repro.schedule import TileConfig, auto_schedule
-from repro.tensor import GemmSpec, contraction, placeholder
+from repro.tensor import GemmSpec, contraction, gemm_graph, placeholder
 from repro.transform import apply_pipelining
+from repro.tuning import enumerate_space
 
 
 class TestOccupancy:
@@ -58,6 +60,26 @@ def _compiled(cfg, m=256, n=256, k=512):
     return apply_pipelining(lower(auto_schedule(c, cfg))), spec
 
 
+def _spec_or_error(derive):
+    """The derived spec, or the type of the error that rejected it."""
+    try:
+        return derive()
+    except (CompileError, ValueError) as exc:
+        return type(exc)
+
+
+#: Problems whose full spaces the static derivation is checked on against
+#: the spec extracted from the compiled IR.
+_SAMPLED_SPECS = {
+    "1024x1024x1024": GemmSpec("s", 1, 1024, 1024, 1024),
+    "12x128x128x64": GemmSpec("s", 12, 128, 128, 64),
+    "4x384x64x512": GemmSpec("s", 4, 384, 64, 512),  # tail wave
+    "96x96x96": GemmSpec("s", 1, 96, 96, 96),
+    "256x256x32": GemmSpec("s", 1, 256, 256, 32),  # K is one tile
+    "256x256x256-fp0.3": GemmSpec("s", 1, 256, 256, 256, a_footprint_ratio=0.3),
+}
+
+
 class TestSpecExtraction:
     CFG = TileConfig(64, 64, 32, warp_m=32, warp_n=32, chunk_k=16, smem_stages=3, reg_stages=2)
 
@@ -79,6 +101,26 @@ class TestSpecExtraction:
             if f.name == "name":
                 continue
             assert getattr(ext, f.name) == getattr(st, f.name), f.name
+
+    @pytest.mark.parametrize("gpu", [A100, V100], ids=["A100", "V100"])
+    @pytest.mark.parametrize("shape", sorted(_SAMPLED_SPECS))
+    def test_matches_static_derivation_sampled_space(self, shape, gpu):
+        """The IR is the simulator's ground truth: on every 37th config of
+        the full space, the static path rejects exactly the configs the
+        compiled path rejects and otherwise derives every field alike."""
+        spec = _SAMPLED_SPECS[shape]
+        graph = gemm_graph(spec)
+        for cfg in enumerate_space(spec, gpu)[::37]:
+            ext = _spec_or_error(
+                lambda: extract_timing_spec(apply_pipelining(lower(auto_schedule(graph, cfg))))
+            )
+            st = _spec_or_error(lambda: timing_spec_from_config(spec, cfg))
+            if isinstance(ext, type) or isinstance(st, type):
+                assert ext == st, cfg
+                continue
+            for f in dataclasses.fields(ext):
+                if f.name != "name":
+                    assert getattr(ext, f.name) == getattr(st, f.name), (cfg, f.name)
 
     def test_grid_and_extents(self):
         kernel, _ = _compiled(self.CFG)

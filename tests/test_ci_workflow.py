@@ -296,8 +296,10 @@ def test_bench_smoke_checks_incremental_engine_fields(workflow):
 
 def test_bench_smoke_runs_traced_perfbench(workflow):
     """A traced perfbench run of compile and tune must stay correct,
-    deterministic and see the simulator: a refactor that silently unhooks a
-    layer perfbench wraps (``simulate.wave_sims`` falling to 0) fails CI."""
+    deterministic and see the simulator and, on tune, the batch analytical
+    model: a refactor that silently unhooks a layer perfbench wraps
+    (``simulate.wave_sims`` or ``analytical.configs`` falling to 0) fails
+    CI."""
     cmds = [c for c in job_commands(workflow["jobs"]["bench-smoke"]) if "perfbench/run.py" in c]
     assert len(cmds) == 1, "bench-smoke must run the traced perfbench step once"
     cmd = cmds[0]
@@ -307,3 +309,5 @@ def test_bench_smoke_runs_traced_perfbench(workflow):
     assert 'r["correct"] is True' in cmd
     assert 'm["nondeterministic.counts"] == 0' in cmd
     assert 'm["simulate.wave_sims"] > 0' in cmd
+    assert 'if w == "tune":' in cmd
+    assert 'm["analytical.configs"] > 0' in cmd
