@@ -79,6 +79,7 @@ def test_chaos_job_contract(workflow):
     assert "--jobs" in cmd, "worker-death recovery needs worker processes"
     for kind in ("worker-death", "hang", "corrupt-latency"):
         assert kind in cmd, f"fault plan must inject {kind}"
+    assert "--oracle" in cmd, "faults must hit the full oracle sweep, not only the trials"
 
 
 def test_bench_smoke_runs_cold_then_warm(workflow):
@@ -197,6 +198,8 @@ class TestFleetSmokeJob:
         jobs = next(c for c in cmds if "--jobs 3" in c)
         assert "--fault-plan" in jobs
         assert '{"site": "worker", "kind": "worker-death", "match": "#a0"}' in jobs
+        # The oracle sweep sends all 32 configs through the dying workers.
+        assert "--oracle" in jobs
 
     def test_asserts_jobs_log_equals_serial_entry_by_entry(self, workflow):
         cmds = "\n".join(job_commands(workflow["jobs"]["fleet-smoke"]))
@@ -311,3 +314,15 @@ def test_bench_smoke_runs_traced_perfbench(workflow):
     assert 'm["simulate.wave_sims"] > 0' in cmd
     assert 'if w == "tune":' in cmd
     assert 'm["analytical.configs"] > 0' in cmd
+
+
+def test_bench_smoke_gates_tune_on_trials_only(workflow):
+    """The traced tune must run no exhaustive sweep, compile no more configs
+    than its trials, and still fit the GBT (a refactor that unhooks the
+    cost-model wrapper reads as zero fits)."""
+    cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
+               if "perfbench/run.py" in c)
+    tune = cmd.split('if w == "tune":')[1]
+    assert 'm["sweep.calls"] == 0' in tune
+    assert 'm["measure.configs_compiled"] <= m["tuner.trials"]' in tune
+    assert 'm["model-fit.calls"] > 0' in tune

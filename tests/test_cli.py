@@ -134,7 +134,8 @@ class TestCommands:
         import re
 
         argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "64",
-                "--trials", "8", "--method", "xgb", "--seed", "3", "--profile"]
+                "--trials", "8", "--method", "xgb", "--seed", "3", "--profile",
+                "--oracle"]  # --fleet sweeps the whole space; make serial match
         compiled = []
         for extra in ([], ["--jobs", "2"], ["--fleet", "2"]):
             assert main(argv + extra) == 0
@@ -143,6 +144,73 @@ class TestCommands:
             assert "no stages recorded" not in out, extra
             assert "simulate" in out.split("per-stage compile/simulate breakdown")[1]
         assert compiled == [64, 64, 64]
+
+    def test_tune_without_oracle_compiles_only_its_trials(self, capsys):
+        """A plain tune measures what its tuner proposes and nothing else,
+        serially and on --jobs workers, and reports the tuner's own best."""
+        import re
+
+        argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "64",
+                "--trials", "8", "--method", "xgb", "--seed", "3"]
+        outs = []
+        for extra in ([], ["--jobs", "2"]):
+            assert main(argv + extra) == 0
+            out = capsys.readouterr().out
+            assert int(re.search(r"(\d+) compiled \(", out).group(1)) == 8, extra
+            assert "exhaustive best" not in out and "best-in-" not in out
+            assert re.search(r"^space: 64 schedules; best found [\d.]+ us at trial [1-8] "
+                             r"of 8$", out, re.M), out
+            outs.append([ln for ln in out.splitlines() if not ln.startswith("telemetry")])
+        assert outs[0] == outs[1]
+
+    def test_tune_oracle_output_matches_golden(self, capsys):
+        """--oracle reproduces the exhaustive-best report line for line
+        (golden copy of the output from before the oracle became opt-in)."""
+        golden = [
+            "space: 60 schedules; exhaustive best 4.2 us",
+            "  best-in-1  : 0.747",
+            "  best-in-2  : 0.909",
+            "  best-in-4  : 1.000",
+            "  best-in-8  : 1.000",
+            "  best-in-16 : 1.000",
+            "  best-in-20 : 1.000",
+            "best schedule: TB(32x16x32)/W(32x16x8)/S(4,2)",
+        ]
+        argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "60",
+                "--method", "model-assisted-xgb", "--trials", "20"]
+        assert main(argv + ["--oracle"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [ln for ln in out if not ln.startswith("telemetry")] == golden
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert plain[0] == "space: 60 schedules; best found 4.2 us at trial 3 of 20"
+        assert plain[1] == golden[-1]
+
+    @pytest.mark.parametrize("trials", ["1", "8", "32"])
+    def test_tune_prints_each_best_in_k_once(self, capsys, trials):
+        argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "60",
+                "--method", "random", "--trials", trials, "--oracle"]
+        assert main(argv) == 0
+        labels = [ln.split(":")[0].strip() for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("  best-in-")]
+        ks = [k for k in (1, 2, 4, 8, 16, 32) if k <= int(trials)]
+        assert labels == [f"best-in-{k}" for k in ks]
+
+    def test_tune_best_found_without_a_valid_trial(self, capsys, monkeypatch):
+        from repro.tuning import Measurer
+
+        argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "60",
+                "--method", "random"]
+        assert main(argv + ["--trials", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "space: 60 schedules; no valid schedule in 0 trial(s)" in out
+        assert "best schedule: None" in out
+        monkeypatch.setattr(Measurer, "_compile_and_time",
+                            lambda self, spec, cfg, token="": FAILED)
+        assert main(argv + ["--trials", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "space: 60 schedules; no valid schedule in 4 trial(s)" in out
+        assert "best schedule: None" in out
 
     def test_tune_prune_ratio_reports_and_matches(self, capsys):
         base = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "40",

@@ -56,7 +56,7 @@ class TestRegressionTree:
         X = rng.random((100, 3))
         y = (X[:, 1] > 0.5).astype(float)
         t = RegressionTree(max_depth=1).fit(X, y)
-        assert t._root.feature == 1
+        assert t._nodes[0][0] == 1  # the root splits on feature 1
 
 
 class TestGradientBoosting:
@@ -89,6 +89,18 @@ class TestGradientBoosting:
         assert not m.is_fitted
         m.fit(np.random.default_rng(0).random((10, 1)), np.arange(10.0))
         assert m.is_fitted
+        # A zero target keeps no tree and a zero mean, yet fit was called.
+        zero = GradientBoostedTrees().fit(np.random.default_rng(0).random((10, 2)), np.zeros(10))
+        assert zero.is_fitted and not zero._trees
+        np.testing.assert_array_equal(zero.predict(np.ones((3, 2))), 0.0)
+
+    def test_bad_inputs_rejected(self):
+        X, y = np.zeros((3, 2)), np.zeros(3)
+        for w in ([-1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0]):
+            with pytest.raises(ValueError):
+                GradientBoostedTrees().fit(X, y, w=np.array(w))
+        with pytest.raises(ValueError):
+            GradientBoostedTrees().fit(np.zeros(3), y)
 
     def test_invalid_hyperparams(self):
         with pytest.raises(ValueError):
@@ -108,3 +120,90 @@ class TestGradientBoosting:
         pred = m.predict(X)
         corr = np.corrcoef(pred, y)[0, 1]
         assert corr > 0.9
+
+
+def _loop_tree(X, y, w, depth, max_depth, min_samples_leaf):
+    """Reference CART: at every node, one stable argsort and one scan per
+    feature in a Python loop, and boolean masks to split the rows. A leaf
+    is its value; a split is ``(feature, threshold, left, right)``."""
+    value = float(np.average(y, weights=w))
+    if depth >= max_depth or len(y) < 2 * min_samples_leaf:
+        return value
+    n, d = X.shape
+    best_gain, best = 1e-12, None
+    total_w, total_wy = w.sum(), (w * y).sum()
+    base_sse = (w * y * y).sum() - total_wy**2 / total_w
+    for feat in range(d):
+        order = np.argsort(X[:, feat], kind="stable")
+        xs, ws = X[order, feat], w[order]
+        wys = ws * y[order]
+        cw, cwy, cwyy = np.cumsum(ws), np.cumsum(wys), np.cumsum(wys * y[order])
+        k = np.nonzero(xs[:-1] < xs[1:])[0]
+        if not k.size:
+            continue
+        lw, lwy = cw[k], cwy[k]
+        rw, rwy = total_w - lw, total_wy - lwy
+        ok = (k + 1 >= min_samples_leaf) & (n - k - 1 >= min_samples_leaf)
+        ok &= (lw > 0) & (rw > 0)
+        lsse = cwyy[k] - lwy**2 / np.where(lw > 0, lw, 1)
+        rsse = (cwyy[-1] - cwyy[k]) - rwy**2 / np.where(rw > 0, rw, 1)
+        gain = np.where(ok, base_sse - (lsse + rsse), -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain:
+            best_gain = float(gain[i])
+            best = (feat, float(0.5 * (xs[k[i]] + xs[k[i] + 1])))
+    if best is None:
+        return value
+    feat, thr = best
+    m = X[:, feat] <= thr
+    return (feat, thr,
+            _loop_tree(X[m], y[m], w[m], depth + 1, max_depth, min_samples_leaf),
+            _loop_tree(X[~m], y[~m], w[~m], depth + 1, max_depth, min_samples_leaf))
+
+
+def _loop_predict(tree, X):
+    out = np.empty(len(X))
+    for i, row in enumerate(X):
+        node = tree
+        while isinstance(node, tuple):
+            feat, thr, left, right = node
+            node = left if row[feat] <= thr else right
+        out[i] = node
+    return out
+
+
+class TestMatchesLoopReference:
+    """The presorted, all-features-at-once split search and the vectorized
+    routing give bit for bit what a per-feature loop and a per-row walk
+    give, ties and zero weights included."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_to_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 6))
+        X = rng.integers(0, int(rng.integers(1, 5)), (n, d)).astype(float)
+        y = rng.integers(0, 4, n) + rng.random(n).round(1)
+        w = rng.choice([0.0, 0.25, 1.0], n)
+        w[0] = 1.0
+        n_estimators, lr = int(rng.integers(1, 12)), float(rng.choice([0.15, 1.0]))
+        max_depth, leaf = int(rng.integers(1, 5)), int(rng.integers(0, 4))
+        X_new = np.vstack([X, rng.integers(-1, 5, (5, d)).astype(float)])
+
+        tree = RegressionTree(max_depth, leaf).fit(X, y, w)
+        ref_tree = _loop_tree(X, y, w, 0, max_depth, leaf)
+        assert tree.predict(X_new).tobytes() == _loop_predict(ref_tree, X_new).tobytes()
+
+        model = GradientBoostedTrees(n_estimators, lr, max_depth, leaf).fit(X, y, w)
+        init = float(np.average(y, weights=w))
+        pred, ref, n_trees = np.full(n, init), np.full(len(X_new), init), 0
+        for _ in range(n_estimators):
+            ref_tree = _loop_tree(X, y - pred, w, 0, max_depth, leaf)
+            step = _loop_predict(ref_tree, X)
+            if np.allclose(step, 0):
+                break
+            pred += lr * step
+            ref += lr * _loop_predict(ref_tree, X_new)
+            n_trees += 1
+        assert len(model._trees) == n_trees
+        assert model.predict(X_new).tobytes() == ref.tobytes()
