@@ -8,6 +8,10 @@ CI fleet-smoke job can track them PR over PR:
 * **configs/sec vs. worker count** — the same design-space sweep at fleet
   widths 1, 2 and 4 local workers, each compared against the serial
   ``Measurer.sweep`` wall clock;
+* **tuner-batch break-even** — one 16-config batch (the size of a tuner's
+  ``measure_many`` call, which starts its fleet workers afresh) at each
+  width against the same batch measured in-process, median of a few
+  repeats: below 1x, ``--jobs`` slows a tune's batches down;
 * **bitwise identity** — every fleet run's latencies must equal the
   serial run's exactly, including one run with injected worker death;
 * **fault overhead** — the dispatch/steal/requeue cost visible in the
@@ -27,6 +31,21 @@ import time
 
 #: Local fleet widths in the scaling sweep.
 WIDTHS = (1, 2, 4)
+
+#: Configs per tuner batch (``XGBTuner.batch_size``): the tuner-batch leg.
+TUNER_BATCH = 16
+
+#: Repeats of each tuner-batch measurement; the median is recorded.
+BATCH_REPEATS = 5
+
+
+def _median_wall(fn, repeats: int) -> float:
+    walls = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - t0)
+    return sorted(walls)[len(walls) // 2]
 
 
 def run_experiment(quick: bool) -> dict:
@@ -63,6 +82,21 @@ def run_experiment(quick: bool) -> dict:
             "steals": tel.steals,
         }
 
+    # Tuner-batch leg: a fresh measurer per repeat, so every trial compiles.
+    batch = space[:: max(1, len(space) // TUNER_BATCH)][:TUNER_BATCH]
+    batch_serial_s = _median_wall(
+        lambda: Measurer(A100, via_ir=True).measure_many(spec, batch), BATCH_REPEATS)
+    batch_widths = {}
+    for n in WIDTHS:
+        wall = _median_wall(
+            lambda: fleet_sweep(Measurer(A100, via_ir=True), spec, batch, workers=n),
+            BATCH_REPEATS,
+        )
+        batch_widths[str(n)] = {
+            "wall_s": wall,
+            "speedup_vs_serial": batch_serial_s / max(wall, 1e-9),
+        }
+
     # One faulted leg: every shard's first dispatch dies; the recovered
     # sweep must still carry the serial bits.
     plan = faults.FaultPlan(
@@ -84,6 +118,12 @@ def run_experiment(quick: bool) -> dict:
         "best_index": best,
         "best_latency_us": serial[best],
         "widths": {str(n): w for n, w in widths.items()},
+        "tuner_batch": {
+            "configs": len(batch),
+            "repeats": BATCH_REPEATS,
+            "serial_wall_s": batch_serial_s,
+            "widths": batch_widths,
+        },
         "faulted_wall_s": faulted_s,
         "faulted_identical": faulted == serial,
         "faulted_worker_deaths": faulted_tel.worker_deaths,
@@ -106,6 +146,15 @@ def format_table(r: dict) -> str:
             f"({w['shards']} shard(s), {w['dispatches']} dispatch(es), "
             f"{w['steals']} steal(s))  [{ident}]"
         )
+    tb = r["tuner_batch"]
+    lines.append(
+        f"tuner batch ({tb['configs']} configs, median of {tb['repeats']}): "
+        f"serial {1e3 * tb['serial_wall_s']:.1f} ms; "
+        + ", ".join(
+            f"x{n} {1e3 * w['wall_s']:.1f} ms ({w['speedup_vs_serial']:.2f}x)"
+            for n, w in sorted(tb["widths"].items(), key=lambda kv: int(kv[0]))
+        )
+    )
     lines.append(
         f"faulted x2 (worker death per shard): {r['faulted_wall_s']:6.2f}s, "
         f"{r['faulted_worker_deaths']} death(s) / "

@@ -11,9 +11,11 @@ Commands
 ``check``     static sync-race check of pipelined IR over the workload suite;
 ``serve``     long-running compile-as-a-service daemon (docs/serving.md);
 ``client``    talk to a running daemon: compile | tune | status | health |
-              metrics | stop;
-``fleet-worker``  one remote seat of a distributed tuning fleet: a serve
-              daemon tuned for the ``measure`` endpoint (docs/distributed.md).
+              metrics | stop.
+
+``--jobs N`` runs uncached measurements on N local worker processes, and
+``tune --fleet-endpoint ADDR`` adds a running ``serve`` daemon as one more
+remote seat (docs/distributed.md).
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ def _add_problem_args(p: argparse.ArgumentParser, required: bool = True) -> None
 
 def _add_measure_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel measurement worker processes")
+                   help="local measurement worker processes; above 1, every "
+                        "uncached batch is sharded over that many workers, "
+                        "started per batch (docs/distributed.md)")
     p.add_argument("--cache-dir", default=None,
                    help="disk-persistent measurement cache directory "
                         "(repeat runs warm-start; see docs/tuning_cache.md)")
@@ -86,6 +90,7 @@ def _measurer(args, gpu):
         via_ir=bool(getattr(args, "via_ir", False)),
         cache=cache,
         jobs=args.jobs,
+        endpoints=tuple(getattr(args, "fleet_endpoint", None) or ()),
         trial_timeout_s=args.trial_timeout if args.trial_timeout > 0 else None,
         retries=args.retries,
     )
@@ -94,6 +99,8 @@ def _measurer(args, gpu):
 def _print_telemetry(measurer, wall_s: float, profile: bool = False) -> None:
     telemetry = measurer.telemetry
     print(f"telemetry: {telemetry.summary()}; wall {wall_s:.2f}s")
+    if telemetry.fleet is not None:
+        print(f"fleet    : {telemetry.fleet.summary()}")
     if measurer.cache is not None:
         print(f"cache    : {len(measurer.cache)} entries in {measurer.cache.path}")
     if measurer.quarantined:
@@ -150,17 +157,32 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+_CONFIG_FIELDS = "bm,bn,bk,wm,wn,ck,smem_stages,reg_stages"
+
+
+def _parse_config(text: str):
+    """``--config`` as a TileConfig, or None after printing the usage
+    message when a field is missing, not an integer or out of range."""
+    from .schedule.config import TileConfig
+
+    try:
+        vals = [int(x) for x in text.split(",")]
+        if len(vals) != 8:
+            raise ValueError(f"got {len(vals)} field(s), need 8")
+        return TileConfig(vals[0], vals[1], vals[2], warp_m=vals[3], warp_n=vals[4],
+                          chunk_k=vals[5], smem_stages=vals[6], reg_stages=vals[7])
+    except ValueError as e:
+        print(f"--config expects {_CONFIG_FIELDS}: {e}", file=sys.stderr)
+        return None
+
+
 def _cmd_ir(args) -> int:
     from .core.compiler import AlcopCompiler
     from .ir.printer import format_kernel
-    from .schedule.config import TileConfig
 
-    vals = [int(x) for x in args.config.split(",")]
-    if len(vals) != 8:
-        print("--config expects bm,bn,bk,wm,wn,ck,smem_stages,reg_stages", file=sys.stderr)
+    cfg = _parse_config(args.config)
+    if cfg is None:
         return 2
-    cfg = TileConfig(vals[0], vals[1], vals[2], warp_m=vals[3], warp_n=vals[4],
-                     chunk_k=vals[5], smem_stages=vals[6], reg_stages=vals[7])
     kernel = AlcopCompiler(gpu=_GPUS[args.gpu]).build(_spec(args), cfg)
     print(format_kernel(kernel))
     return 0
@@ -169,14 +191,10 @@ def _cmd_ir(args) -> int:
 def _cmd_cuda(args) -> int:
     from .codegen import emit_cuda
     from .core.compiler import AlcopCompiler
-    from .schedule.config import TileConfig
 
-    vals = [int(x) for x in args.config.split(",")]
-    if len(vals) != 8:
-        print("--config expects bm,bn,bk,wm,wn,ck,smem_stages,reg_stages", file=sys.stderr)
+    cfg = _parse_config(args.config)
+    if cfg is None:
         return 2
-    cfg = TileConfig(vals[0], vals[1], vals[2], warp_m=vals[3], warp_n=vals[4],
-                     chunk_k=vals[5], smem_stages=vals[6], reg_stages=vals[7])
     kernel = AlcopCompiler(gpu=_GPUS[args.gpu]).build(_spec(args), cfg)
     source = emit_cuda(kernel)
     if args.out:
@@ -238,10 +256,12 @@ def _cmd_tune(args) -> int:
                 setattr(args, field, meta[field])
         args.gpu = meta.get("gpu", args.gpu)
         args.method = meta.get("method", args.method)
-        if args.trials == _TRIALS_DEFAULT:
-            args.trials = int(meta.get("trials", args.trials))
+        if args.trials is None:
+            args.trials = int(meta.get("trials", _TRIALS_DEFAULT))
         print(f"resuming {session.describe()}")
-    elif args.session_dir:
+    if args.trials is None:
+        args.trials = _TRIALS_DEFAULT
+    if session is None and args.session_dir:
         session = TuneSession.create(
             args.session_dir,
             m=args.m, n=args.n, k=args.k, batch=args.batch,
@@ -254,7 +274,6 @@ def _cmd_tune(args) -> int:
     spec = _spec(args)
     gpu = _GPUS[args.gpu]
     measurer = _measurer(args, gpu)
-    oracle = args.oracle or bool(args.fleet or args.fleet_endpoint)
     if session is not None and len(session):
         n = session.preload(measurer, spec)
         print(f"replaying {n} journalled trial(s) from the session")
@@ -270,24 +289,9 @@ def _cmd_tune(args) -> int:
                            "method": args.method, "trials": args.trials}))
     try:
         space = enumerate_space(spec, gpu, options=SpaceOptions(max_size=_space_cap(args)))
-        if args.fleet or args.fleet_endpoint:
-            # Shard the full enumerated sweep across the fleet first; every
-            # trial below (the oracle and the tuner) is then a cache hit,
-            # so the result is bitwise-identical to the serial run
-            # (docs/distributed.md).
-            from .tuning.fleet import fleet_sweep
-
-            _, fleet_tel = fleet_sweep(
-                measurer, spec, space,
-                workers=args.fleet,
-                endpoints=tuple(args.fleet_endpoint or ()),
-                breaker_threshold=args.breaker_threshold,
-                breaker_cooldown_s=args.breaker_cooldown,
-            )
-            print(f"fleet: {fleet_tel.summary()}")
         # The exhaustive oracle measures the whole space; only the
         # best-in-k lines need it, so a plain tune pays for its trials only.
-        best = measurer.best(spec, space)[1] if oracle else None
+        best = measurer.best(spec, space)[1] if args.oracle else None
         tuner = methods[args.method](
             spec, space, measurer=measurer, gpu=gpu, seed=args.seed,
             prune_ratio=args.prune_ratio or None,
@@ -315,13 +319,13 @@ def _cmd_tune(args) -> int:
         tracer.write_chrome_trace(args.trace_out)
         print(f"trace: {len(tracer)} span(s) written to {args.trace_out}"
               + (f" ({tracer.spans_dropped} dropped)" if tracer.spans_dropped else ""))
-    if oracle:
+    if args.oracle:
         print(f"space: {len(space)} schedules; exhaustive best {best:.1f} us")
     else:
         print(f"space: {len(space)} schedules; {_best_found(history)}")
     if tuner.prune_stats is not None:
         print(f"{tuner.prune_stats.summary()}")
-    if oracle:
+    if args.oracle:
         for k in sorted({1, 2, 4, 8, 16, 32, args.trials}):
             if k <= args.trials:
                 print(f"  best-in-{k:<3d}: {history.normalized_curve([k], best)[0]:.3f}")
@@ -497,57 +501,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_fleet_worker(args) -> int:
-    """One remote seat of a tuning fleet: a ReproServer whose raison d'être
-    is the ``measure`` endpoint. Coordinators enlist it with
-    ``repro tune --fleet-endpoint ADDR`` (docs/distributed.md)."""
-    import signal
-
-    from .serve.server import ReproServer
-
-    if args.socket is None and args.port is None:
-        print("fleet-worker: give --socket PATH and/or --port N to listen on",
-              file=sys.stderr)
-        return 2
-    server = ReproServer(
-        gpu=_GPUS[args.gpu],
-        socket_path=args.socket,
-        port=args.port,
-        host=args.host,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        workers=args.workers if args.workers is not None else _SERVE_WORKERS,
-        via_ir=bool(args.via_ir),
-        idle_timeout=args.idle_timeout,
-        max_queue=args.max_queue,
-        trace_dir=args.trace_dir,
-        trace_sample_rate=args.trace_sample_rate,
-    )
-
-    def _stop(signum, frame):
-        print("\nfleet-worker shutting down", file=sys.stderr)
-        server.stop()
-
-    try:
-        signal.signal(signal.SIGINT, _stop)
-        signal.signal(signal.SIGTERM, _stop)
-    except ValueError:
-        pass  # not the main thread (tests drive the server object directly)
-    server.start()
-    where = []
-    if args.socket:
-        where.append(f"unix socket {args.socket}")
-    if server.port is not None:
-        where.append(f"{args.host}:{server.port}")
-    print(f"repro fleet-worker: session {server.session_id} on "
-          f"{_GPUS[args.gpu].name} (via_ir={bool(args.via_ir)})")
-    for w in where:
-        print(f"  enlist with: repro tune --fleet-endpoint {w.split(' ')[-1]}", flush=True)
-    server.serve_forever()
-    print("fleet-worker stopped")
-    return 0
-
-
 def _client_connection(args):
     from .serve.client import ServeClient
 
@@ -706,21 +659,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ir", help="print pipelined IR for a fixed schedule")
     _add_problem_args(p)
-    p.add_argument("--config", required=True, help="bm,bn,bk,wm,wn,ck,smem_stages,reg_stages")
+    p.add_argument("--config", required=True, help=_CONFIG_FIELDS)
     p.set_defaults(fn=_cmd_ir)
 
     p = sub.add_parser("cuda", help="emit CUDA C++ for a fixed schedule")
     _add_problem_args(p)
-    p.add_argument("--config", required=True, help="bm,bn,bk,wm,wn,ck,smem_stages,reg_stages")
+    p.add_argument("--config", required=True, help=_CONFIG_FIELDS)
     p.add_argument("--out", default=None, help="write the .cu source here")
     p.set_defaults(fn=_cmd_cuda)
 
-    p = sub.add_parser("tune", help="run one tuning method")
+    # No abbreviations, so ``--fleet 3`` is an error, not ``--fleet-endpoint 3``.
+    p = sub.add_parser("tune", help="run one tuning method", allow_abbrev=False)
     _add_problem_args(p, required=False)
     _add_measure_args(p)
     p.add_argument("--method", default="model-assisted-xgb",
                    choices=["grid", "random", "xgb", "analytical", "model-assisted-xgb"])
-    p.add_argument("--trials", type=int, default=_TRIALS_DEFAULT)
+    p.add_argument("--trials", type=int, default=None,
+                   help="trials to measure (default %d; on --resume, the "
+                        "session's own budget)" % _TRIALS_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prune-ratio", type=float, default=0.0,
                    help="model-guided pruning: drop configs the analytical "
@@ -739,25 +695,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "report the best-in-k curve against its exhaustive "
                         "best (off by default: a tune measures only the "
                         "trials its tuner proposes)")
-    p.add_argument("--fleet", type=int, default=0, metavar="N",
-                   help="shard the oracle's full design-space sweep across "
-                        "N local worker processes before tuning (implies "
-                        "--oracle); results are bitwise-identical to the "
-                        "serial run (docs/distributed.md)")
     p.add_argument("--fleet-endpoint", action="append", default=None,
                    metavar="ADDR",
-                   help="also enlist a running repro serve / fleet-worker "
-                        "daemon at ADDR (host:port for HTTP, anything else "
-                        "is a Unix socket path) in the oracle sweep; "
-                        "repeatable, implies --oracle")
-    p.add_argument("--breaker-threshold", type=int, default=3, metavar="K",
-                   help="fleet circuit breaker: consecutive transport "
-                        "failures before an endpoint's seat stops taking "
-                        "shards (docs/robustness.md)")
-    p.add_argument("--breaker-cooldown", type=float, default=0.25, metavar="S",
-                   help="fleet circuit breaker: base cooldown before an "
-                        "opened seat sends a half-open probe shard "
-                        "(escalates per open)")
+                   help="also measure on a running repro serve daemon at ADDR "
+                        "(host:port for HTTP, anything else is a Unix socket "
+                        "path): every uncached batch, the tuner's and the "
+                        "--oracle sweep, is sharded over it and the --jobs "
+                        "workers; repeatable (docs/distributed.md)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="write a Chrome/Perfetto trace JSON of the whole run "
                         "(coordinator, fleet shards, compile stages; "
@@ -827,41 +771,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of requests traced to --trace-dir, 0..1 "
                         "(deterministic 1-in-1/R sampling; default 1.0)")
     p.set_defaults(fn=_cmd_serve)
-
-    p = sub.add_parser(
-        "fleet-worker",
-        help="remote seat of a distributed tuning fleet (docs/distributed.md)",
-    )
-    p.add_argument("--socket", default=None, metavar="PATH",
-                   help="listen on a Unix socket (newline-delimited JSON)")
-    p.add_argument("--port", type=int, default=None,
-                   help="listen on TCP (0 picks an ephemeral port)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--gpu", choices=sorted(_GPUS), default="a100")
-    p.add_argument("--cache-dir", default=None,
-                   help="disk-persistent measurement cache directory "
-                        "(docs/tuning_cache.md)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel measurement worker processes per shard")
-    p.add_argument("--workers", type=int, default=None,
-                   help="request worker threads (default %d)" % _SERVE_WORKERS)
-    p.add_argument("--idle-timeout", type=float, default=_SERVE_IDLE_TIMEOUT,
-                   metavar="S",
-                   help="close keep-alive connections idle for S seconds "
-                        "(<= 0 disables; default %g)" % _SERVE_IDLE_TIMEOUT)
-    p.add_argument("--max-queue", type=int, default=_SERVE_MAX_QUEUE,
-                   help="admission-control bound on queued connections "
-                        "(default %d)" % _SERVE_MAX_QUEUE)
-    p.add_argument("--via-ir", action="store_true",
-                   help="measure through the full compiler path; must match "
-                        "the coordinator's --via-ir or the shard is refused")
-    p.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="write a Chrome-trace JSON per sampled request here "
-                        "(docs/observability.md)")
-    p.add_argument("--trace-sample-rate", type=float, default=1.0, metavar="R",
-                   help="fraction of requests traced to --trace-dir, 0..1 "
-                        "(default 1.0)")
-    p.set_defaults(fn=_cmd_fleet_worker)
 
     p = sub.add_parser(
         "client",

@@ -44,8 +44,8 @@ Reuse policy: a base kernel costs one full schedule+lower+analyze, so
 building one for a config whose tile key never recurs is pure overhead.
 The engine therefore builds a base only when the key is *promised*
 (:meth:`IncrementalEngine.note_batch` saw >= 2 configs share it in one
-batch) or *recurring* (second sighting across calls — the fleet-worker
-pattern, one ``measure()`` per shard item); anything else reports
+batch) or *recurring* (second sighting across calls — the fleet
+endpoint pattern, one ``measure()`` per shard item); anything else reports
 ``None`` and the caller compiles fresh. Entries live in a bounded LRU;
 evictions and sizes are exported as :mod:`repro.obs` metrics alongside
 the ``repro_lower_cache_hits_total`` / ``repro_transform_runs_total``

@@ -29,9 +29,9 @@ Operations (``docs/serving.md`` documents every field):
 ``status``    telemetry snapshot: per-endpoint request counts and p50/p95
               latencies, dedup/registry counters, queue depth, measurer
               telemetry, uptime.
-``measure``   fleet-worker endpoint (docs/distributed.md): measure one
-              shard of configs for a problem and return the latencies —
-              the daemon as one seat of a distributed tuning fleet.
+``measure``   fleet endpoint (docs/distributed.md): measure one shard of
+              configs for a problem and return the latencies — the daemon
+              as one seat of a ``repro tune --fleet-endpoint`` fleet.
 ``health``    lightweight overload probe: ``state`` is ``ready``,
               ``overloaded`` (work queue at least half full) or
               ``draining`` (shutdown in progress), plus queue depth and
@@ -208,7 +208,7 @@ def decode_latency(value: object) -> float:
 
 
 def parse_measure_params(params: Dict) -> Dict:
-    """Validate the fleet-worker ``measure`` request: the problem fields of
+    """Validate the fleet endpoint's ``measure`` request: the problem fields of
     :func:`parse_problem_params` plus ``configs``, a non-empty list of
     TileConfig field dicts. Returns the normalized problem dict with a
     ``configs`` list of validated :class:`~repro.schedule.config.TileConfig`.

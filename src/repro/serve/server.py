@@ -744,7 +744,7 @@ class ReproServer:
             "session": self.session_id,
         }
 
-    # ----------------------------------------------------------- fleet worker
+    # --------------------------------------------------------- fleet endpoint
     def _op_measure(self, params: Dict, deadline: Optional[float] = None) -> Dict:
         """One fleet shard (docs/distributed.md): measure a batch of
         configs for a problem and answer the latencies in request order.

@@ -1,22 +1,23 @@
 """Distributed, elastic tuning fleet (docs/distributed.md).
 
-The one process-parallel measurement runner (``Measurer`` sends every
-batch needing process isolation here), modelled on TVM's RPC-tracker
-measurement farm: a :class:`FleetCoordinator` shards an enumerated design
-space across expendable workers, streams results back as each trial
-lands, work-steals the unmeasured remainder of straggler shards,
-tolerates worker death at any point, and scales the fleet up or down
-mid-sweep (:meth:`FleetCoordinator.scale_to`).
+The one process-parallel measurement runner (``Measurer.measure_many``
+sends every uncached batch here when the measurer has local workers or
+remote endpoints), modelled on TVM's RPC-tracker measurement farm: a
+:class:`FleetCoordinator` shards an enumerated design space across
+expendable workers, streams results back as each trial lands,
+work-steals the unmeasured remainder of straggler shards, tolerates
+worker death at any point, and scales the fleet up or down mid-sweep
+(:meth:`FleetCoordinator.scale_to`).
 
 Workers come in two kinds:
 
 :class:`LocalProcessWorker`
-    One long-lived worker *process* per fleet slot, running each trial
-    with retry, quarantine and a ``trial_timeout_s`` watchdog.
+    One worker *process* per fleet slot, living for one sweep, running
+    each trial with retry, quarantine and a ``trial_timeout_s`` watchdog.
 :class:`RemoteServeWorker`
-    A ``repro serve`` / ``repro fleet-worker`` daemon reached over the
-    newline-JSON Unix socket or HTTP transport, answering the ``measure``
-    op with one shard per request. One warm daemon box is one fleet slot.
+    A ``repro serve`` daemon reached over the newline-JSON Unix socket or
+    HTTP transport, answering the ``measure`` op with one shard per
+    request. One warm daemon box is one fleet slot.
 
 The invariant that makes the fleet safe to trust: a sharded sweep is
 **bitwise-identical** to a serial ``Measurer.sweep`` — every latency and
@@ -88,8 +89,9 @@ Item = Tuple[int, TileConfig]
 ResultSink = Callable[[int, float, bool], None]
 
 #: on_trial callback signature: (index, outcome, attempt, detail). The
-#: outcome is "compiled" (detail: (compile_s, stage_times)), "crash" or
-#: "timeout" (detail: a description).
+#: outcome is "compiled" (detail: (compile_s, stage_times)), "endpoint"
+#: (detail: the endpoint that answered), "crash" or "timeout" (detail: a
+#: description).
 TrialSink = Callable[[int, str, int, object], None]
 
 
@@ -127,8 +129,8 @@ def _run_trial(conn, measurer: Measurer, spec: GemmSpec, sid: int, idx: int,
     what was in flight if this process dies or hangs; a retry first waits
     ``backoff_s * 2**(attempt - 1)``. A raising attempt sends ``("crash",
     sid, idx, attempt, detail)``. The trial ends with ``("result", sid,
-    idx, latency, True, (attempt, compile_s, stage_times))``, or with
-    ``("result", sid, idx, inf, False)`` once retries are spent
+    idx, latency, True, ("compiled", attempt, (compile_s, stage_times)))``,
+    or with ``("result", sid, idx, inf, False)`` once retries are spent
     (quarantined: a run property, kept out of disk caches)."""
     token = _cfg_token(spec, cfg)
     for attempt in range(first, retries + 1):
@@ -143,8 +145,8 @@ def _run_trial(conn, measurer: Measurer, spec: GemmSpec, sid: int, idx: int,
         except Exception as e:  # crash-class fault or unexpected compiler bug
             conn.send(("crash", sid, idx, attempt, repr(e)))
             continue
-        cost = (attempt, measurer.compile_time_s, dict(measurer.stage_times))
-        conn.send(("result", sid, idx, latency, True, cost))
+        cost = (measurer.compile_time_s, dict(measurer.stage_times))
+        conn.send(("result", sid, idx, latency, True, ("compiled", attempt, cost)))
         return
     conn.send(("result", sid, idx, FAILED, False))
 
@@ -201,7 +203,8 @@ def _fleet_worker_main(conn, gpu: GpuSpec, via_ir: bool, retries: int,
 
 
 class LocalProcessWorker:
-    """One fleet slot backed by a long-lived local worker process."""
+    """One fleet slot backed by a local worker process that lives until
+    the sweep ends or the worker dies."""
 
     kind = "process"
 
@@ -236,9 +239,10 @@ class LocalProcessWorker:
     ) -> None:
         """Run ``items`` (each from the attempt ``attempts`` names, default
         0) on the worker, streaming each result into ``on_result`` as it
-        lands (a compile's cost as a fourth argument) and each crashed or
-        timed-out attempt into ``on_trial``. Raises :class:`WorkerCrash`
-        when the worker dies between trials or ``should_abort`` turns true.
+        lands (a compile's ``("compiled", attempt, cost)`` as a fourth
+        argument) and each crashed or timed-out attempt into ``on_trial``.
+        Raises :class:`WorkerCrash` when the worker dies between trials or
+        ``should_abort`` turns true.
         A worker lost with a trial in flight — dead, or put down once the
         trial outlives ``trial_timeout_s`` — raises :class:`_TrialLost`
         after charging that trial a crash (FAILED once its retries are
@@ -341,11 +345,12 @@ class LocalProcessWorker:
 
 
 class RemoteServeWorker:
-    """One fleet slot backed by a ``repro serve`` / ``repro fleet-worker``
-    daemon answering the ``measure`` op. Result streaming is per-shard (one
-    request/response round trip per shard) rather than per-trial. The
-    daemon's own measurer retries and quarantines its trials, so
-    ``attempts`` and ``on_trial`` are accepted and unused."""
+    """One fleet slot backed by a ``repro serve`` daemon answering the
+    ``measure`` op. Result streaming is per-shard (one request/response
+    round trip per shard) rather than per-trial. The daemon's own measurer
+    retries and quarantines its trials, so ``attempts`` and ``on_trial``
+    are accepted and unused; each result reaches ``on_result`` with an
+    ``("endpoint", 0, endpoint)`` fourth argument."""
 
     kind = "remote"
 
@@ -382,7 +387,7 @@ class RemoteServeWorker:
                 f"latencies for a {len(items)}-trial shard"
             )
         for (idx, _), latency, keep in zip(items, latencies, persist):
-            on_result(idx, float(latency), bool(keep))
+            on_result(idx, float(latency), bool(keep), ("endpoint", 0, self.endpoint))
 
     def stop(self) -> None:
         pass  # the daemon outlives the sweep by design
@@ -493,7 +498,9 @@ class CircuitBreaker:
 # ----------------------------------------------------------------- coordinator
 @dataclasses.dataclass(frozen=True)
 class FleetTelemetry:
-    """What the sweep cost the fleet: dispatches, losses, steals, resizes."""
+    """What the sweep cost the fleet: dispatches, losses, steals, resizes.
+    Adding two sums their counts (``n_workers_peak`` takes the larger), so
+    a measurer can total every batch it ran on the fleet."""
 
     n_workers_peak: int
     n_shards: int
@@ -506,9 +513,18 @@ class FleetTelemetry:
     duplicates: int
     breaker_opens: int = 0
     breaker_rejoins: int = 0
+    #: coordinator runs summed here (one per fleet batch)
+    batches: int = 1
+
+    def __add__(self, other: "FleetTelemetry") -> "FleetTelemetry":
+        total = {f.name: getattr(self, f.name) + getattr(other, f.name)
+                 for f in dataclasses.fields(self)}
+        total["n_workers_peak"] = max(self.n_workers_peak, other.n_workers_peak)
+        return FleetTelemetry(**total)
 
     def summary(self) -> str:
         out = (
+            f"{self.batches} batch(es), "
             f"{self.n_shards} shard(s) over {self.n_workers_peak} worker(s), "
             f"{self.shards_dispatched} dispatch(es), "
             f"{self.results_streamed} result(s) streamed"
@@ -691,8 +707,9 @@ class FleetCoordinator:
         config, as its first result streams in (the hook
         :func:`fleet_sweep` uses to commit into a measurer's caches).
         ``on_trial(index, outcome, attempt, detail)`` hears, once per
-        trial however many stolen copies ran, each first result's compile
-        cost and every crashed or timed-out attempt from local workers.
+        trial however many stolen copies ran, where each first result came
+        from (a local compile's cost or the endpoint that answered) and
+        every crashed or timed-out attempt from local workers.
         The two are never called concurrently. ``deadline`` (absolute
         ``time.monotonic``) aborts with :class:`DeadlineExceededError`,
         putting workers down; streamed results stay committed.
@@ -952,9 +969,9 @@ class FleetCoordinator:
         return [it for it in items if it[0] not in self._results]
 
     def _commit(self, idx: int, latency: float, persist: bool,
-                cost: Optional[Tuple] = None) -> None:
-        """First-write-wins merge of one streamed result; ``cost`` is a
-        local worker's ``(attempt, compile_s, stage_times)``."""
+                trial: Optional[Tuple[str, int, object]] = None) -> None:
+        """First-write-wins merge of one streamed result; ``trial`` is the
+        ``(outcome, attempt, detail)`` that ``on_trial`` hears with it."""
         with self._cond:
             self._streamed += 1
             if idx in self._results:
@@ -964,8 +981,8 @@ class FleetCoordinator:
             if len(self._results) == len(self.configs):
                 self._cond.notify_all()
         with self._sink_lock:
-            if cost is not None and self._on_trial is not None:
-                self._on_trial(idx, "compiled", cost[0], cost[1:])
+            if trial is not None and self._on_trial is not None:
+                self._on_trial(idx, *trial)
             if self._on_result is not None:
                 self._on_result(idx, latency, persist)
 
@@ -1051,10 +1068,6 @@ def fleet_sweep(
     workers: int = 2,
     endpoints: Sequence[str] = (),
     shard_size: Optional[int] = None,
-    steal: bool = True,
-    breaker_threshold: int = 3,
-    breaker_cooldown_s: float = 0.25,
-    breaker_max_opens: int = 5,
     deadline: Optional[float] = None,
 ) -> Tuple[List[float], FleetTelemetry]:
     """Sweep ``space`` over a worker fleet, committing every result into
@@ -1062,16 +1075,17 @@ def fleet_sweep(
 
     This is ``measurer``'s own batch path (cache lookup, in-batch dedup,
     commit) with the uncached configs run on ``workers`` local processes
-    plus one slot per remote ``endpoints`` daemon. Local workers take the
-    measurer's ``retries``, ``backoff_s`` and ``trial_timeout_s``, and
-    their compiles, crashes and timeouts land in its telemetry. The
-    latencies are aligned with ``space`` and bitwise-equal to
+    plus one slot per remote ``endpoints`` daemon;
+    :meth:`Measurer.measure_many` calls it with the measurer's own
+    workers and endpoints. Local workers take the measurer's ``retries``,
+    ``backoff_s`` and ``trial_timeout_s``, and their compiles, crashes and
+    timeouts land in its telemetry, as do the trials endpoints answer and
+    the coordinator's :class:`FleetTelemetry`. The latencies are aligned
+    with ``space`` and bitwise-equal to a serial
     ``measurer.sweep(spec, space)``; afterwards every config is a
-    memory-cache hit, so a tuner running on ``measurer`` (the ``repro
-    tune --fleet`` path) replays the fleet's answers for free. ``deadline``
-    is as in :meth:`FleetCoordinator.run`.
+    memory-cache hit. ``deadline`` is as in :meth:`FleetCoordinator.run`.
     """
-    telemetry = FleetTelemetry(0, 0, 0, 0, 0, 0, 0, 0, 0)
+    telemetry = FleetTelemetry(0, 0, 0, 0, 0, 0, 0, 0, 0, batches=0)
 
     def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
         nonlocal telemetry
@@ -1083,13 +1097,9 @@ def fleet_sweep(
             workers=workers,
             endpoints=endpoints,
             shard_size=shard_size,
-            steal=steal,
             trial_retries=measurer.retries,
             trial_backoff_s=measurer.backoff_s,
             trial_timeout_s=measurer.trial_timeout_s,
-            breaker_threshold=breaker_threshold,
-            breaker_cooldown_s=breaker_cooldown_s,
-            breaker_max_opens=breaker_max_opens,
         )
 
         def on_result(pos: int, latency: float, persist: bool) -> None:
@@ -1100,6 +1110,8 @@ def fleet_sweep(
             key, cfg = order[pos]
             if outcome == "compiled":
                 measurer._tally_compile(*detail)
+            elif outcome == "endpoint":
+                measurer._tally_endpoint_trial()
             else:
                 measurer._tally_failure(spec, key, cfg, outcome, attempt, detail)
 
@@ -1107,5 +1119,6 @@ def fleet_sweep(
             coordinator.run(on_result, on_trial, deadline)
         finally:
             telemetry = coordinator.telemetry
+            measurer._tally_fleet(telemetry)
 
     return measurer._measure_batch(spec, space, run), telemetry

@@ -6,9 +6,10 @@ transformation, timing-spec extraction from the produced IR — and then the
 discrete-event simulator (the reproduction's "hardware"). Results are
 cached by their full identity (GPU, problem, config, measurement mode) in
 memory, optionally persisted to disk (:class:`~repro.tuning.cache.
-MeasurementCache`). A batch runs in-process or, when it needs process
-isolation (``jobs > 1`` or a ``trial_timeout_s``), on the tuning fleet's
-local workers (:mod:`repro.tuning.fleet`), with the same bits either way.
+MeasurementCache`). The measurer decides where a batch runs: in-process,
+or on the tuning fleet (:mod:`repro.tuning.fleet`) when it has local
+workers (``jobs > 1`` or a ``trial_timeout_s``) or remote ``endpoints``,
+with the same bits either way.
 
 Fault tolerance (docs/robustness.md): per-trial crashes, hangs and worker
 deaths are ordinary measurement outcomes, never sweep aborts. Crashed
@@ -30,7 +31,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
 from ..codegen import lower
@@ -54,6 +55,9 @@ from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec, Tensor, gemm_graph
 from .cache import MeasurementCache, measurement_key
 from .prune import prune_space
+
+if TYPE_CHECKING:
+    from .fleet import FleetTelemetry
 
 __all__ = ["Measurer", "MeasureTelemetry", "MeasureFailure", "FAILED"]
 
@@ -107,17 +111,23 @@ class MeasureTelemetry:
     lower_cache_bypasses: int = 0
     #: whether an incremental engine was attached at all
     incremental: bool = False
+    #: trials answered by remote fleet endpoints, each counted once
+    endpoint_trials: int = 0
+    #: summed telemetry of every batch that ran on the fleet (None: none did)
+    fleet: Optional["FleetTelemetry"] = None
 
     @property
     def n_measured(self) -> int:
-        return self.n_compiled + self.memory_hits + self.disk_hits
+        return self.n_compiled + self.endpoint_trials + self.memory_hits + self.disk_hits
 
     def summary(self) -> str:
         out = (
             f"{self.n_measured} measurements: {self.n_compiled} compiled "
-            f"({self.compile_time_s:.2f}s), {self.memory_hits} memory hits, "
-            f"{self.disk_hits} disk-cache hits"
+            f"({self.compile_time_s:.2f}s), "
         )
+        if self.endpoint_trials:
+            out += f"{self.endpoint_trials} answered by endpoints, "
+        out += f"{self.memory_hits} memory hits, {self.disk_hits} disk-cache hits"
         if self.n_pruned:
             out += f"; {self.n_pruned} pruned by the analytical model"
         if self.n_crashes or self.n_timeouts:
@@ -208,6 +218,12 @@ class Measurer:
         many fleet local workers, which live for one batch. 1 (default)
         keeps everything in-process unless ``trial_timeout_s`` forces
         process isolation.
+    endpoints:
+        Addresses of running ``repro serve`` daemons (``host:port`` or a
+        Unix socket path, :func:`~repro.tuning.fleet.parse_endpoint`).
+        Every uncached batch is sharded over them, one fleet seat each,
+        on top of the local workers; with ``jobs=1`` and no
+        ``trial_timeout_s`` the endpoints measure alone.
     trial_timeout_s:
         Per-trial wall-clock budget. A trial exceeding it has its worker
         put down and is recorded :data:`FAILED`. Requires process
@@ -234,6 +250,7 @@ class Measurer:
         via_ir: bool = True,
         cache: Optional[MeasurementCache] = None,
         jobs: int = 1,
+        endpoints: Sequence[str] = (),
         trial_timeout_s: Optional[float] = None,
         retries: int = 2,
         backoff_s: float = 0.05,
@@ -243,6 +260,7 @@ class Measurer:
         self.via_ir = via_ir
         self.cache = cache
         self.jobs = max(1, int(jobs))
+        self.endpoints = tuple(endpoints)
         self.trial_timeout_s = trial_timeout_s
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
@@ -274,6 +292,10 @@ class Measurer:
         self.n_crashes = 0
         self.n_timeouts = 0
         self.n_retries = 0
+        self.n_endpoint_trials = 0
+        #: summed :class:`~repro.tuning.fleet.FleetTelemetry` of every
+        #: batch that ran on the fleet; None until one does.
+        self.fleet_telemetry: Optional["FleetTelemetry"] = None
         #: configs dropped by model-guided pruning (opt-in, sweep-level)
         self.n_pruned = 0
         #: newest :class:`~repro.tuning.prune.PruneStats` from a pruned sweep
@@ -310,6 +332,8 @@ class Measurer:
             transform_runs=self.engine.transform_runs if self.engine is not None else 0,
             lower_cache_bypasses=self.engine.bypasses if self.engine is not None else 0,
             incremental=self.engine is not None,
+            endpoint_trials=self.n_endpoint_trials,
+            fleet=self.fleet_telemetry,
         )
 
     def _key(self, spec: GemmSpec, cfg: TileConfig) -> Tuple:
@@ -441,6 +465,18 @@ class Measurer:
             self.compile_time_s += compile_s
             self.stage_times.merge(stage_times)
 
+    def _tally_endpoint_trial(self) -> None:
+        """Count one trial a remote endpoint answered for this measurer."""
+        with self._lock:
+            self.n_endpoint_trials += 1
+
+    def _tally_fleet(self, telemetry: "FleetTelemetry") -> None:
+        """Add one fleet batch's telemetry to the running sum."""
+        with self._lock:
+            if self.fleet_telemetry is not None:
+                telemetry = self.fleet_telemetry + telemetry
+            self.fleet_telemetry = telemetry
+
     def _tally_failure(self, spec: GemmSpec, key: Tuple, cfg: TileConfig,
                        reason: str, attempt: int, detail: str) -> None:
         """Count one crashed or timed-out attempt; a crash with no retries
@@ -498,17 +534,16 @@ class Measurer:
         return self.measure_many(spec, [cfg])[0]
 
     def measure_many(
-        self, spec: GemmSpec, cfgs: Sequence[TileConfig], jobs: Optional[int] = None,
+        self, spec: GemmSpec, cfgs: Sequence[TileConfig],
         deadline: Optional[float] = None,
     ) -> List[float]:
         """Measure a batch, in input order, bit for bit as the serial path.
 
-        ``jobs`` explicitly overrides the worker width for this call only —
-        the measurer's configured width is never mutated, so re-entrant or
-        failed sweeps cannot leave a stale width behind. Cache hits are
-        answered in-process; distinct uncached configs compile here or,
-        for a width above 1 or a ``trial_timeout_s``, on that many fleet
-        local workers (:func:`~repro.tuning.fleet.fleet_sweep`).
+        Cache hits are answered in-process. The distinct uncached configs
+        compile here, or on the fleet
+        (:func:`~repro.tuning.fleet.fleet_sweep`) when this measurer has
+        local workers or ``endpoints``: ``jobs`` local workers for a width
+        above 1 or any ``trial_timeout_s``, plus one seat per endpoint.
 
         ``deadline`` (absolute ``time.monotonic`` seconds) aborts the batch
         cleanly with :class:`DeadlineExceededError` once passed: fleet
@@ -516,11 +551,12 @@ class Measurer:
         daemon uses this to stop burning a worker thread on a request whose
         client budget has already expired.
         """
-        width = self.jobs if jobs is None else max(1, int(jobs))
-        if width > 1 or self.trial_timeout_s is not None:
+        workers = self.jobs if self.jobs > 1 or self.trial_timeout_s is not None else 0
+        if workers or self.endpoints:
             from .fleet import fleet_sweep
 
-            return fleet_sweep(self, spec, cfgs, workers=width, deadline=deadline)[0]
+            return fleet_sweep(self, spec, cfgs, workers=workers,
+                               endpoints=self.endpoints, deadline=deadline)[0]
 
         def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
             for done, (key, cfg) in enumerate(order):
@@ -570,14 +606,10 @@ class Measurer:
         self,
         spec: GemmSpec,
         space: Sequence[TileConfig],
-        jobs: Optional[int] = None,
         prune_ratio: Optional[float] = None,
         deadline: Optional[float] = None,
     ) -> List[float]:
         """Measure every config; failed builds yield :data:`FAILED`.
-
-        ``jobs`` overrides the worker width for this sweep only (passed
-        through :meth:`measure_many` explicitly, never stored).
 
         ``prune_ratio`` (opt-in, default off) runs the model-guided pruning
         pass first: configs the analytical model prices beyond
@@ -587,12 +619,12 @@ class Measurer:
         """
         space = list(space)
         if not prune_ratio:
-            return self.measure_many(spec, space, jobs=jobs, deadline=deadline)
+            return self.measure_many(spec, space, deadline=deadline)
         kept, stats = prune_space(spec, space, self.gpu, prune_ratio)
         with self._lock:
             self.n_pruned += stats.n_total - stats.n_kept
             self.last_prune_stats = stats
-        kept_latency = self.measure_many(spec, kept, jobs=jobs, deadline=deadline)
+        kept_latency = self.measure_many(spec, kept, deadline=deadline)
         by_key = {cfg.key(): lat for cfg, lat in zip(kept, kept_latency)}
         return [by_key.get(cfg.key(), FAILED) for cfg in space]
 

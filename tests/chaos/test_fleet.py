@@ -394,6 +394,22 @@ class TestFleetSweep:
         assert m.n_compiled == len(space) == tel.results_streamed - tel.duplicates
         assert dict(m.telemetry.stage_time_s)["simulate"] > 0
 
+    def test_measurer_sums_every_fleet_batch(self, space, serial):
+        """The measurer's fleet telemetry is the sum of the batches that ran
+        on the fleet; an all-cached batch starts no coordinator."""
+        m = Measurer(A100, via_ir=False)
+        assert m.telemetry.fleet is None
+        half = len(space) // 2
+        first, tel_a = fleet_sweep(m, SPEC, space[:half], workers=2)
+        second, tel_b = fleet_sweep(m, SPEC, space[half:], workers=3)
+        _, tel_c = fleet_sweep(m, SPEC, space, workers=2)
+        assert first + second == serial
+        assert tel_c.batches == 0 and tel_c.shards_dispatched == 0
+        total = m.telemetry.fleet
+        assert total == tel_a + tel_b
+        assert total.batches == 2 and total.n_workers_peak == 3
+        assert total.n_shards == tel_a.n_shards + tel_b.n_shards
+
     def test_fleet_with_faults_equals_serial_end_to_end(self, space, serial):
         plan = faults.FaultPlan(
             [faults.FaultRule("fleet", "worker-death", rate=0.3,
@@ -439,6 +455,28 @@ class TestRemoteWorkers:
         )
         assert result.latencies == serial
         assert result.telemetry.n_workers_peak == 3
+
+    def test_measurer_counts_each_trial_once_across_local_and_remote(
+            self, daemon, space, serial):
+        """A measurer with local workers and an endpoint shards its batch
+        over both: more seats than cores and a short switch interval, yet
+        every config is counted exactly once, as a local compile or as an
+        endpoint trial, however many stolen duplicates streamed."""
+        import sys
+
+        m = Measurer(A100, via_ir=False, jobs=3, endpoints=(daemon.socket_path,))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            latencies = m.measure_many(SPEC, space)
+        finally:
+            sys.setswitchinterval(old)
+        assert latencies == serial
+        tel = m.telemetry
+        assert tel.n_compiled + tel.endpoint_trials == len(space) == tel.n_measured
+        assert tel.fleet.batches == 1 and tel.fleet.n_workers_peak == 4
+        assert tel.fleet.results_streamed - tel.fleet.duplicates == len(space)
+        assert daemon.counters["fleet_trials"] >= tel.endpoint_trials
 
     def test_via_ir_mismatch_is_refused(self, daemon, space):
         """A daemon measuring in the other via_ir mode would return

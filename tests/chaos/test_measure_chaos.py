@@ -343,10 +343,3 @@ class TestParallelDeadline:
         assert m.sweep(SPEC, space) == clean
         assert m.n_memory_hits - hits == committed
         assert m.n_compiled == len(space)
-
-
-class TestSweepJobsOverride:
-    def test_sweep_jobs_does_not_mutate_measurer(self, space):
-        m = Measurer(A100, via_ir=False, jobs=1)
-        m.sweep(SPEC, space, jobs=2)
-        assert m.jobs == 1

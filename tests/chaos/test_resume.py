@@ -218,6 +218,21 @@ class TestResume:
         assert rc == 0
         assert best_schedule(out) == baseline
 
+    def test_resume_with_trials_50_raises_the_budget(self, capsys, tmp_path):
+        """--trials on --resume replaces the session's budget whatever its
+        value, 50 (the fresh-run default) included; only an omitted
+        --trials keeps the session's own."""
+        sdir = tmp_path / "session"
+        journal = sdir / JOURNAL_FILE
+        problem = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "60",
+                   "--method", "random", "--seed", "1"]
+        assert main(problem + ["--trials", "4", "--session-dir", str(sdir)]) == 0
+        assert main(["tune", "--resume", str(sdir)]) == 0
+        assert len(journal.read_text().splitlines()) == 4
+        assert main(["tune", "--resume", str(sdir), "--trials", "50"]) == 0
+        assert len(journal.read_text().splitlines()) == 50
+        assert "no valid schedule" not in capsys.readouterr().out
+
     def test_tune_without_problem_or_resume_errors(self, capsys):
         rc = main(["tune"])
         assert rc == 2

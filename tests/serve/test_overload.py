@@ -136,9 +136,14 @@ class TestAdmissionControl:
         return conns
 
     def _saturate(self, server):
-        """Park every worker on an idle connection first, *then* fill the
-        queue to its bound — two steps, or a pinned connection races the
-        worker's dequeue and gets shed instead of queued."""
+        """Wait for an idle daemon, park every worker on an idle connection,
+        *then* fill the queue to its bound — one step at a time, or a pinned
+        connection races a worker's dequeue and gets shed instead of queued.
+        Idle first: a worker still finishing an earlier client's closed
+        connection would pass the parked check with the pin left queued."""
+        assert _poll(
+            lambda: not server._open_conns and server._conn_queue.qsize() == 0
+        ), "daemon never went idle"
         pinned = self._pin(server, server.workers)
         assert _poll(
             lambda: len(server._open_conns) == server.workers

@@ -174,28 +174,34 @@ class TestServeSmokeJob:
 
 class TestFleetSmokeJob:
     """The fleet-smoke job is the executable acceptance criterion for the
-    distributed tuning fleet: the same seeded tune run serially, through a
-    3-worker fleet under injected worker death, and with --jobs 3 under
-    per-trial worker death must produce bitwise-equal trial logs and the
-    same best config."""
+    distributed tuning fleet: the same seeded tune run serially, with
+    --jobs 3 --oracle under injected worker death per shard, with --jobs 3
+    --oracle under per-trial worker death, and with its tuner batches sent
+    to a serve daemon through --fleet-endpoint must produce bitwise-equal
+    trial logs and the same best config."""
 
     def test_runs_serial_then_fleet_with_same_seeded_problem(self, workflow):
         cmds = job_commands(workflow["jobs"]["fleet-smoke"])
         tunes = [c for c in cmds if "repro.cli tune" in c]
-        assert len(tunes) == 3, "fleet-smoke must run a serial, a fleet and a --jobs tune"
-        serial, fleet, jobs = tunes
+        assert len(tunes) == 4, (
+            "fleet-smoke must run a serial, a fleet, a --jobs and an endpoint tune")
+        serial, fleet, jobs, endpoint = tunes
         assert "--fleet" not in serial and "--jobs" not in serial
         assert "--out serial.json" in serial
-        assert "--fleet 3" in fleet and "--out fleet.json" in fleet
+        assert "--jobs 3 --oracle" in fleet and "--out fleet.json" in fleet
         assert "--jobs 3" in jobs and "--out jobs.json" in jobs
+        assert "--fleet-endpoint /tmp/repro-fleet.sock" in endpoint
+        assert "--out endpoint.json" in endpoint
+        # The endpoint measures the tuner's own batches, not an oracle sweep.
+        assert "--oracle" not in endpoint and "--jobs" not in endpoint
         # Identical problem/method/seed, or the comparison is meaningless.
         for flag in ("--m 256", "--n 256", "--k 512", "--space 32",
                      "--trials 8", "--method xgb", "--seed 3"):
-            assert flag in serial and flag in fleet and flag in jobs
+            assert all(flag in c for c in tunes), flag
 
     def test_jobs_tune_kills_every_first_attempt(self, workflow):
         cmds = job_commands(workflow["jobs"]["fleet-smoke"])
-        jobs = next(c for c in cmds if "--jobs 3" in c)
+        jobs = next(c for c in cmds if "--out jobs.json" in c)
         assert "--fault-plan" in jobs
         assert '{"site": "worker", "kind": "worker-death", "match": "#a0"}' in jobs
         # The oracle sweep sends all 32 configs through the dying workers.
@@ -209,15 +215,35 @@ class TestFleetSmokeJob:
 
     def test_fleet_tune_injects_worker_death(self, workflow):
         cmds = job_commands(workflow["jobs"]["fleet-smoke"])
-        fleet = next(c for c in cmds if "--fleet 3" in c)
+        fleet = next(c for c in cmds if "--out fleet.json" in c)
         assert "--fault-plan" in fleet
         assert '"site": "fleet"' in fleet
         assert '"kind": "worker-death"' in fleet
+        assert '"match": "|attempt=0|"' in fleet
 
     def test_asserts_bitwise_identity_with_serial(self, workflow):
         cmds = "\n".join(job_commands(workflow["jobs"]["fleet-smoke"]))
         assert "assert fleet == serial" in cmds
         assert '[e["latency_us"] for e in f] == [e["latency_us"] for e in s]' in cmds
+
+    def test_endpoint_leg_boots_waits_compares_and_stops(self, workflow):
+        steps = workflow["jobs"]["fleet-smoke"]["steps"]
+        runs = [s.get("run", "") for s in steps]
+        boot = next(i for i, r in enumerate(runs) if "repro.cli serve" in r)
+        assert "--socket /tmp/repro-fleet.sock" in runs[boot]
+        assert runs[boot].splitlines()[1].rstrip().endswith("&"), (
+            "the daemon must run in the background")
+        assert "client ping" in runs[boot] and "--wait 30" in runs[boot]
+        tune = next(i for i, r in enumerate(runs) if "--fleet-endpoint" in r)
+        assert boot < tune
+        compare = "\n".join(runs[tune:])
+        assert 'e = json.load(open("endpoint.json"))' in compare
+        assert "for a, b in zip(e, s):" in compare
+        stops = [s for s in steps if "client stop" in s.get("run", "")]
+        assert len(stops) == 1
+        assert "--socket /tmp/repro-fleet.sock" in stops[0]["run"]
+        assert stops[0].get("if") == "always()"
+        assert steps.index(stops[0]) > tune
 
     def test_records_throughput_and_uploads_artifact(self, workflow):
         cmds = job_commands(workflow["jobs"]["fleet-smoke"])

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and tuning-log persistence."""
 
 import json
+import re
 
 import pytest
 
@@ -35,6 +36,23 @@ class TestParser:
             args = build_parser().parse_args(cmd)
             assert args.jobs == 1 and args.cache_dir is None
 
+    @pytest.mark.parametrize("argv, message", [
+        (["tune", "--m", "64", "--n", "64", "--k", "64", "--fleet", "3"],
+         "unrecognized arguments: --fleet 3"),
+        (["tune", "--m", "64", "--n", "64", "--k", "64", "--breaker-threshold", "2"],
+         "unrecognized arguments: --breaker-threshold 2"),
+        (["fleet-worker", "--socket", "/tmp/w.sock"],
+         "invalid choice: 'fleet-worker'"),
+    ])
+    def test_retired_fleet_options_are_rejected(self, capsys, argv, message):
+        """``--fleet N`` is ``--jobs N --oracle`` and ``fleet-worker`` is
+        ``serve``; tune refuses abbreviations, so ``--fleet 3`` is not read
+        as ``--fleet-endpoint 3``."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_compile_small(self, capsys):
@@ -57,6 +75,21 @@ class TestCommands:
         rc = main(["ir", "--m", "64", "--n", "64", "--k", "128", "--config", "32,32"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["ir", "cuda"])
+    @pytest.mark.parametrize("config, reason", [
+        ("32,32", "got 2 field(s), need 8"),
+        ("64,64,32,32,32,x,2,2", "invalid literal for int()"),
+        ("64,64,32,32,32,16,0,2", "smem_stages must be in [1, 8], got 0"),
+        ("64,64,32,32,32,16,2,3", "reg_stages must be 1 or 2, got 3"),
+        ("64,64,32,48,32,16,2,2", "not divisible by warp_m=48"),
+    ])
+    def test_bad_config_prints_usage_and_exits_2(self, capsys, command, config, reason):
+        rc = main([command, "--m", "64", "--n", "64", "--k", "128", "--config", config])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--config expects bm,bn,bk,wm,wn,ck,smem_stages,reg_stages" in err
+        assert reason in err
+
     def test_tune_writes_log(self, capsys, tmp_path):
         log = tmp_path / "log.json"
         rc = main(
@@ -70,8 +103,6 @@ class TestCommands:
     def test_tune_warm_cache_skips_compiles(self, capsys, tmp_path):
         """Acceptance: a repeat `repro tune` against a warm --cache-dir must
         perform >= 5x fewer compiles (here: zero), with identical results."""
-        import re
-
         argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "60",
                 "--method", "random", "--trials", "8", "--cache-dir", str(tmp_path)]
 
@@ -90,13 +121,13 @@ class TestCommands:
         ], "warm results must match cold results"
 
     def test_tune_trace_out_writes_chrome_trace(self, capsys, tmp_path):
-        """Acceptance: `repro tune --fleet 2 --trace-out` produces one valid
-        Chrome trace with coordinator, per-shard worker and per-stage
-        (transform/lower) spans under a single trace_id."""
+        """Acceptance: `repro tune --jobs 2 --oracle --trace-out` produces
+        one valid Chrome trace with coordinator, per-shard worker and
+        per-stage (transform/lower) spans under a single trace_id."""
         out = tmp_path / "trace.json"
         rc = main(["tune", "--m", "128", "--n", "128", "--k", "256",
                    "--space", "24", "--method", "random", "--trials", "4",
-                   "--fleet", "2", "--trace-out", str(out)])
+                   "--jobs", "2", "--oracle", "--trace-out", str(out)])
         assert rc == 0
         assert "span(s) written" in capsys.readouterr().out
         payload = json.loads(out.read_text())
@@ -115,8 +146,9 @@ class TestCommands:
         serial = capsys.readouterr().out
         assert main(argv + ["--jobs", "4"]) == 0
         parallel = capsys.readouterr().out
-        strip = [ln for ln in serial.splitlines() if not ln.startswith("telemetry")]
-        assert strip == [ln for ln in parallel.splitlines() if not ln.startswith("telemetry")]
+        strip = [ln for ln in serial.splitlines() if not ln.startswith(("telemetry", "fleet"))]
+        assert strip == [ln for ln in parallel.splitlines()
+                         if not ln.startswith(("telemetry", "fleet"))]
 
     def test_tune_profile_prints_stage_breakdown(self, capsys):
         argv = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "30",
@@ -128,28 +160,50 @@ class TestCommands:
             assert stage_name in out, stage_name
 
     def test_tune_counts_worker_compiles_like_serial(self, capsys):
-        """Serial, --jobs 2 and --fleet 2 report the same compiled count and
-        a stage breakdown: compiles run in worker processes are merged into
-        the measurer's telemetry, not mistaken for memory hits."""
-        import re
-
+        """Serial and --jobs 2 report the same compiled count and a stage
+        breakdown: compiles run in worker processes are merged into the
+        measurer's telemetry, not mistaken for memory hits."""
         argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "64",
                 "--trials", "8", "--method", "xgb", "--seed", "3", "--profile",
-                "--oracle"]  # --fleet sweeps the whole space; make serial match
+                "--oracle"]  # the oracle sends the whole space through the workers
         compiled = []
-        for extra in ([], ["--jobs", "2"], ["--fleet", "2"]):
+        for extra in ([], ["--jobs", "2"]):
             assert main(argv + extra) == 0
             out = capsys.readouterr().out
             compiled.append(int(re.search(r"(\d+) compiled \(", out).group(1)))
             assert "no stages recorded" not in out, extra
             assert "simulate" in out.split("per-stage compile/simulate breakdown")[1]
-        assert compiled == [64, 64, 64]
+        assert compiled == [64, 64]
+
+    def test_tune_jobs_oracle_reports_fleet_recovery(self, capsys):
+        """Under the fleet-site plan (every shard's first dispatch loses its
+        worker), a --jobs 3 --oracle tune prints the fleet line with the
+        recovered deaths and losses, and otherwise the serial report."""
+        from repro import faults
+
+        plan = ('{"seed": 11, "rules": [{"site": "fleet", "kind": "worker-death", '
+                '"match": "|attempt=0|"}]}')
+        argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "32",
+                "--trials", "8", "--method", "xgb", "--seed", "3", "--oracle"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert "fleet    :" not in serial
+        with faults.injected(faults.FaultPlan.parse(plan)):
+            assert main(argv + ["--jobs", "3", "--fault-plan", plan]) == 0
+        out = capsys.readouterr().out
+        m = re.search(r"^fleet    : .*; (\d+) worker death\(s\), (\d+) shard loss\(es\) "
+                      r"recovered", out, re.M)
+        assert m, out
+        assert int(m.group(1)) > 0 and int(m.group(2)) > 0
+
+        def strip(text):
+            return [ln for ln in text.splitlines() if not ln.startswith(("telemetry", "fleet"))]
+
+        assert strip(out) == strip(serial)
 
     def test_tune_without_oracle_compiles_only_its_trials(self, capsys):
         """A plain tune measures what its tuner proposes and nothing else,
         serially and on --jobs workers, and reports the tuner's own best."""
-        import re
-
         argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "64",
                 "--trials", "8", "--method", "xgb", "--seed", "3"]
         outs = []
@@ -160,7 +214,8 @@ class TestCommands:
             assert "exhaustive best" not in out and "best-in-" not in out
             assert re.search(r"^space: 64 schedules; best found [\d.]+ us at trial [1-8] "
                              r"of 8$", out, re.M), out
-            outs.append([ln for ln in out.splitlines() if not ln.startswith("telemetry")])
+            outs.append([ln for ln in out.splitlines()
+                         if not ln.startswith(("telemetry", "fleet"))])
         assert outs[0] == outs[1]
 
     def test_tune_oracle_output_matches_golden(self, capsys):
@@ -395,6 +450,57 @@ class TestServeEndToEnd:
         rc = main(["client", "ping", "--socket", str(tmp_path / "nope.sock")])
         assert rc == 1
         assert "is the daemon running?" in capsys.readouterr().err
+
+
+class TestFleetEndpointTune:
+    """``tune --fleet-endpoint`` against an in-process ``repro serve``
+    daemon: the tuner's batches (and, with --oracle, the oracle sweep) are
+    measured by the daemon, and the trial log is the serial one."""
+
+    ARGV = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "32",
+            "--trials", "8", "--method", "xgb", "--seed", "3"]
+
+    @pytest.fixture()
+    def daemon(self, tmp_path):
+        from repro.serve.client import ServeClient
+        from repro.serve.server import ReproServer
+
+        server = ReproServer(
+            socket_path=str(tmp_path / "w.sock"), via_ir=False, workers=4,
+        )
+        server.start()
+        try:
+            probe = ServeClient(socket_path=server.socket_path, timeout=30)
+            assert probe.wait_until_ready(timeout=10)
+            yield server
+        finally:
+            server.stop()
+            server.shutdown(timeout=10)
+
+    def test_endpoint_tune_log_equals_serial(self, capsys, tmp_path, daemon):
+        serial = tmp_path / "serial.json"
+        assert main(self.ARGV + ["--out", str(serial)]) == 0
+        capsys.readouterr()
+        endpoint = ["--fleet-endpoint", daemon.socket_path]
+
+        plain = tmp_path / "endpoint.json"
+        assert main(self.ARGV + endpoint + ["--out", str(plain)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(plain.read_text()) == json.loads(serial.read_text())
+        # Without --oracle the daemon measures exactly the tuner's trials,
+        # and the telemetry line counts them.
+        assert daemon.counters["fleet_trials"] == 8
+        assert re.search(r"^telemetry: 8 measurements: 0 compiled \([\d.]+s\), "
+                         r"8 answered by endpoints, 0 memory hits", out, re.M), out
+        assert re.search(r"^fleet    : \d+ batch\(es\), .* over 1 worker\(s\)", out, re.M)
+
+        oracle = tmp_path / "endpoint-oracle.json"
+        assert main(self.ARGV + endpoint + ["--oracle", "--out", str(oracle)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(oracle.read_text()) == json.loads(serial.read_text())
+        assert "exhaustive best" in out
+        assert re.search(r"^telemetry: 40 measurements: 0 compiled \([\d.]+s\), "
+                         r"32 answered by endpoints, 8 memory hits", out, re.M), out
 
 
 class TestHistoryPersistence:

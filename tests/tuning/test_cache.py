@@ -136,12 +136,6 @@ class TestParallel:
         parallel = Measurer(via_ir=False, jobs=4).sweep(SPEC, SPACE)
         assert parallel == serial  # bitwise: same floats, same order
 
-    def test_jobs_override_on_sweep(self):
-        m = Measurer(via_ir=False)
-        out = m.sweep(SPEC, SPACE, jobs=2)
-        assert m.jobs == 1, "per-sweep override must not stick"
-        assert out == Measurer(via_ir=False).sweep(SPEC, SPACE)
-
     def test_duplicates_in_batch_compile_once(self):
         m = Measurer(via_ir=False, jobs=2)
         out = m.measure_many(SPEC, [CFG, CFG, CFG.with_stages(2, 1), CFG])
