@@ -14,8 +14,10 @@ CI fleet-smoke job can track them PR over PR:
   repeats: below 1x, ``--jobs`` slows a tune's batches down;
 * **bitwise identity** — every fleet run's latencies must equal the
   serial run's exactly, including one run with injected worker death;
-* **fault overhead** — the dispatch/steal/requeue cost visible in the
-  fleet telemetry.
+* **one dispatch per shard** — a fault-free sweep sends each shard to
+  one seat once;
+* **fault overhead** — the dispatch/requeue cost visible in the fleet
+  telemetry.
 
 Runs two ways: as a pytest benchmark inside the suite, and as a plain
 script (``python benchmarks/bench_fleet_throughput.py --smoke --out F``)
@@ -79,7 +81,6 @@ def run_experiment(quick: bool) -> dict:
             "identical_to_serial": latencies == serial,
             "shards": tel.n_shards,
             "dispatches": tel.shards_dispatched,
-            "steals": tel.steals,
         }
 
     # Tuner-batch leg: a fresh measurer per repeat, so every trial compiles.
@@ -143,8 +144,7 @@ def format_table(r: dict) -> str:
         lines.append(
             f"fleet x{n}: {w['wall_s']:6.2f}s  {w['configs_per_sec']:6.1f} cfg/s  "
             f"{w['speedup_vs_serial']:4.2f}x vs serial  "
-            f"({w['shards']} shard(s), {w['dispatches']} dispatch(es), "
-            f"{w['steals']} steal(s))  [{ident}]"
+            f"({w['shards']} shard(s), {w['dispatches']} dispatch(es))  [{ident}]"
         )
     tb = r["tuner_batch"]
     lines.append(
@@ -169,6 +169,10 @@ def check_invariants(r: dict) -> None:
         assert w["identical_to_serial"], (
             f"fleet width {n} diverged from the serial sweep — the bitwise "
             "identity contract is broken"
+        )
+        assert w["dispatches"] == w["shards"], (
+            f"fleet width {n} dispatched {w['dispatches']} times for "
+            f"{w['shards']} shard(s) without faults — a shard ran twice"
         )
     assert r["faulted_identical"], (
         "the worker-death run diverged from the serial sweep"

@@ -155,6 +155,13 @@ class ServeClient:
             err.transient = True  # connection reset mid-exchange: retryable
             raise err from e
         finally:
+            # Shut the connection down, not just this descriptor: a child
+            # forked while the request was in flight holds a copy, and the
+            # daemon would otherwise wait for that copy's EOF.
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never connected, or already reset
             try:
                 sock.close()
             except OSError:

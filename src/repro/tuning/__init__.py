@@ -9,14 +9,7 @@ from .cache import (
     measurement_key,
 )
 from .features import FEATURE_NAMES, featurize, featurize_batch
-from .fleet import (
-    FleetCoordinator,
-    FleetResult,
-    FleetTelemetry,
-    LocalProcessWorker,
-    RemoteServeWorker,
-    fleet_sweep,
-)
+from .fleet import FleetTelemetry, fleet_sweep
 from .gbt import GradientBoostedTrees, RegressionTree
 from .measure import FAILED, Measurer, MeasureTelemetry
 from .prune import DEFAULT_PRUNE_RATIO, PruneStats, prune_space
@@ -48,11 +41,7 @@ __all__ = [
     "FEATURE_NAMES",
     "featurize",
     "featurize_batch",
-    "FleetCoordinator",
-    "FleetResult",
     "FleetTelemetry",
-    "LocalProcessWorker",
-    "RemoteServeWorker",
     "fleet_sweep",
     "GradientBoostedTrees",
     "RegressionTree",

@@ -1,13 +1,11 @@
-"""Distributed, elastic tuning fleet (docs/distributed.md).
+"""Distributed tuning fleet (docs/distributed.md).
 
 The one process-parallel measurement runner (``Measurer.measure_many``
 sends every uncached batch here when the measurer has local workers or
 remote endpoints), modelled on TVM's RPC-tracker measurement farm: a
-:class:`FleetCoordinator` shards an enumerated design space across
-expendable workers, streams results back as each trial lands,
-work-steals the unmeasured remainder of straggler shards, tolerates
-worker death at any point, and scales the fleet up or down mid-sweep
-(:meth:`FleetCoordinator.scale_to`).
+:class:`FleetCoordinator` shards an enumerated design space across the
+seats a batch starts with, streams results back as each trial lands, and
+tolerates worker death at any point. One seat owns a shard at a time.
 
 Workers come in two kinds:
 
@@ -22,10 +20,10 @@ Workers come in two kinds:
 The invariant that makes the fleet safe to trust: a sharded sweep is
 **bitwise-identical** to a serial ``Measurer.sweep`` — every latency and
 the best config — including under injected worker death at any fleet
-width and mid-sweep resizes. Trials are deterministic simulations, so a
-re-measured (retried or stolen) config reproduces the same bits; the
-coordinator merges duplicates first-write-wins and the chaos suite
-(``tests/chaos/test_fleet.py``) asserts the identity end to end.
+width. Trials are deterministic simulations, so a retried config
+reproduces the same bits; the coordinator keeps the first result of
+each config and the chaos suite (``tests/chaos/test_fleet.py``) asserts
+the identity end to end.
 
 Failure model
 -------------
@@ -49,7 +47,9 @@ the sick seat for an escalating cooldown, then lets one half-open probe
 shard through. A successful probe closes the breaker — a daemon that
 restarts mid-sweep *rejoins* the fleet instead of being permanently
 retired — while a breaker that opens :attr:`CircuitBreaker.max_opens`
-times is deemed dead and retires its seat for good.
+times is deemed dead and retires its seat for good. An endpoint that
+stalls keeps its shard until it answers or its client times out; the
+breaker and the requeue then hand the shard to another seat.
 """
 
 from __future__ import annotations
@@ -97,8 +97,6 @@ TrialSink = Callable[[int, str, int, object], None]
 
 #: Process-global mirrors of the fleet telemetry counters, so a long
 #: coordinator (or a daemon hosting many sweeps) shows up on /metrics.
-_FLEET_STEALS = obs_metrics.counter(
-    "repro_fleet_steals_total", "Straggler shards work-stolen mid-sweep.")
 _FLEET_DEATHS = obs_metrics.counter(
     "repro_fleet_worker_deaths_total", "Fleet workers that died mid-shard.")
 _BREAKER_OPENS = obs_metrics.counter(
@@ -241,8 +239,9 @@ class LocalProcessWorker:
         0) on the worker, streaming each result into ``on_result`` as it
         lands (a compile's ``("compiled", attempt, cost)`` as a fourth
         argument) and each crashed or timed-out attempt into ``on_trial``.
-        Raises :class:`WorkerCrash` when the worker dies between trials or
-        ``should_abort`` turns true.
+        Raises :class:`WorkerCrash` when the worker dies between trials, or
+        puts the worker down and raises it as soon as ``should_abort``
+        turns true.
         A worker lost with a trial in flight — dead, or put down once the
         trial outlives ``trial_timeout_s`` — raises :class:`_TrialLost`
         after charging that trial a crash (FAILED once its retries are
@@ -277,11 +276,14 @@ class LocalProcessWorker:
             self._conn.send(("shard", sid, attempt, spec, list(items), wire_ctx,
                              dict(attempts or {})))
             while True:
+                # Checked before every poll: a worker streaming results is
+                # never quiet, and must not outrun a failed sweep's deadline.
+                if should_abort is not None and should_abort():
+                    self._proc.terminate()
+                    raise WorkerCrash(f"shard {sid} abandoned: sweep failed")
                 if self._conn.poll(0.05):
                     if handle(self._conn.recv()):
                         return
-                elif should_abort is not None and should_abort():
-                    raise WorkerCrash(f"shard {sid} abandoned: sweep over")
                 elif not self._proc.is_alive():
                     if not self._conn.poll():
                         raise EOFError("worker exited")
@@ -498,19 +500,17 @@ class CircuitBreaker:
 # ----------------------------------------------------------------- coordinator
 @dataclasses.dataclass(frozen=True)
 class FleetTelemetry:
-    """What the sweep cost the fleet: dispatches, losses, steals, resizes.
+    """What the sweep cost the fleet: dispatches, deaths, losses, breakers.
     Adding two sums their counts (``n_workers_peak`` takes the larger), so
     a measurer can total every batch it ran on the fleet."""
 
+    #: seats the batch ran on (local workers plus endpoints)
     n_workers_peak: int
     n_shards: int
     shards_dispatched: int
     worker_deaths: int
     shard_losses: int
-    steals: int
-    resizes: int
     results_streamed: int
-    duplicates: int
     breaker_opens: int = 0
     breaker_rejoins: int = 0
     #: coordinator runs summed here (one per fleet batch)
@@ -534,10 +534,6 @@ class FleetTelemetry:
                 f"; {self.worker_deaths} worker death(s), "
                 f"{self.shard_losses} shard loss(es) recovered"
             )
-        if self.steals:
-            out += f"; {self.steals} shard(s) work-stolen ({self.duplicates} duplicate trial(s))"
-        if self.resizes:
-            out += f"; {self.resizes} mid-sweep resize(s)"
         if self.breaker_opens:
             out += (
                 f"; {self.breaker_opens} circuit-breaker open(s), "
@@ -553,22 +549,15 @@ class FleetResult:
     latencies: List[float]
     telemetry: FleetTelemetry
 
-    def best_index(self) -> int:
-        return min(range(len(self.latencies)), key=lambda i: self.latencies[i])
 
-
+@dataclasses.dataclass(frozen=True)
 class _Shard:
-    """A contiguous slice of the space, tracking its unmeasured items."""
+    """A contiguous slice of the space: its unmeasured items and the
+    attempt number of its next dispatch."""
 
-    def __init__(self, sid: int, items: List[Item], attempt: int = 0,
-                 steal_of: Optional[int] = None) -> None:
-        self.sid = sid
-        self.items = items
-        self.attempt = attempt
-        #: sid of the in-flight shard this one was cloned from, or None.
-        self.steal_of = steal_of
-        #: concurrent thieves cloned *from* this shard (bounded to 1).
-        self.thieves = 0
+    sid: int
+    items: List[Item]
+    attempt: int = 0
 
 
 class _Slot:
@@ -586,7 +575,7 @@ class _Slot:
 
 
 class FleetCoordinator:
-    """Shard a design space over an elastic worker fleet (module docstring).
+    """Shard a design space over a fixed set of seats (module docstring).
 
     Parameters
     ----------
@@ -596,21 +585,16 @@ class FleetCoordinator:
         Measurement identity — must match the serial measurer's for the
         bitwise-identity guarantee to be meaningful.
     workers:
-        Local worker processes to start with (``scale_to`` changes it
-        mid-sweep).
+        Local worker processes, one seat each.
     endpoints:
-        Remote ``measure``-op daemons, one fleet slot each, on top of the
-        local workers.
+        Remote ``measure``-op daemons, one seat each, on top of the local
+        workers.
     shard_size:
         Trials per shard. Defaults to ~4 shards per slot (enough
-        granularity for balancing and stealing without drowning in
-        dispatch overhead).
+        granularity for balancing without drowning in dispatch overhead).
     max_shard_retries:
         Times one shard may be lost (worker death between trials / lost
         dispatch) before the sweep aborts with :class:`WorkerCrash`.
-    steal:
-        Allow idle slots to clone the unmeasured remainder of an in-flight
-        shard (first result wins; duplicates are identical by determinism).
     trial_retries / trial_backoff_s / trial_timeout_s:
         Local workers' retries of a crashed trial before quarantine, the
         base of their exponential backoff, and the wall-clock budget after
@@ -632,11 +616,9 @@ class FleetCoordinator:
         endpoints: Sequence[str] = (),
         shard_size: Optional[int] = None,
         max_shard_retries: int = 8,
-        steal: bool = True,
         trial_retries: int = 2,
         trial_backoff_s: float = 0.01,
         trial_timeout_s: Optional[float] = None,
-        remote_timeout: float = 600.0,
         breaker_threshold: int = 3,
         breaker_cooldown_s: float = 0.25,
         breaker_max_opens: int = 5,
@@ -647,20 +629,18 @@ class FleetCoordinator:
         self.via_ir = via_ir
         self.endpoints = list(endpoints)
         self.max_shard_retries = max(0, int(max_shard_retries))
-        self.steal = steal
         self.trial_retries = trial_retries
         self.trial_backoff_s = trial_backoff_s
         self.trial_timeout_s = trial_timeout_s
-        self.remote_timeout = remote_timeout
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown_s = breaker_cooldown_s
         self.breaker_max_opens = breaker_max_opens
-        self._initial_workers = max(0, int(workers))
-        if self._initial_workers + len(self.endpoints) < 1:
+        self.workers = max(0, int(workers))
+        n_slots = self.workers + len(self.endpoints)
+        if n_slots < 1:
             raise ValueError("a fleet needs at least one local or remote worker")
-        n_slots = self._initial_workers + len(self.endpoints)
         if shard_size is None:
-            shard_size = max(1, math.ceil(len(self.configs) / max(1, 4 * n_slots)))
+            shard_size = max(1, math.ceil(len(self.configs) / (4 * n_slots)))
         self.shard_size = max(1, int(shard_size))
 
         self._cond = threading.Condition()
@@ -670,7 +650,6 @@ class FleetCoordinator:
             for sid, lo in enumerate(range(0, len(self.configs), self.shard_size))
         ]
         self._n_shards = len(self._queue)
-        self._inflight: Dict[int, _Shard] = {}
         self._results: Dict[int, float] = {}
         #: next attempt number per index, once an attempt has failed
         self._attempts: Dict[int, int] = {}
@@ -679,18 +658,13 @@ class FleetCoordinator:
         #: commits land one at a time, as on the serial path
         self._sink_lock = threading.Lock()
         self._slots: List[_Slot] = []
-        self._next_slot = 0
         self._done = False
         self._failure: Optional[BaseException] = None
         # telemetry
         self._dispatched = 0
         self._deaths = 0
         self._losses = 0
-        self._steals = 0
-        self._resizes = 0
         self._streamed = 0
-        self._duplicates = 0
-        self._peak = 0
         self._breaker_opens = 0
         self._breaker_rejoins = 0
         #: trace context of the coordinator's root span, handed to the
@@ -707,9 +681,9 @@ class FleetCoordinator:
         config, as its first result streams in (the hook
         :func:`fleet_sweep` uses to commit into a measurer's caches).
         ``on_trial(index, outcome, attempt, detail)`` hears, once per
-        trial however many stolen copies ran, where each first result came
-        from (a local compile's cost or the endpoint that answered) and
-        every crashed or timed-out attempt from local workers.
+        trial, where its result came from (a local compile's cost or the
+        endpoint that answered) and every crashed or timed-out attempt
+        from local workers.
         The two are never called concurrently. ``deadline`` (absolute
         ``time.monotonic``) aborts with :class:`DeadlineExceededError`,
         putting workers down; streamed results stay committed.
@@ -730,7 +704,7 @@ class FleetCoordinator:
         with self._cond:
             for endpoint in self.endpoints:
                 self._add_slot_locked(self._remote_factory(endpoint), remote=True)
-            for _ in range(self._initial_workers):
+            for _ in range(self.workers):
                 self._add_slot_locked(self._local_factory())
         try:
             with self._cond:
@@ -747,7 +721,7 @@ class FleetCoordinator:
             with self._cond:
                 self._done = True
                 self._cond.notify_all()
-            for slot in list(self._slots):
+            for slot in self._slots:
                 if slot.thread is not None:
                     slot.thread.join(timeout=10.0)
         if self._failure is not None:
@@ -757,25 +731,6 @@ class FleetCoordinator:
         return FleetResult(
             [self._results[i] for i in range(len(self.configs))], telemetry
         )
-
-    def scale_to(self, n_local: int) -> None:
-        """Resize the *local* half of the fleet mid-sweep. Growing spawns
-        fresh slots immediately; shrinking retires slots, each of which
-        drains its current shard and then leaves. Remote endpoint slots are
-        not touched."""
-        n_local = max(0, int(n_local))
-        with self._cond:
-            local = [s for s in self._slots if not s.retired and not s.remote]
-            if n_local == len(local):
-                return
-            self._resizes += 1
-            if n_local > len(local):
-                for _ in range(n_local - len(local)):
-                    self._add_slot_locked(self._local_factory())
-            else:
-                for slot in local[n_local:]:
-                    slot.retired = True
-            self._cond.notify_all()
 
     @property
     def telemetry(self) -> FleetTelemetry:
@@ -788,22 +743,19 @@ class FleetCoordinator:
                                           self.trial_backoff_s, self.trial_timeout_s)
 
     def _remote_factory(self, endpoint: str) -> Callable[[], object]:
-        return lambda: RemoteServeWorker(endpoint, self.via_ir, self.remote_timeout)
+        return lambda: RemoteServeWorker(endpoint, self.via_ir)
 
     def _add_slot_locked(self, factory: Callable[[], object],
                          remote: bool = False) -> None:
         slot = _Slot(
-            self._next_slot, factory, remote=remote,
+            len(self._slots), factory, remote=remote,
             breaker=CircuitBreaker(
                 threshold=self.breaker_threshold,
                 cooldown_s=self.breaker_cooldown_s,
                 max_opens=self.breaker_max_opens,
             ),
         )
-        self._next_slot += 1
         self._slots.append(slot)
-        active = sum(1 for s in self._slots if not s.retired)
-        self._peak = max(self._peak, active)
         slot.thread = threading.Thread(
             target=self._drive, args=(slot,), name=f"fleet-slot-{slot.slot_id}",
             daemon=True,
@@ -814,6 +766,13 @@ class FleetCoordinator:
     def _over(self) -> bool:
         with self._cond:
             return self._done or self._failure is not None
+
+    def _failed(self) -> bool:
+        """The sweep failed or passed its deadline: stop measuring. A
+        completed sweep is not failed, so a worker still reads the ``done``
+        message (and trace spans) of the shard that finished it."""
+        with self._cond:
+            return self._failure is not None
 
     def _drive(self, slot: _Slot) -> None:
         worker = None
@@ -829,12 +788,10 @@ class FleetCoordinator:
                             # touching the queue.
                             self._cond.wait(0.05)
                             continue
-                        shard = self._next_shard_locked()
+                        shard = self._queue.pop(0) if self._queue else None
                         if shard is None:
                             slot.breaker.release_probe()
                             self._cond.wait(0.05)
-                    if shard.steal_of is None:
-                        self._inflight[shard.sid] = shard
                     self._dispatched += 1
                     attempts = {i: self._attempts[i] for i, _ in shard.items
                                 if i in self._attempts}
@@ -851,7 +808,7 @@ class FleetCoordinator:
                         worker = None
                         with self._cond:
                             self._breaker_failure_locked(slot)
-                            self._requeue_unchanged_locked(shard)
+                            self._queue.append(shard)
                             self._cond.notify_all()
                         time.sleep(0.05)
                         continue
@@ -873,7 +830,7 @@ class FleetCoordinator:
                     ):
                         worker.measure_shard(
                             self.spec, shard.sid, shard.attempt, shard.items,
-                            self._commit, should_abort=self._over,
+                            self._commit, should_abort=self._failed,
                             attempts=attempts, on_trial=self._trial,
                         )
                 except FaultInjected:
@@ -882,7 +839,6 @@ class FleetCoordinator:
                     self._abandon(shard, death=False)
                 except (WorkerCrash, ServeError, EOFError, OSError) as e:
                     if self._over():
-                        self._finish(shard)
                         return
                     if slot.remote:
                         # Remote transport/deadline failure: the endpoint is
@@ -902,7 +858,6 @@ class FleetCoordinator:
                         with self._cond:
                             self._breaker_rejoins += 1
                         _BREAKER_REJOINS.inc()
-                    self._finish(shard)
         except BaseException as e:  # never die silently: fail the sweep
             with self._cond:
                 if self._failure is None:
@@ -929,42 +884,6 @@ class FleetCoordinator:
                         "unreachable); sweep cannot proceed"
                     )
 
-    def _requeue_unchanged_locked(self, shard: _Shard) -> None:
-        """Give a shard back exactly as dispatched (no attempt consumed)."""
-        if shard.steal_of is not None:
-            owner = self._inflight.get(shard.steal_of)
-            if owner is not None:
-                owner.thieves -= 1
-            return
-        self._inflight.pop(shard.sid, None)
-        self._queue.append(shard)
-
-    def _next_shard_locked(self) -> Optional[_Shard]:
-        while self._queue:
-            shard = self._queue.pop(0)
-            shard.items = self._remaining(shard.items)
-            if shard.items:
-                return shard
-            self._inflight.pop(shard.sid, None)  # fully covered by a thief
-        if self.steal:
-            victim = None
-            for shard in self._inflight.values():
-                if shard.thieves:
-                    continue
-                remaining = self._remaining(shard.items)
-                if len(remaining) >= 2 and (
-                    victim is None or len(remaining) > len(victim[1])
-                ):
-                    victim = (shard, remaining)
-            if victim is not None:
-                shard, remaining = victim
-                shard.thieves += 1
-                self._steals += 1
-                _FLEET_STEALS.inc()
-                return _Shard(shard.sid, remaining, shard.attempt + 1,
-                              steal_of=shard.sid)
-        return None
-
     def _remaining(self, items: Sequence[Item]) -> List[Item]:
         return [it for it in items if it[0] not in self._results]
 
@@ -975,7 +894,6 @@ class FleetCoordinator:
         with self._cond:
             self._streamed += 1
             if idx in self._results:
-                self._duplicates += 1
                 return
             self._results[idx] = latency
             if len(self._results) == len(self.configs):
@@ -988,24 +906,12 @@ class FleetCoordinator:
 
     def _trial(self, idx: int, outcome: str, attempt: int, detail: object) -> None:
         """A local worker's crashed or timed-out attempt; the next dispatch
-        of ``idx`` resumes after it. Repeats from stolen copies drop."""
+        of ``idx`` resumes after it."""
         with self._cond:
-            if idx in self._results or attempt < self._attempts.get(idx, 0):
-                return
             self._attempts[idx] = attempt + 1
         if self._on_trial is not None:
             with self._sink_lock:
                 self._on_trial(idx, outcome, attempt, detail)
-
-    def _finish(self, shard: _Shard) -> None:
-        with self._cond:
-            if shard.steal_of is not None:
-                owner = self._inflight.get(shard.steal_of)
-                if owner is not None:
-                    owner.thieves -= 1
-            else:
-                self._inflight.pop(shard.sid, None)
-            self._cond.notify_all()
 
     def _abandon(self, shard: _Shard, death: bool,
                  error: Optional[BaseException] = None) -> None:
@@ -1016,15 +922,6 @@ class FleetCoordinator:
                 self._deaths += 1
                 _FLEET_DEATHS.inc()
             self._losses += 1
-            if shard.steal_of is not None:
-                # The owner still carries these items; just release the
-                # steal slot.
-                owner = self._inflight.get(shard.steal_of)
-                if owner is not None:
-                    owner.thieves -= 1
-                self._cond.notify_all()
-                return
-            self._inflight.pop(shard.sid, None)
             remaining = self._remaining(shard.items)
             if not remaining:
                 self._cond.notify_all()
@@ -1045,15 +942,12 @@ class FleetCoordinator:
 
     def _telemetry_locked(self) -> FleetTelemetry:
         return FleetTelemetry(
-            n_workers_peak=self._peak,
+            n_workers_peak=len(self._slots),
             n_shards=self._n_shards,
             shards_dispatched=self._dispatched,
             worker_deaths=self._deaths,
             shard_losses=self._losses,
-            steals=self._steals,
-            resizes=self._resizes,
             results_streamed=self._streamed,
-            duplicates=self._duplicates,
             breaker_opens=self._breaker_opens,
             breaker_rejoins=self._breaker_rejoins,
         )
@@ -1085,7 +979,7 @@ def fleet_sweep(
     ``measurer.sweep(spec, space)``; afterwards every config is a
     memory-cache hit. ``deadline`` is as in :meth:`FleetCoordinator.run`.
     """
-    telemetry = FleetTelemetry(0, 0, 0, 0, 0, 0, 0, 0, 0, batches=0)
+    telemetry = FleetTelemetry(0, 0, 0, 0, 0, 0, batches=0)
 
     def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
         nonlocal telemetry

@@ -3,10 +3,11 @@
 The contract under test: a sharded fleet sweep is **bitwise-identical** to
 a serial ``Measurer.sweep`` — every latency and the best config — at any
 fleet width, with remote workers in the mix, under injected worker death
-at every shard boundary, under lost dispatches, and across mid-sweep
-fleet resizes. Work stealing and retries may re-measure configs; the
-deterministic simulator guarantees the duplicates carry identical bits,
-and first-write-wins merging keeps the output stable.
+at every shard boundary and under lost dispatches. Each batch runs on the
+seats it starts with and one seat owns a shard at a time, so a fault-free
+sweep dispatches each shard once and measures each config once; retries
+may re-measure a config, and the deterministic simulator guarantees the
+retry carries identical bits. A sweep past its deadline stops at once.
 """
 
 import math
@@ -15,7 +16,7 @@ import threading
 import pytest
 
 from repro import faults
-from repro.core.errors import WorkerCrash
+from repro.core.errors import DeadlineExceededError, WorkerCrash
 from repro.gpusim.config import A100
 from repro.tensor.operation import GemmSpec
 from repro.tuning.fleet import (
@@ -67,11 +68,13 @@ class TestIdentity:
         assert result.latencies == serial
         assert result.telemetry.n_shards == len(space)
 
-    def test_best_index_agrees_with_serial_argmin(self, space, serial):
-        result, _ = run_fleet(space, workers=2)
-        assert result.best_index() == min(
-            range(len(serial)), key=lambda i: serial[i]
-        )
+    def test_one_shard_runs_on_one_seat(self, space, serial):
+        """One shard over the whole space on three seats: the seat that
+        takes it owns it, the others stay idle, and it is dispatched once."""
+        result, _ = run_fleet(space, workers=3, shard_size=len(space))
+        assert result.latencies == serial
+        assert result.telemetry.shards_dispatched == 1
+        assert result.telemetry.results_streamed == len(space)
 
     def test_empty_space_returns_empty(self):
         result, _ = run_fleet([], workers=2)
@@ -108,14 +111,8 @@ class TestWorkerDeath:
             ],
             seed=1,
         )
-        # steal=False keeps the death deterministic: with stealing on, an
-        # idle slot may clone the remainder and cover the victim at
-        # attempt=1 (where the rule does not fire) before the original
-        # worker ever reaches it at attempt=0.
         with faults.injected(plan):
-            result, _ = run_fleet(
-                space, workers=2, shard_size=len(space), steal=False
-            )
+            result, _ = run_fleet(space, workers=2, shard_size=len(space))
         assert result.latencies == serial
         assert result.telemetry.worker_deaths == 1
 
@@ -143,7 +140,7 @@ class TestWorkerDeath:
         )
         with faults.injected(plan):
             result, _ = run_fleet(space, workers=2, shard_size=len(space),
-                                  steal=False, max_shard_retries=0)
+                                  max_shard_retries=0)
         assert result.latencies == serial
         assert result.telemetry.worker_deaths == len(space)
 
@@ -190,98 +187,6 @@ class TestShardLoss:
         assert result.latencies == serial  # and: we are still alive
 
 
-class TestElasticity:
-    def test_scale_up_mid_sweep_identical(self, space, serial):
-        """Growing the fleet after the first results stream in changes
-        wall-clock, never bits."""
-        coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=1, shard_size=2
-        )
-        grown = threading.Event()
-
-        def on_result(idx, latency, persist):
-            if not grown.is_set():
-                grown.set()
-                coord.scale_to(3)
-
-        result = coord.run(on_result=on_result)
-        assert grown.is_set()
-        assert result.latencies == serial
-        assert result.telemetry.resizes == 1
-        assert result.telemetry.n_workers_peak >= 3
-
-    def test_scale_down_mid_sweep_identical(self, space, serial):
-        coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=3, shard_size=2
-        )
-        shrunk = threading.Event()
-
-        def on_result(idx, latency, persist):
-            if not shrunk.is_set():
-                shrunk.set()
-                coord.scale_to(1)
-
-        result = coord.run(on_result=on_result)
-        assert result.latencies == serial
-        assert result.telemetry.resizes == 1
-
-    def test_scale_to_current_width_is_a_noop(self, space):
-        coord = FleetCoordinator(SPEC, space, gpu=A100, via_ir=False, workers=2)
-        result = coord.run()
-        coord.scale_to(2)
-        assert coord.telemetry.resizes == 0
-        assert len(result.latencies) == len(space)
-
-    def test_resize_under_worker_death_identical(self, space, serial):
-        """The stress combination the tentpole promises: injected deaths
-        AND a mid-sweep resize, still bitwise-identical."""
-        plan = faults.FaultPlan(
-            [faults.FaultRule("fleet", "worker-death", rate=0.4,
-                              match="|attempt=0|")],
-            seed=5,
-        )
-        coord = FleetCoordinator(
-            SPEC, space, gpu=A100, via_ir=False, workers=1, shard_size=2
-        )
-        resized = threading.Event()
-
-        def on_result(idx, latency, persist):
-            if not resized.is_set():
-                resized.set()
-                coord.scale_to(3)
-
-        with faults.injected(plan):
-            result = coord.run(on_result=on_result)
-        assert result.latencies == serial
-
-
-class TestWorkStealing:
-    def test_straggler_shard_is_stolen_and_identical(self, space, serial):
-        """One shard covers the whole space and its first trial hangs; an
-        idle slot steals the unmeasured remainder, the duplicates merge
-        first-write-wins, and the output still equals the serial bits."""
-        plan = faults.FaultPlan(
-            [
-                faults.FaultRule(
-                    "fleet", "hang", hang_s=0.75,
-                    match=f"|attempt=0|{_cfg_token(SPEC, space[0])}",
-                )
-            ],
-            seed=1,
-        )
-        with faults.injected(plan):
-            result, _ = run_fleet(
-                space, workers=3, shard_size=len(space), steal=True
-            )
-        assert result.latencies == serial
-        assert result.telemetry.steals >= 1
-
-    def test_steal_disabled_still_identical(self, space, serial):
-        result, _ = run_fleet(space, workers=3, shard_size=len(space), steal=False)
-        assert result.latencies == serial
-        assert result.telemetry.steals == 0
-
-
 class TestFleetSweep:
     def test_fleet_sweep_equals_measurer_sweep(self, space, serial):
         m = Measurer(A100, via_ir=False)
@@ -309,7 +214,19 @@ class TestFleetSweep:
         doubled = list(space) + list(space)
         latencies, tel = fleet_sweep(m, SPEC, doubled, workers=2)
         assert latencies == serial + serial
-        assert tel.results_streamed <= len(space) + tel.duplicates
+        assert tel.results_streamed == len(space)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_fault_free_sweep_does_each_piece_of_work_once(self, space, serial,
+                                                           workers):
+        """Without faults, every shard is dispatched once and every config
+        is streamed and compiled once, at any width."""
+        m = Measurer(A100, via_ir=False)
+        latencies, tel = fleet_sweep(m, SPEC, space, workers=workers)
+        assert latencies == serial
+        assert tel.shards_dispatched == tel.n_shards
+        assert tel.results_streamed == len(space)
+        assert m.n_compiled == len(space)
 
     def test_crash_quarantined_failures_not_persisted(self, space, tmp_path):
         """A config whose trials always crash is FAILED in the fleet answer
@@ -365,33 +282,20 @@ class TestFleetSweep:
         assert not alive, f"fleet leaked worker processes: {alive}"
 
     def test_compiles_count_once_under_contention(self, space, serial):
-        """More workers than cores, a tiny thread switch interval and a
-        stolen shard whose owner and thief both finish most of it: the
-        measurer counts every compile exactly once, a duplicate not at all.
-        The owner stalls before its first trial, so a thief runs the shard;
-        the thief stalls before its last trial, so the owner, awake again,
-        re-runs what the thief already committed and finishes first."""
+        """More workers than cores, a tiny thread switch interval and
+        one-config shards, so every seat commits concurrently: the
+        measurer still counts every compile exactly once."""
         import sys
 
-        plan = faults.FaultPlan(
-            [faults.FaultRule("fleet", "hang", hang_s=0.75,
-                              match=f"|attempt=0|{_cfg_token(SPEC, space[0])}"),
-             faults.FaultRule("fleet", "hang", hang_s=5.0,
-                              match=f"|attempt=1|{_cfg_token(SPEC, space[-1])}")],
-            seed=1,
-        )
         m = Measurer(A100, via_ir=False)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with faults.injected(plan):
-                latencies, tel = fleet_sweep(m, SPEC, space, workers=4,
-                                             shard_size=len(space))
+            latencies, tel = fleet_sweep(m, SPEC, space, workers=4, shard_size=1)
         finally:
             sys.setswitchinterval(old)
         assert latencies == serial
-        assert tel.steals >= 1 and tel.duplicates >= 1
-        assert m.n_compiled == len(space) == tel.results_streamed - tel.duplicates
+        assert m.n_compiled == len(space) == tel.results_streamed
         assert dict(m.telemetry.stage_time_s)["simulate"] > 0
 
     def test_measurer_sums_every_fleet_batch(self, space, serial):
@@ -420,6 +324,29 @@ class TestFleetSweep:
         with faults.injected(plan):
             latencies, _ = fleet_sweep(m, SPEC, space, workers=3, shard_size=2)
         assert latencies == serial
+
+
+class TestDeadline:
+    def test_streaming_worker_stops_at_the_deadline(self):
+        """A worker that keeps streaming results is put down as soon as the
+        sweep passes its deadline, not after it finishes its shard."""
+        import time
+
+        space = enumerate_space(SPEC, A100, SpaceOptions(max_size=24))
+        plan = faults.FaultPlan(
+            [faults.FaultRule("compile", "delay", delay_s=0.03, jitter=0.0)],
+            seed=1,
+        )
+        coord = FleetCoordinator(SPEC, space, gpu=A100, via_ir=False,
+                                 workers=1, shard_size=len(space))
+        budget = 0.15
+        t0 = time.monotonic()
+        with faults.injected(plan):
+            with pytest.raises(DeadlineExceededError):
+                coord.run(deadline=t0 + budget)
+        elapsed = time.monotonic() - t0
+        assert coord.telemetry.results_streamed < len(space)
+        assert elapsed < budget + 0.25, f"raised {elapsed:.2f}s into a {budget}s budget"
 
 
 class TestRemoteWorkers:
@@ -460,8 +387,8 @@ class TestRemoteWorkers:
             self, daemon, space, serial):
         """A measurer with local workers and an endpoint shards its batch
         over both: more seats than cores and a short switch interval, yet
-        every config is counted exactly once, as a local compile or as an
-        endpoint trial, however many stolen duplicates streamed."""
+        every config is streamed and counted exactly once, as a local
+        compile or as an endpoint trial."""
         import sys
 
         m = Measurer(A100, via_ir=False, jobs=3, endpoints=(daemon.socket_path,))
@@ -475,7 +402,7 @@ class TestRemoteWorkers:
         tel = m.telemetry
         assert tel.n_compiled + tel.endpoint_trials == len(space) == tel.n_measured
         assert tel.fleet.batches == 1 and tel.fleet.n_workers_peak == 4
-        assert tel.fleet.results_streamed - tel.fleet.duplicates == len(space)
+        assert tel.fleet.results_streamed == len(space)
         assert daemon.counters["fleet_trials"] >= tel.endpoint_trials
 
     def test_via_ir_mismatch_is_refused(self, daemon, space):
@@ -524,8 +451,8 @@ class TestPlumbing:
         assert RemoteServeWorker.kind == "remote"
 
     def test_no_leaked_children_after_faulted_fleet(self, space):
-        """Zombie-reap at fleet scale: after a sweep with injected deaths
-        and an explicit scale-down, no fleet worker process survives."""
+        """Zombie-reap at fleet scale: after a sweep with injected deaths,
+        no fleet worker process survives."""
         import multiprocessing
 
         plan = faults.FaultPlan(

@@ -294,6 +294,40 @@ class TestIdleTimeout:
         assert server.idle_timeout is None
 
 
+class TestConnectionRelease:
+    def test_duplicated_descriptor_does_not_pin_the_daemon(self, tmp_path):
+        """A child forked while a request is in flight holds a copy of the
+        client's socket. The client shuts the connection down, so the
+        daemon sees EOF and frees its only worker despite the copy."""
+        import os
+
+        server = ReproServer(
+            socket_path=str(tmp_path / "d.sock"), workers=1, default_space=SPACE,
+        )
+        server.start()
+        copies = []
+        try:
+            assert ServeClient(socket_path=server.socket_path,
+                               timeout=30).wait_until_ready(timeout=10)
+            client = ServeClient(socket_path=server.socket_path, timeout=3)
+            connect = client._connect
+
+            def connect_and_copy():
+                sock = connect()
+                copies.append(os.dup(sock.fileno()))
+                return sock
+
+            client._connect = connect_and_copy
+            assert client.ping()["protocol"] >= 1
+            assert client.ping()["protocol"] >= 1
+            assert len(copies) == 2
+        finally:
+            for fd in copies:
+                os.close(fd)
+            server.stop()
+            server.shutdown(timeout=10)
+
+
 class TestDedupRecheck:
     def test_owner_rechecks_registry_under_lock(self, tmp_path):
         """A thread whose registry miss raced the owner's publish and whose
