@@ -14,12 +14,16 @@ PR by the CI artifact:
 * **warm configs/sec** — the same sweep answered from the measurement
   cache;
 * **incremental configs/sec** — the same cold compile path with the
-  incremental engine's stage-graph memoization, on a *group-preserving*
-  slice of the space (whole tile-key groups, so the pipelining-knob
-  siblings the engine reuses across are actually present), against a
-  fresh-per-config measurer on the identical slice. The two latency
-  lists are asserted exactly equal — the speedup is only recorded for
-  bitwise-identical results (docs/performance.md);
+  incremental engine (one checked pair of fresh builds per tile group,
+  static timing specs for the siblings), on a *group-preserving* slice of
+  the space (whole tile-key groups, so the pipelining-knob siblings the
+  engine reuses across are actually present), against a fresh-per-config
+  measurer on the identical slice. The two latency lists are asserted
+  exactly equal, and so are the engine's timing specs and fresh
+  extraction — the speedup is only recorded for bitwise-identical results
+  (docs/performance.md). The engine's counts (groups checked, check
+  builds, hits) are recorded next to it, so CI can gate on work done
+  rather than on a timing floor;
 * **tracing overhead** — the same cold sweep with an active tracer and a
   root span (so every compile stage is also recorded as a span), asserted
   to cost < 2% of cold-sweep throughput (docs/observability.md).
@@ -52,8 +56,8 @@ TRACING_OVERHEAD_CEILING_PCT = 2.0
 #: idle machine; the assert tolerates a loaded CI runner, the JSON records
 #: the exact measurement.
 INCREMENTAL_SPEEDUP_FLOOR = 1.3
-#: The engine serves 7 of each 8-config stage group from its memoized
-#: base; the measured ratio is deterministic, the floor merely loose.
+#: The engine answers 7 of each 8-config stage group from the group's
+#: check; the measured ratio is deterministic, the floor merely loose.
 INCREMENTAL_REUSE_FLOOR = 0.5
 
 
@@ -116,8 +120,6 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
     warm_s = time.perf_counter() - t0
 
     # --- incremental engine vs fresh-per-config, identity-checked -----------
-    from repro.ir.printer import format_kernel
-
     inc_space = _group_preserving_space(sweep_spec, A100, 48 if quick else 160)
     inc_rounds = 2 if quick else 3
     fresh_s = inc_s = float("inf")
@@ -137,20 +139,20 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         if dt < inc_s:
             inc_s, inc_lat, inc_measurer = dt, lat, m_inc
     # Identity gate: the speedup is only real if the results are. Latency
-    # lists must match exactly, and the first stage group's kernels must
-    # print byte-identically through the engine's copy-on-write path.
+    # lists must match exactly, and the first stage group's timing specs
+    # from the engine must equal fresh extraction, field for field. The
+    # timed sweep's counts are read before the gate adds hits of its own.
     assert inc_lat == fresh_lat, "incremental sweep changed measured latencies"
-    from repro.codegen.lower import lower as _lower
-    from repro.schedule.auto import auto_schedule as _auto
-    from repro.transform import apply_pipelining as _pipe
+    from repro.core.incremental import fresh_timing_spec
 
-    graph = inc_measurer._te_graph(sweep_spec)
     engine = inc_measurer.engine
+    inc_hits, inc_groups, _, inc_builds = engine.counts()
+    inc_reuse = engine.reuse_ratio
+    graph = inc_measurer._te_graph(sweep_spec)
     for cfg in inc_space[:8]:
-        fresh_kernel = _pipe(_lower(_auto(graph, cfg)))
-        assert format_kernel(engine.kernel(graph, sweep_spec, cfg)) == format_kernel(
-            fresh_kernel
-        ), f"incremental kernel for {cfg} prints differently"
+        assert engine.timing_spec(graph, sweep_spec, cfg) == fresh_timing_spec(
+            graph, cfg
+        ), f"incremental timing spec for {cfg} differs from a fresh build"
     incremental_identity_checked = True
 
     # --- tracing-on vs tracing-off overhead guard ---------------------------
@@ -219,7 +221,10 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         "incremental_fresh_configs_per_s": len(inc_space) / fresh_s,
         "incremental_cold_configs_per_s": len(inc_space) / inc_s,
         "incremental_speedup": fresh_s / inc_s,
-        "lower_reuse_ratio": inc_measurer.engine.reuse_ratio,
+        "lower_reuse_ratio": inc_reuse,
+        "incremental_hits": inc_hits,
+        "incremental_groups_checked": inc_groups,
+        "incremental_check_builds": inc_builds,
         "incremental_identity_checked": incremental_identity_checked,
         "incremental_stage_time_s": dict(inc_measurer.stage_times.ordered()),
         "untraced_cold_configs_per_s": len(guard_space) / untraced_s,
@@ -251,6 +256,11 @@ def format_table(r: dict) -> str:
         f"identity {'checked' if r['incremental_identity_checked'] else 'SKIPPED'})"
     )
     lines.append(
+        f"incremental engine: {r['incremental_groups_checked']} group(s) checked "
+        f"with {r['incremental_check_builds']} fresh build(s), "
+        f"{r['incremental_hits']} hit(s)"
+    )
+    lines.append(
         f"tracing overhead: off {r['untraced_cold_configs_per_s']:7.1f} "
         f"configs/s, on {r['traced_cold_configs_per_s']:7.1f} configs/s "
         f"({r['tracing_overhead_pct']:+.2f}%)"
@@ -274,13 +284,20 @@ def check_invariants(r: dict) -> None:
     assert r["incremental_identity_checked"] is True, (
         "incremental sweep speedup recorded without the bitwise identity check"
     )
+    assert r["incremental_check_builds"] == 2 * r["incremental_groups_checked"], (
+        "incremental engine ran other than two fresh builds per checked group"
+    )
+    assert (r["incremental_hits"] + r["incremental_groups_checked"]
+            == r["incremental_space_size"]), (
+        "incremental engine did not answer every non-checking trial from its group"
+    )
     assert r["incremental_speedup"] >= INCREMENTAL_SPEEDUP_FLOOR, (
         f"incremental engine only {r['incremental_speedup']:.2f}x faster than "
         f"fresh-per-config compiles (floor {INCREMENTAL_SPEEDUP_FLOOR}x)"
     )
     assert r["lower_reuse_ratio"] >= INCREMENTAL_REUSE_FLOOR, (
         f"incremental engine reused only {r['lower_reuse_ratio']:.3f} of "
-        f"stage-graph builds (floor {INCREMENTAL_REUSE_FLOOR}); the sweep "
+        f"its tile-group checks (floor {INCREMENTAL_REUSE_FLOOR}); the sweep "
         "ordering or keying no longer groups pipelining-knob siblings"
     )
     assert r["incremental_stage_time_s"], (

@@ -1,116 +1,100 @@
-"""Incremental sweep compilation: stage-graph memoization across configs.
+"""Incremental sweep compilation: one checked pair of builds per tile group.
 
 One sweep of the design space compiles thousands of configs, but the
 space has structure (:mod:`repro.tuning.space` enumerates the pipelining
-knobs ``smem_stages``/``reg_stages`` as the *innermost* loops): configs
-that share the tile and warp knobs differ only in how many pipeline
-stages the transform realizes, while ``auto_schedule`` + ``lower``
-produce the same loop nest for all of them — up to the stage-count hint
-integers and the async flags the hints imply. The engine exploits this:
+knobs ``smem_stages``/``reg_stages`` as the *innermost* loops): the up to
+eight configs that share the tile and warp knobs — one *tile group*,
+keyed by :func:`schedule_key` — differ only in how many pipeline stages
+the transform realizes. The sweep needs only their timing specs, and
+:func:`~repro.perfmodel.static_spec.timing_spec_from_config` derives
+those from the knobs alone (paper Sec. IV). The engine answers a tile
+group's configs from that static derivation, after checking it against
+the compiler once per group:
 
-* **schedule/lower key** — the tile-knob subset of
-  :class:`~repro.schedule.config.TileConfig` (block/warp/chunk/swizzle)
-  plus the problem. One *base kernel* per key, lowered at canonical stage
-  counts ``(2, 2)`` so every pipeline level that *can* be pipelined is
-  hinted, analyzed once (:func:`~repro.transform.analysis.analyze`).
-* **transform key** — the full config. Each neighbor re-stages the base
-  plan (:func:`~repro.transform.analysis.instantiate_plan`) and re-runs
-  only the pipelining rewrite; levels a config leaves un-pipelined are
-  *demoted* (hints stripped, copies made synchronous), reproducing a
-  fresh lowering at those stage counts bit for bit.
+* **Check** — on the group's first trial the engine fresh-builds its two
+  stage extremes, ``(2, 2)`` and ``(1, 1)``, through the whole compiler
+  (:func:`fresh_timing_spec`: schedule, lower, pipelining transform,
+  extraction from the transformed IR) and compares each extracted spec
+  with the static one, kernel name aside. The extremes cover both the
+  pipelined and the un-pipelined code path of the tile at every level.
+* **Pass** — every config of the group is answered by
+  :func:`timing_spec_from_config`, carrying the built kernel's name.
+* **Fail** — a group whose check differs, or whose build raises, is
+  declined for good: the engine returns ``None`` for each of its configs
+  and the caller compiles them fresh, so the fast path can never change a
+  reported spec.
 
-The rewrite is copy-on-write (untouched subtrees are shared with the
-base tree) and rewrite products that depend only on realized stage
-counts are memoized per base kernel
-(:class:`~repro.transform.pipeline_pass.RewriteCaches`), so sibling
-configs share most of the transform's expression work too.
+A check costs two fresh builds. ``tests`` assert that the specs the
+engine serves equal fresh builds, field for field and in simulated
+latency, over full enumerated spaces.
 
-The measurement sweep needs only the *timing spec*, and the spec's
-dependence on the pipelining knobs is tiny: at entry build the engine
-materializes the base at its two stage extremes, extracts both specs
-from the transformed IR, and proves that exactly five fields vary
-(shared-memory footprint, the two stage counts, the register budget,
-the async flag). Sibling specs are then derived from the extracted
-extremes plus the instantiated plan — no per-config rewrite or IR walk
-at all. Kernels proper (:meth:`IncrementalEngine.kernel`) always go
-through the copy-on-write rewrite.
-
-Outputs are bitwise-identical to fresh per-config builds — printer text
-and simulated latency — which `tests` assert over full enumerated
-spaces; the engine is a pure throughput optimization, never a semantic
-one.
-
-Reuse policy: a base kernel costs one full schedule+lower+analyze, so
-building one for a config whose tile key never recurs is pure overhead.
-The engine therefore builds a base only when the key is *promised*
+Reuse policy: a check costs one fresh build more than compiling its
+config alone, so checking a tile key that never recurs is pure overhead.
+The engine therefore checks a key only when it is *promised*
 (:meth:`IncrementalEngine.note_batch` saw >= 2 configs share it in one
-batch) or *recurring* (second sighting across calls — the fleet
-endpoint pattern, one ``measure()`` per shard item); anything else reports
-``None`` and the caller compiles fresh. Entries live in a bounded LRU;
-evictions and sizes are exported as :mod:`repro.obs` metrics alongside
-the ``repro_lower_cache_hits_total`` / ``repro_transform_runs_total``
-reuse counters.
+batch) or *recurring* (second sighting across calls — a tuner's later
+batch, or one-config ``measure()`` calls, revisiting the tile); anything
+else reports ``None`` and the caller compiles fresh. Verdicts live in a
+bounded LRU; evictions and sizes are exported as :mod:`repro.obs` metrics
+alongside the ``repro_lower_cache_hits_total`` /
+``repro_transform_runs_total`` reuse counters.
 
-Thread safety: the maps are lock-guarded (the serve daemon shares one
-measurer — hence one engine — across request threads); base builds run
-outside the lock and insert once. Per-config rewrites touch only
-immutable statements and idempotent memo inserts, so concurrent rewrites
-of one entry are safe. A config whose build *fails* (injected fault,
-genuine compile rejection) never reaches the entry maps mid-build, so a
-faulted trial cannot poison the shared stage cache for its neighbors.
+Thread safety: the maps and counters are lock-guarded (the serve daemon
+shares one measurer — hence one engine — across request threads); checks
+run outside the lock and insert their verdict once. A trial whose
+compile faults before reaching the engine records no verdict, so a
+faulted trial cannot poison the cache for its neighbors.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from ..codegen.lower import lower
 from ..gpusim.spec import KernelTimingSpec, extract_timing_spec
-from ..ir.buffer import DTYPE_BYTES, Scope
-from ..ir.stmt import Kernel
 from ..obs import metrics as _metrics
+from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.auto import auto_schedule
-from ..schedule.config import TileConfig, tile_resources
+from ..schedule.config import TileConfig
 from ..tensor.operation import ContractionOp, GemmSpec, PlaceholderOp, Tensor
-from ..transform import RewriteCaches, analyze, instantiate_plan, transform_with_plan
+from ..transform import apply_pipelining
 from . import profiling
 
-__all__ = ["IncrementalEngine", "schedule_key", "sort_key"]
+__all__ = ["IncrementalEngine", "fresh_timing_spec", "schedule_key", "sort_key"]
 
-#: Canonical stage counts the base kernel is hinted at. Any value >= 2
-#: works (pipelinability does not depend on the exact count); 2 keeps the
-#: hints minimal.
-_BASE_STAGES = (2, 2)
+#: Stage counts a tile group's check builds: fully pipelined and fully
+#: un-pipelined. Pipelinability does not depend on the exact count once
+#: >= 2, so ``(2, 2)`` stands for every multi-stage sibling.
+_CHECK_STAGES = ((2, 2), (1, 1))
 
 _LOWER_HITS = _metrics.counter(
     "repro_lower_cache_hits_total",
-    "Sweep trials that reused a memoized schedule+lower base kernel",
+    "Sweep trials answered from a tile group that already passed its check",
 )
 _LOWER_MISSES = _metrics.counter(
     "repro_lower_cache_misses_total",
-    "Sweep trials that built (and cached) a new base kernel",
+    "Sweep trials that checked (and cached the verdict of) a new tile group",
 )
 _TRANSFORM_RUNS = _metrics.counter(
     "repro_transform_runs_total",
-    "Pipelining transforms run by the incremental engine (one per config)",
+    "Fresh builds run by the incremental engine's checks (two per checked tile group)",
 )
 _EVICTIONS = _metrics.counter(
     "repro_stage_cache_evictions_total",
-    "Base-kernel entries evicted from the incremental engine's LRU",
+    "Tile-group verdicts evicted from the incremental engine's LRU",
 )
 _SIZE_GAUGE = _metrics.gauge(
     "repro_stage_cache_entries",
-    "Base-kernel entries currently held by the incremental engine",
+    "Tile-group verdicts currently held by the incremental engine",
 )
 
 
 def schedule_key(spec: GemmSpec, cfg: TileConfig) -> Tuple:
-    """The stage-relevant knob subset shared by every pipelining sibling:
-    problem identity plus tile/warp/chunk/swizzle knobs. ``smem_stages``
-    and ``reg_stages`` are deliberately absent — that is the reuse."""
+    """The tile group of ``cfg``: problem identity plus tile/warp/chunk/
+    swizzle knobs. ``smem_stages`` and ``reg_stages`` are deliberately
+    absent — that is the reuse."""
     return (
         spec,
         cfg.block_m,
@@ -126,7 +110,7 @@ def schedule_key(spec: GemmSpec, cfg: TileConfig) -> Tuple:
 def sort_key(cfg: TileConfig) -> Tuple:
     """Deterministic trial order grouping siblings consecutively: tile
     knobs first, pipelining knobs last. ``measure_many`` sorts uncached
-    trials with this so one base kernel's reuse window is contiguous."""
+    trials with this so one tile group's trials are contiguous."""
     return (
         cfg.block_m,
         cfg.block_n,
@@ -140,77 +124,55 @@ def sort_key(cfg: TileConfig) -> Tuple:
     )
 
 
-#: KernelTimingSpec fields that legitimately vary with the pipelining
-#: knobs alone. Everything else must be identical across every sibling of
-#: one base kernel — asserted per entry by comparing the extracted specs
-#: of the fully-pipelined and fully-demoted materializations.
-_STAGE_FIELDS = (
-    "smem_bytes_per_tb",
-    "smem_stages",
-    "reg_stages",
-    "regs_per_thread",
-    "async_smem_copy",
-)
-
-
-class _Entry:
-    """One memoized base: lowered canonical kernel + its analyzed plan +
-    the rewrite memo tables shared by every derived config.
-
-    ``ts_lo``/``ts_hi`` are the timing specs *extracted from transformed
-    IR* at the two stage extremes — fully demoted ``(1, 1)`` and the
-    canonical ``(2, 2)`` — from which every sibling's spec is derived
-    (see :meth:`IncrementalEngine.timing_spec`). ``smem_stage_bytes`` is
-    the per-stage shared-memory increment ``ts_hi - ts_lo`` implies.
-    ``derivable`` is the build-time proof that nothing *else* varies
-    with the stage knobs; when it is ``False`` the engine falls back to
-    materialize-and-extract per config."""
-
-    __slots__ = (
-        "kernel", "plan", "caches",
-        "ts_lo", "ts_hi", "smem_stage_bytes", "derivable",
-    )
-
-    def __init__(self, kernel: Kernel, plan) -> None:
-        self.kernel = kernel
-        self.plan = plan
-        self.caches = RewriteCaches()
-        self.ts_lo: Optional[KernelTimingSpec] = None
-        self.ts_hi: Optional[KernelTimingSpec] = None
-        self.smem_stage_bytes = 0
-        self.derivable = False
+def fresh_timing_spec(graph: Tensor, cfg: TileConfig) -> KernelTimingSpec:
+    """The timing spec of a fresh build of ``cfg``: schedule, lower,
+    pipelining transform and extraction from the transformed IR, each
+    timed under its :mod:`~repro.core.profiling` stage."""
+    with profiling.stage("schedule"):
+        sched = auto_schedule(graph, cfg)
+    with profiling.stage("lower"):
+        kernel = lower(sched)
+    with profiling.stage("transform"):
+        kernel = apply_pipelining(kernel)
+    with profiling.stage("spec-extract"):
+        return extract_timing_spec(kernel)
 
 
 class IncrementalEngine:
-    """Memoizing compile engine for neighboring sweep configs."""
+    """Checked static timing specs for the configs of recurring tile groups."""
 
     def __init__(self, max_entries: int = 32) -> None:
         self.max_entries = max(1, int(max_entries))
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
-        #: keys seen exactly once without an entry (second sighting builds)
+        #: tile key -> kernel name of a group that passed its check, or
+        #: None for one that failed it (declined for good)
+        self._verdicts: "OrderedDict[Tuple, Optional[str]]" = OrderedDict()
+        #: keys seen exactly once without a verdict (second sighting checks)
         self._seen: "OrderedDict[Tuple, bool]" = OrderedDict()
         #: keys a batch promised will recur (note_batch counted >= 2)
         self._hot: "OrderedDict[Tuple, bool]" = OrderedDict()
+        #: trials answered from a tile group that passed its check
         self.hits = 0
+        #: trials that checked their tile group (whatever the verdict)
         self.misses = 0
-        #: trials handed back to the fresh path (unsupported graph or a
-        #: tile key with no evidence of reuse)
+        #: trials handed back to the fresh path (unsupported graph, a tile
+        #: key with no evidence of reuse, or a group that failed its check)
         self.bypasses = 0
+        #: fresh builds run by checks, two per checked group
         self.transform_runs = 0
         self.evictions = 0
         # Newest engine wins the process-wide gauge (fresh instances in
         # one process are the test/serve-restart pattern).
-        _SIZE_GAUGE.set_function(lambda: len(self._entries))
+        _SIZE_GAUGE.set_function(lambda: len(self._verdicts))
 
     # ------------------------------------------------------------- predicates
     @staticmethod
     def supports(graph: Tensor) -> bool:
         """Reuse is only sound for pure placeholder+contraction graphs:
         elementwise producers change how ``inline()`` routes fusion
-        depending on which levels are pipelined, so one base kernel could
-        not stand in for every stage combination. The measurement path
-        always builds pure graphs; anything else compiles fresh."""
+        depending on which levels are pipelined, which the static
+        derivation does not model. The measurement path always builds
+        pure graphs; anything else compiles fresh."""
         op = graph.op
         return isinstance(op, ContractionOp) and all(
             isinstance(t.op, PlaceholderOp) for t in op.inputs
@@ -218,7 +180,7 @@ class IncrementalEngine:
 
     def note_batch(self, spec: GemmSpec, cfgs) -> None:
         """Mark tile keys that recur within one upcoming batch as worth a
-        base kernel, so even their first trial goes through the engine."""
+        check, so even their first trial goes through the engine."""
         counts: Dict[Tuple, int] = {}
         for cfg in cfgs:
             k = schedule_key(spec, cfg)
@@ -231,175 +193,106 @@ class IncrementalEngine:
             while len(self._hot) > 4 * self.max_entries * 64:
                 self._hot.popitem(last=False)
 
-    # ---------------------------------------------------------------- entries
-    def _entry_for(self, graph: Tensor, spec: GemmSpec, cfg: TileConfig) -> Optional[_Entry]:
+    # ------------------------------------------------------------------- api
+    def timing_spec(
+        self, graph: Tensor, spec: GemmSpec, cfg: TileConfig
+    ) -> Optional[KernelTimingSpec]:
+        """Timing spec for ``cfg`` from its checked tile group, or ``None``
+        when the engine declines and the caller should build fresh. Each
+        call counts as exactly one hit, miss or bypass."""
+        name = self._verdict(graph, spec, cfg)
+        if name is None:
+            return None
+        with profiling.stage("spec-extract"):
+            ts = timing_spec_from_config(spec, cfg)
+        ts.name = name
+        return ts
+
+    def _verdict(self, graph: Tensor, spec: GemmSpec, cfg: TileConfig) -> Optional[str]:
+        """The kernel name ``cfg``'s tile group answers with, checking the
+        group first if it has reuse evidence but no verdict yet; ``None``
+        when the engine declines."""
+        if not self.supports(graph):
+            with self._lock:
+                self.bypasses += 1
+            return None
         key = schedule_key(spec, cfg)
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                _LOWER_HITS.inc()
-                return entry
+            if key in self._verdicts:
+                self._verdicts.move_to_end(key)
+                name = self._verdicts[key]
+                if name is None:
+                    self.bypasses += 1
+                else:
+                    self.hits += 1
+                    _LOWER_HITS.inc()
+                return name
             if key not in self._hot and key not in self._seen:
                 # No evidence this tile key recurs: remember the sighting
-                # and let the caller compile fresh. A second sighting (the
-                # fleet worker's one-measure-per-item loop) builds.
+                # and let the caller compile fresh. A second sighting checks.
                 self._seen[key] = True
                 while len(self._seen) > 4 * self.max_entries * 64:
                     self._seen.popitem(last=False)
                 self.bypasses += 1
                 return None
-        # Build outside the lock: schedule+lower+analyze is the expensive
-        # part and must not serialize concurrent request threads.
-        base_cfg = cfg.with_stages(*_BASE_STAGES)
-        with profiling.stage("schedule"):
-            sch = auto_schedule(graph, base_cfg)
-        with profiling.stage("lower"):
-            kernel = lower(sch)
-        with profiling.stage("transform"):
-            plan = analyze(kernel)
-        entry = _Entry(kernel, plan)
-        self._extract_extremes(entry, base_cfg)
+        # Check outside the lock: two fresh builds must not serialize
+        # concurrent request threads. A racing check of the same key
+        # reaches the same verdict.
+        name = self._check(graph, spec, cfg)
         with self._lock:
-            raced = self._entries.get(key)
-            if raced is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                _LOWER_HITS.inc()
-                return raced
-            self._entries[key] = entry
+            self._verdicts[key] = name
+            self._verdicts.move_to_end(key)
             self.misses += 1
             _LOWER_MISSES.inc()
             self._seen.pop(key, None)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
+            while len(self._verdicts) > self.max_entries:
+                self._verdicts.popitem(last=False)
                 self.evictions += 1
                 _EVICTIONS.inc()
-        return entry
+        return name
 
-    def _extract_extremes(self, entry: _Entry, base_cfg: TileConfig) -> None:
-        """Materialize the base at its two stage extremes — fully pipelined
-        ``(2, 2)`` and fully demoted ``(1, 1)`` — extract both timing specs
-        from the transformed IR, and prove that only :data:`_STAGE_FIELDS`
-        differ between them. Every sibling's spec is then derived by
-        interpolating those fields (shared-memory footprint is linear in
-        the stage count; the stage counts and register budget are config
-        math; the async flag flips with demotion). A kernel that violates
-        the proof — or whose extraction fails outright — simply leaves
-        ``derivable`` False and every config materializes+extracts fresh,
-        so the fast path can never change a reported spec."""
-        try:
-            with profiling.stage("transform"):
-                hi = self._config_kernel_raw(entry, base_cfg)
-                lo = self._config_kernel_raw(entry, base_cfg.with_stages(1, 1))
-            with profiling.stage("spec-extract"):
-                ts_hi = extract_timing_spec(hi)
-                ts_lo = extract_timing_spec(lo)
-        except Exception:
-            return
-        entry.ts_hi = ts_hi
-        entry.ts_lo = ts_lo
-        entry.smem_stage_bytes = ts_hi.smem_bytes_per_tb - ts_lo.smem_bytes_per_tb
-        aligned = dataclasses.replace(
-            ts_lo, **{f: getattr(ts_hi, f) for f in _STAGE_FIELDS}
-        )
-        entry.derivable = (
-            aligned == ts_hi
-            and ts_lo.smem_stages == 1
-            and ts_lo.reg_stages == 1
-            and ts_hi.smem_stages in (1, 2)
-            and ts_hi.reg_stages in (1, 2)
-        )
-
-    # ------------------------------------------------------------------- api
-    def kernel(self, graph: Tensor, spec: GemmSpec, cfg: TileConfig) -> Optional[Kernel]:
-        """The fully transformed kernel for ``cfg``, derived from the
-        memoized base — or ``None`` when the engine declines (unsupported
-        graph / no reuse evidence) and the caller should build fresh."""
-        if not self.supports(graph):
+    def _check(self, graph: Tensor, spec: GemmSpec, cfg: TileConfig) -> Optional[str]:
+        """Fresh-build ``cfg``'s tile group at each of :data:`_CHECK_STAGES`
+        and compare the extracted specs with the static derivation. The
+        built kernel's name when every pair is equal, else ``None``."""
+        name = None
+        for stages in _CHECK_STAGES:
+            staged = cfg.with_stages(*stages)
             with self._lock:
-                self.bypasses += 1
-            return None
-        entry = self._entry_for(graph, spec, cfg)
-        if entry is None:
-            return None
-        return self._config_kernel(entry, cfg)
-
-    def timing_spec(
-        self, graph: Tensor, spec: GemmSpec, cfg: TileConfig
-    ) -> Optional[KernelTimingSpec]:
-        """Timing spec for ``cfg`` through the memoized compile path, or
-        ``None`` when the engine declines.
-
-        When the entry carries the stage-extreme proof (``derivable``),
-        the spec is *derived*: the stage-invariant fields come from specs
-        extracted from transformed IR at entry build, and the five
-        stage-dependent fields follow from the instantiated plan — which
-        also replicates, config for config, the analysis errors a fresh
-        build would raise. Otherwise each config materializes its kernel
-        through the copy-on-write rewrite and extracts normally. Both
-        routes are asserted bitwise-equal to fresh builds by the property
-        tests over full enumerated spaces."""
-        if not self.supports(graph):
-            with self._lock:
-                self.bypasses += 1
-            return None
-        entry = self._entry_for(graph, spec, cfg)
-        if entry is None:
-            return None
-        if not entry.derivable:
-            kernel = self._config_kernel(entry, cfg)
-            with profiling.stage("spec-extract"):
-                return extract_timing_spec(kernel)
-        with profiling.stage("spec-extract"):
-            plan, _demoted = instantiate_plan(
-                entry.plan,
-                {Scope.SHARED: cfg.smem_stages, Scope.REGISTER: cfg.reg_stages},
-            )
-            ss = rs = 1
-            for g in plan.groups:
-                if g.scope is Scope.SHARED:
-                    ss = g.stages
-                elif g.scope is Scope.REGISTER:
-                    rs = g.stages
-            base = entry.ts_hi if ss >= 2 else entry.ts_lo
-            regs = tile_resources(cfg, ss, rs, DTYPE_BYTES[spec.dtype])[1]
-            ts = dataclasses.replace(
-                base,
-                smem_bytes_per_tb=(
-                    entry.ts_lo.smem_bytes_per_tb + (ss - 1) * entry.smem_stage_bytes
-                ),
-                smem_stages=ss,
-                reg_stages=rs,
-                regs_per_thread=regs,
-            )
-            ts.validate()
-            return ts
-
-    def _config_kernel_raw(self, entry: _Entry, cfg: TileConfig) -> Kernel:
-        plan, demoted = instantiate_plan(
-            entry.plan,
-            {Scope.SHARED: cfg.smem_stages, Scope.REGISTER: cfg.reg_stages},
-        )
-        attrs = dict(entry.kernel.attrs)
-        attrs["config"] = cfg
-        out = transform_with_plan(
-            entry.kernel, plan, demoted=demoted, caches=entry.caches, attrs=attrs
-        )
-        with self._lock:
-            self.transform_runs += 1
-        _TRANSFORM_RUNS.inc()
-        return out
-
-    def _config_kernel(self, entry: _Entry, cfg: TileConfig) -> Kernel:
-        with profiling.stage("transform"):
-            return self._config_kernel_raw(entry, cfg)
+                self.transform_runs += 1
+            _TRANSFORM_RUNS.inc()
+            try:
+                built = fresh_timing_spec(graph, staged)
+                static = timing_spec_from_config(spec, staged)
+            except Exception:
+                return None
+            static.name = name = built.name
+            if static != built:
+                return None
+        return name
 
     # ------------------------------------------------------------------ stats
+    def counts(self) -> Tuple[int, int, int, int]:
+        """``(hits, misses, bypasses, check builds)`` so far."""
+        with self._lock:
+            return (self.hits, self.misses, self.bypasses, self.transform_runs)
+
+    def add_counts(self, hits: int, misses: int, bypasses: int, check_builds: int) -> None:
+        """Count trials another process's engine served on this one's
+        behalf (a fleet worker's, shipped back per trial), process-wide
+        metrics included."""
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+            self.bypasses += bypasses
+            self.transform_runs += check_builds
+        _LOWER_HITS.inc(hits)
+        _LOWER_MISSES.inc(misses)
+        _TRANSFORM_RUNS.inc(check_builds)
+
     @property
     def reuse_ratio(self) -> float:
-        """Fraction of engine-served trials answered from a memoized base."""
+        """Fraction of engine-served trials answered from a checked group."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
@@ -410,7 +303,7 @@ class IncrementalEngine:
                 "lower_cache_misses": self.misses,
                 "bypasses": self.bypasses,
                 "transform_runs": self.transform_runs,
-                "entries": len(self._entries),
+                "entries": len(self._verdicts),
                 "evictions": self.evictions,
                 "reuse_ratio": self.reuse_ratio,
             }

@@ -7,16 +7,10 @@ from .analysis import (
     PipelinePlan,
     TransformError,
     analyze,
-    instantiate_plan,
 )
 from .bounds import BoundsError, Interval, interval_of, verify_in_bounds
 from .cleanup import simplify_pass, unroll_pass
-from .pipeline_pass import (
-    PipelineGroupInfo,
-    RewriteCaches,
-    apply_pipelining,
-    transform_with_plan,
-)
+from .pipeline_pass import PipelineGroupInfo, apply_pipelining
 
 __all__ = [
     "BufferPlan",
@@ -24,7 +18,6 @@ __all__ = [
     "PipelinePlan",
     "TransformError",
     "analyze",
-    "instantiate_plan",
     "BoundsError",
     "Interval",
     "interval_of",
@@ -32,7 +25,5 @@ __all__ = [
     "simplify_pass",
     "unroll_pass",
     "PipelineGroupInfo",
-    "RewriteCaches",
     "apply_pipelining",
-    "transform_with_plan",
 ]

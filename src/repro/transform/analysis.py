@@ -46,7 +46,6 @@ __all__ = [
     "GroupPlan",
     "PipelinePlan",
     "analyze",
-    "instantiate_plan",
 ]
 
 
@@ -255,60 +254,3 @@ def analyze(kernel: Kernel) -> PipelinePlan:
     groups.sort(key=depth)
     return PipelinePlan(groups=groups)
 
-
-def instantiate_plan(
-    plan: PipelinePlan, stages_by_scope: Dict[Scope, int]
-) -> Tuple[PipelinePlan, frozenset]:
-    """Re-stage an analyzed plan for a neighboring config (the incremental
-    engine's transform key).
-
-    ``plan`` comes from :func:`analyze` over a base kernel hinted at
-    canonical stage counts; ``stages_by_scope`` gives the stage count this
-    config realizes at each pipeline level. Groups re-staged below two are
-    dropped and their buffers returned as *demoted* (the rewriter strips
-    their hints and makes their copies synchronous); the remaining groups
-    are fresh :class:`GroupPlan` instances with this config's stage counts
-    and parent/child links re-derived among the survivors — exactly the
-    plan :func:`analyze` would produce on a kernel freshly lowered at
-    those counts. Pipelinability itself (the three applicability rules)
-    does not depend on the exact stage count once ``>= 2``, which is what
-    makes one analyzed base valid for every neighbor.
-
-    The base plan's :class:`BufferPlan` members (producer copies, copy
-    paths, loops) are shared, never mutated: they describe the base
-    kernel's tree, which is also the tree every derived rewrite walks.
-    """
-    groups: List[GroupPlan] = []
-    demoted: List[Buffer] = []
-    for g in plan.groups:
-        stages = int(stages_by_scope.get(g.scope, 1))
-        if stages >= 2:
-            groups.append(
-                GroupPlan(
-                    scope=g.scope,
-                    stages=stages,
-                    loop=g.loop,
-                    loop_extent=g.loop_extent,
-                    members=g.members,
-                )
-            )
-        else:
-            demoted.extend(g.buffers)
-    by_buffer = {m.buffer: ng for ng in groups for m in ng.members}
-    for ng in groups:
-        parents = {
-            by_buffer[m.producer_buffer]
-            for m in ng.members
-            if m.producer_buffer in by_buffer
-        }
-        if parents:
-            parent = parents.pop()
-            if ng.stages - 1 > ng.loop_extent:
-                raise TransformError(
-                    f"inner pipeline of {ng.loop_var.name} with {ng.stages} "
-                    f"stages would prefetch past the one visible outer chunk "
-                    f"(loop extent {ng.loop_extent})"
-                )
-            ng.parent = parent
-            parent.child = ng
-    return PipelinePlan(groups=groups), frozenset(demoted)

@@ -49,36 +49,8 @@ from .analysis import BufferPlan, GroupPlan, PipelinePlan, TransformError, analy
 
 __all__ = [
     "apply_pipelining",
-    "transform_with_plan",
-    "RewriteCaches",
     "PipelineGroupInfo",
 ]
-
-
-class RewriteCaches:
-    """Memo tables shared across rewrites of the *same* input kernel.
-
-    The incremental engine transforms one lowered base kernel once per
-    pipelining-knob combination; the expensive rewrite products — producer
-    and prologue copies (expression substitution + simplification) and the
-    per-loop producer/consumer scan — depend only on the identity of the
-    input node plus the realized stage counts, so they are memoized here
-    and shared across neighboring configs. Keys embed ``id()`` of input
-    nodes: a cache instance is only valid for the one kernel tree it was
-    created for (the engine ties each instance to its cached base kernel).
-
-    Values are immutable statements; concurrent rewrites (the serve daemon
-    shares one measurer across request threads) may race on insertion, but
-    both threads compute identical values, so last-write-wins is safe.
-    """
-
-    __slots__ = ("stmts", "scans")
-
-    def __init__(self) -> None:
-        #: (id(node), chunk, stages, parent_stages) -> rewritten statement
-        self.stmts: Dict[Tuple, Stmt] = {}
-        #: id(group loop) -> (producer indices, consumer indices)
-        self.scans: Dict[int, Tuple[List[int], List[int]]] = {}
 
 
 class PipelineGroupInfo:
@@ -160,27 +132,11 @@ class _Rewriter:
     accumulator init nest, the epilogue, any statement whose regions read
     no pipelined buffer) are returned as the *original* nodes, not
     reconstructed equals. Statements are immutable, so structural sharing
-    between the input and output trees — and, through
-    :class:`RewriteCaches`, between sibling outputs of one base kernel —
-    is observationally free.
-
-    ``demoted`` names buffers that carry pipeline machinery in the input
-    kernel (hint attrs, asynchronous producer copies) but must come out
-    *un*-pipelined: their hints are stripped and their copies made
-    synchronous, reproducing exactly what a fresh lowering at stage count
-    one emits. The incremental engine uses this to derive low-stage
-    configs from one canonically hinted base kernel.
+    between the input and output trees is observationally free.
     """
 
-    def __init__(
-        self,
-        plan: PipelinePlan,
-        demoted: frozenset = frozenset(),
-        caches: Optional[RewriteCaches] = None,
-    ) -> None:
+    def __init__(self, plan: PipelinePlan) -> None:
         self.plan = plan
-        self.demoted = demoted
-        self.caches = caches
         #: old Buffer -> (new expanded Buffer, its group)
         self.expanded: Dict[Buffer, Tuple[Buffer, GroupPlan]] = {}
         #: id(MemCopy) -> (BufferPlan, GroupPlan) for producer copies
@@ -220,23 +176,8 @@ class _Rewriter:
             (1,) + region.extents,
         )
 
-    def _copy_cache_key(self, copy: MemCopy, g: GroupPlan, chunk: int) -> Optional[Tuple]:
-        """Identity of a producer/prologue copy rewrite across sibling
-        configs of one base kernel: the rewritten statement depends only on
-        the input node, the prologue chunk, and the realized stage counts
-        of the group and (for fused inner pipelines) its parent."""
-        if self.caches is None:
-            return None
-        parent_stages = g.parent.stages if g.parent is not None else 0
-        return (id(copy), chunk, g.stages, parent_stages)
-
     def producer_copy_stmt(self, copy: MemCopy, m: BufferPlan, g: GroupPlan) -> MemCopy:
         """Steps two & three applied to a producer copy inside the main loop."""
-        ckey = self._copy_cache_key(copy, g, -1)
-        if ckey is not None:
-            hit = self.caches.stmts.get(ckey)
-            if hit is not None:
-                return hit
         shift = g.stages - 1
         # Destination: expanded buffer, stage rolls with the *shifted* var.
         new_buf, _ = self.expanded[m.buffer]
@@ -255,19 +196,11 @@ class _Rewriter:
         src = BufferRegion._trusted(
             src.buffer, tuple(simplify(o) for o in src.offsets), src.extents
         )
-        out = MemCopy(dst, src, is_async=True, annotations=copy.annotations)
-        if ckey is not None:
-            self.caches.stmts[ckey] = out
-        return out
+        return MemCopy(dst, src, is_async=True, annotations=copy.annotations)
 
     def prologue_copy_stmt(self, m: BufferPlan, g: GroupPlan, chunk: int) -> MemCopy:
         """A producer copy specialized to prologue ``chunk`` (step four)."""
         copy = m.producer_copy
-        ckey = self._copy_cache_key(copy, g, chunk)
-        if ckey is not None:
-            hit = self.caches.stmts.get(ckey)
-            if hit is not None:
-                return hit
         new_buf, _ = self.expanded[m.buffer]
         dst = BufferRegion._trusted(
             new_buf, (IntImm(chunk % g.stages),) + copy.dst.offsets, (1,) + copy.dst.extents
@@ -280,10 +213,7 @@ class _Rewriter:
         src = BufferRegion._trusted(
             src.buffer, tuple(simplify(o) for o in src.offsets), src.extents
         )
-        out = MemCopy(dst, src, is_async=True, annotations=copy.annotations)
-        if ckey is not None:
-            self.caches.stmts[ckey] = out
-        return out
+        return MemCopy(dst, src, is_async=True, annotations=copy.annotations)
 
     # --------------------------------------------------------------- prologues
     def _loops_between(self, parent: GroupPlan, child: GroupPlan) -> List[For]:
@@ -398,17 +328,10 @@ class _Rewriter:
             if hit is not None:
                 new_buf, g = hit
                 attrs = dict(stmt.attrs)
-                # Explicit, even though lowering hinted the buffer already:
-                # when deriving from a shared base kernel the hint int in
-                # the input tree is the *canonical* stage count, not this
-                # config's.
                 attrs["pipeline_stages"] = g.stages
                 attrs["pipelined"] = True
                 return Allocate(new_buf, self.rewrite(stmt.body), attrs)
             body = self.rewrite(stmt.body)
-            if stmt.buffer in self.demoted:
-                attrs = {k: v for k, v in stmt.attrs.items() if k != "pipeline_stages"}
-                return Allocate(stmt.buffer, body, attrs)
             if body is stmt.body:
                 return stmt
             return Allocate(stmt.buffer, body, stmt.attrs)
@@ -419,10 +342,9 @@ class _Rewriter:
                 return self.producer_copy_stmt(stmt, m, g)
             dst = self.consumer_region(stmt.dst)
             src = self.consumer_region(stmt.src)
-            is_async = stmt.is_async and stmt.dst.buffer not in self.demoted
-            if dst is stmt.dst and src is stmt.src and is_async == stmt.is_async:
+            if dst is stmt.dst and src is stmt.src:
                 return stmt
-            return MemCopy(dst, src, is_async=is_async, annotations=stmt.annotations)
+            return MemCopy(dst, src, is_async=stmt.is_async, annotations=stmt.annotations)
         if isinstance(stmt, ComputeStmt):
             out = self.consumer_region(stmt.out)
             inputs = [self.consumer_region(r) for r in stmt.inputs]
@@ -441,13 +363,7 @@ class _Rewriter:
         raise TransformError(f"unknown statement {type(stmt).__name__}")
 
     def _scan_group_loop(self, g: GroupPlan) -> Tuple[List[int], List[int]]:
-        """Producer/consumer child positions inside a group loop body. The
-        scan reads only original input nodes, so it is shared across
-        sibling configs through :class:`RewriteCaches`."""
-        if self.caches is not None:
-            hit = self.caches.scans.get(id(g.loop))
-            if hit is not None:
-                return hit
+        """Producer/consumer child positions inside a group loop body."""
         body = g.loop.body
         children = list(body.stmts) if isinstance(body, SeqStmt) else [body]
         producer_ids = g.producer_copy_ids
@@ -465,8 +381,6 @@ class _Rewriter:
         ]
         if not cons_idx:
             raise TransformError(f"group at loop {g.loop_var.name} has no consumers in-loop")
-        if self.caches is not None:
-            self.caches.scans[id(g.loop)] = (prod_idx, cons_idx)
         return prod_idx, cons_idx
 
     def rewrite_group_loop(self, g: GroupPlan) -> For:
@@ -532,36 +446,10 @@ def apply_pipelining(kernel: Kernel, verify_sync: bool = False) -> Kernel:
     — a mis-placed primitive then fails the build instead of silently
     producing racy code.
     """
-    return transform_with_plan(kernel, analyze(kernel), verify_sync=verify_sync)
-
-
-def transform_with_plan(
-    kernel: Kernel,
-    plan: PipelinePlan,
-    *,
-    demoted: frozenset = frozenset(),
-    caches: Optional[RewriteCaches] = None,
-    attrs: Optional[Dict[str, object]] = None,
-    verify_sync: bool = False,
-) -> Kernel:
-    """:func:`apply_pipelining` with a precomputed (possibly re-staged)
-    plan — the incremental engine's entry point.
-
-    ``demoted`` buffers have their pipeline machinery stripped (see
-    :class:`_Rewriter`); ``caches`` shares rewrite products across sibling
-    configs of one base kernel; ``attrs`` overrides the output kernel's
-    attribute dict (the engine stamps the per-config ``config`` attr on
-    kernels derived from a canonically configured base).
-    """
-    if not plan.groups and not demoted:
-        out = kernel.with_body(kernel.body)
-        if attrs is not None:
-            out.attrs = dict(attrs)
-        out.attrs["pipeline_groups"] = []
-        return out
-    rw = _Rewriter(plan, demoted=demoted, caches=caches)
-    body = rw.rewrite(kernel.body)
-    out = Kernel(kernel.name, kernel.params, body, attrs if attrs is not None else kernel.attrs)
+    plan = analyze(kernel)
+    rw = _Rewriter(plan)
+    body = rw.rewrite(kernel.body) if plan.groups else kernel.body
+    out = Kernel(kernel.name, kernel.params, body, kernel.attrs)
     out.attrs["pipeline_groups"] = rw.group_infos()
     if verify_sync:
         from ..core import profiling

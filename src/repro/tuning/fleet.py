@@ -89,9 +89,9 @@ Item = Tuple[int, TileConfig]
 ResultSink = Callable[[int, float, bool], None]
 
 #: on_trial callback signature: (index, outcome, attempt, detail). The
-#: outcome is "compiled" (detail: (compile_s, stage_times)), "endpoint"
-#: (detail: the endpoint that answered), "crash" or "timeout" (detail: a
-#: description).
+#: outcome is "compiled" (detail: (compile_s, stage_times, engine_counts)),
+#: "endpoint" (detail: the endpoint that answered), "crash" or "timeout"
+#: (detail: a description).
 TrialSink = Callable[[int, str, int, object], None]
 
 
@@ -120,6 +120,11 @@ class _TrialLost(WorkerCrash):
     that trial; the shard's remainder is requeued at no cost to it."""
 
 
+def _engine_counts(measurer: Measurer) -> Tuple[int, int, int, int]:
+    engine = measurer.engine
+    return engine.counts() if engine is not None else (0, 0, 0, 0)
+
+
 def _run_trial(conn, measurer: Measurer, spec: GemmSpec, sid: int, idx: int,
                cfg: TileConfig, first: int, retries: int, backoff_s: float) -> None:
     """Every attempt of one config from attempt ``first`` on, each
@@ -127,9 +132,12 @@ def _run_trial(conn, measurer: Measurer, spec: GemmSpec, sid: int, idx: int,
     what was in flight if this process dies or hangs; a retry first waits
     ``backoff_s * 2**(attempt - 1)``. A raising attempt sends ``("crash",
     sid, idx, attempt, detail)``. The trial ends with ``("result", sid,
-    idx, latency, True, ("compiled", attempt, (compile_s, stage_times)))``,
-    or with ``("result", sid, idx, inf, False)`` once retries are spent
-    (quarantined: a run property, kept out of disk caches)."""
+    idx, latency, True, ("compiled", attempt, (compile_s, stage_times,
+    engine_counts)))``, where ``engine_counts`` is what the worker's
+    incremental engine counted for the trial (hits, misses, bypasses,
+    check builds), or with ``("result", sid, idx, inf, False)`` once
+    retries are spent (quarantined: a run property, kept out of disk
+    caches)."""
     token = _cfg_token(spec, cfg)
     for attempt in range(first, retries + 1):
         if attempt:
@@ -137,13 +145,15 @@ def _run_trial(conn, measurer: Measurer, spec: GemmSpec, sid: int, idx: int,
         conn.send(("start", sid, idx, attempt))
         measurer.compile_time_s = 0.0
         measurer.stage_times = profiling.StageTimes()
+        before = _engine_counts(measurer)
         try:
             faults.inject("worker", token=f"{token}#a{attempt}")
             latency = measurer._compile_and_time(spec, cfg, token=f"{token}#a{attempt}")
         except Exception as e:  # crash-class fault or unexpected compiler bug
             conn.send(("crash", sid, idx, attempt, repr(e)))
             continue
-        cost = (measurer.compile_time_s, dict(measurer.stage_times))
+        engine_counts = tuple(b - a for a, b in zip(before, _engine_counts(measurer)))
+        cost = (measurer.compile_time_s, dict(measurer.stage_times), engine_counts)
         conn.send(("result", sid, idx, latency, True, ("compiled", attempt, cost)))
         return
     conn.send(("result", sid, idx, FAILED, False))

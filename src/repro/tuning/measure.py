@@ -2,7 +2,9 @@
 
 This plays the role of AutoTVM's builder+runner: each measurement runs the
 full compiler path — automatic schedule, lowering, pipelining program
-transformation, timing-spec extraction from the produced IR — and then the
+transformation, timing-spec extraction from the produced IR (once per
+recurring tile group, with the incremental engine checking the static spec
+of the rest, :mod:`repro.core.incremental`) — and then the
 discrete-event simulator (the reproduction's "hardware"). Results are
 cached by their full identity (GPU, problem, config, measurement mode) in
 memory, optionally persisted to disk (:class:`~repro.tuning.cache.
@@ -34,7 +36,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
-from ..codegen import lower
 from ..core import profiling
 from ..core.errors import (
     CompileError,
@@ -43,18 +44,15 @@ from ..core.errors import (
     ReproError,
     WorkerCrash,
 )
-from ..core.incremental import IncrementalEngine
+from ..core.incremental import IncrementalEngine, fresh_timing_spec
 from ..core.incremental import sort_key as _incremental_sort_key
 from ..obs import metrics as _metrics
 from ..gpusim.config import A100, GpuSpec
 from ..gpusim.engine import simulate_kernel
-from ..gpusim.spec import extract_timing_spec
 from ..perfmodel.static_spec import timing_spec_from_config
-from ..schedule.auto import auto_schedule
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec, Tensor, gemm_graph
 from .cache import MeasurementCache, measurement_key
-from .prune import prune_space
 
 if TYPE_CHECKING:
     from .fleet import FleetTelemetry
@@ -95,19 +93,18 @@ class MeasureTelemetry:
     n_retries: int = 0
     #: configs that exhausted their retries by killing workers
     n_quarantined: int = 0
-    #: configs dropped by model-guided pruning before any compile
-    n_pruned: int = 0
     #: accumulated (stage, seconds) compile-path breakdown, canonical order
     stage_time_s: Tuple[Tuple[str, float], ...] = ()
     #: disk-cache write failures absorbed by degrading to memory-only
     disk_errors: int = 0
-    #: trials that reused a memoized schedule+lower base kernel
+    #: trials answered from a tile group that passed its check
     lower_cache_hits: int = 0
-    #: trials that built (and memoized) a new base kernel
+    #: trials that checked a new tile group (two fresh builds each)
     lower_cache_misses: int = 0
-    #: pipelining transforms run by the incremental engine
+    #: fresh builds run by the incremental engine's checks
     transform_runs: int = 0
-    #: trials the engine handed back to the fresh path (no reuse evidence)
+    #: trials the engine handed back to the fresh path (no reuse evidence,
+    #: or a tile group that failed its check)
     lower_cache_bypasses: int = 0
     #: whether an incremental engine was attached at all
     incremental: bool = False
@@ -128,8 +125,6 @@ class MeasureTelemetry:
         if self.endpoint_trials:
             out += f"{self.endpoint_trials} answered by endpoints, "
         out += f"{self.memory_hits} memory hits, {self.disk_hits} disk-cache hits"
-        if self.n_pruned:
-            out += f"; {self.n_pruned} pruned by the analytical model"
         if self.n_crashes or self.n_timeouts:
             out += (
                 f"; {self.n_crashes} crashed attempt(s) "
@@ -150,7 +145,7 @@ class MeasureTelemetry:
             out += (
                 f"\n  stage cache      {self.lower_cache_hits} hits / "
                 f"{self.lower_cache_misses} misses ({reuse:.0f}% reuse), "
-                f"{self.transform_runs} incremental transform(s)"
+                f"{self.transform_runs} check build(s)"
             )
             if self.lower_cache_bypasses:
                 out += f", {self.lower_cache_bypasses} bypassed"
@@ -237,11 +232,13 @@ class Measurer:
         Base of the exponential retry backoff (``backoff_s * 2**attempt``).
     incremental:
         Enable the incremental compile engine
-        (:class:`~repro.core.incremental.IncrementalEngine`): configs
-        sharing tile knobs reuse one memoized schedule+lower base kernel
-        and only re-run the pipelining transform. Outputs are
-        bitwise-identical to fresh builds. Defaults to ``via_ir`` (the
-        static-spec path has no IR stages to share).
+        (:class:`~repro.core.incremental.IncrementalEngine`): the first
+        trial of a recurring tile group fresh-builds the group's two stage
+        extremes and checks them against the static timing spec; a
+        passing group answers every sibling statically, a failing one
+        compiles each sibling fresh. Outputs are bitwise-identical to
+        fresh builds; ``incremental=False`` is that fresh reference.
+        Defaults to ``via_ir`` (the static-spec path builds no IR).
     """
 
     def __init__(
@@ -296,10 +293,6 @@ class Measurer:
         #: summed :class:`~repro.tuning.fleet.FleetTelemetry` of every
         #: batch that ran on the fleet; None until one does.
         self.fleet_telemetry: Optional["FleetTelemetry"] = None
-        #: configs dropped by model-guided pruning (opt-in, sweep-level)
-        self.n_pruned = 0
-        #: newest :class:`~repro.tuning.prune.PruneStats` from a pruned sweep
-        self.last_prune_stats = None
         #: accumulated per-stage compile-path wall clock (schedule / lower /
         #: transform / spec-extract / simulate), including fleet workers.
         self.stage_times = profiling.StageTimes()
@@ -324,7 +317,6 @@ class Measurer:
             n_timeouts=self.n_timeouts,
             n_retries=self.n_retries,
             n_quarantined=len(self.quarantined),
-            n_pruned=self.n_pruned,
             stage_time_s=tuple(self.stage_times.ordered()),
             disk_errors=self.cache.disk_errors if self.cache is not None else 0,
             lower_cache_hits=self.engine.hits if self.engine is not None else 0,
@@ -365,22 +357,12 @@ class Measurer:
         if not self.via_ir:
             with profiling.stage("spec-extract"):
                 return timing_spec_from_config(spec, cfg)
-        from ..transform import apply_pipelining
-
         c = self._te_graph(spec)
         if self.engine is not None:
             ts = self.engine.timing_spec(c, spec, cfg)
             if ts is not None:
                 return ts
-            # engine declined (no reuse evidence for this tile key): fresh
-        with profiling.stage("schedule"):
-            sched = auto_schedule(c, cfg)
-        with profiling.stage("lower"):
-            kernel = lower(sched)
-        with profiling.stage("transform"):
-            kernel = apply_pipelining(kernel)
-        with profiling.stage("spec-extract"):
-            return extract_timing_spec(kernel)
+        return fresh_timing_spec(c, cfg)
 
     def _compile_and_time(self, spec: GemmSpec, cfg: TileConfig, token: str = "") -> float:
         """One compile+simulate. Genuine compile/launch rejections return
@@ -458,12 +440,16 @@ class Measurer:
         return None
 
     # ------------------------------------------------------------- recovery
-    def _tally_compile(self, compile_s: float, stage_times: Dict[str, float]) -> None:
-        """Count one compile a fleet worker ran for this measurer."""
+    def _tally_compile(self, compile_s: float, stage_times: Dict[str, float],
+                       engine_counts: Tuple[int, int, int, int]) -> None:
+        """Count one compile a fleet worker ran for this measurer, with the
+        worker engine's ``(hits, misses, bypasses, check builds)`` for it."""
         with self._lock:
             self.n_compiled += 1
             self.compile_time_s += compile_s
             self.stage_times.merge(stage_times)
+        if self.engine is not None:
+            self.engine.add_counts(*engine_counts)
 
     def _tally_endpoint_trial(self) -> None:
         """Count one trial a remote endpoint answered for this measurer."""
@@ -586,10 +572,10 @@ class Measurer:
             pending[key] = [i]
             order.append((key, cfg))
         if self.engine is not None and len(order) > 1:
-            # Group uncached trials by shared schedule-key prefix so one
-            # memoized base kernel's reuse window is contiguous (within a
-            # fleet shard too), and tell the engine which tile keys this
-            # batch repeats (so even their first trial goes through it).
+            # Group uncached trials by tile group so each group's trials
+            # are contiguous (within a fleet shard too, so one worker checks
+            # it), and tell the engine which tile keys this batch repeats
+            # (so even their first trial goes through it).
             # Results are merged back by key into input positions below, so
             # the recorded latencies — and which configs are measured — are
             # unchanged.
@@ -602,31 +588,10 @@ class Measurer:
                     results[i] = self._cache[key]
         return [results[i] for i in range(len(cfgs))]
 
-    def sweep(
-        self,
-        spec: GemmSpec,
-        space: Sequence[TileConfig],
-        prune_ratio: Optional[float] = None,
-        deadline: Optional[float] = None,
-    ) -> List[float]:
-        """Measure every config; failed builds yield :data:`FAILED`.
-
-        ``prune_ratio`` (opt-in, default off) runs the model-guided pruning
-        pass first: configs the analytical model prices beyond
-        ``prune_ratio`` times its best prediction are recorded
-        :data:`FAILED` without ever being compiled. Positions in the
-        returned list still correspond 1:1 to ``space``.
-        """
-        space = list(space)
-        if not prune_ratio:
-            return self.measure_many(spec, space, deadline=deadline)
-        kept, stats = prune_space(spec, space, self.gpu, prune_ratio)
-        with self._lock:
-            self.n_pruned += stats.n_total - stats.n_kept
-            self.last_prune_stats = stats
-        kept_latency = self.measure_many(spec, kept, deadline=deadline)
-        by_key = {cfg.key(): lat for cfg, lat in zip(kept, kept_latency)}
-        return [by_key.get(cfg.key(), FAILED) for cfg in space]
+    def sweep(self, spec: GemmSpec, space: Sequence[TileConfig],
+              deadline: Optional[float] = None) -> List[float]:
+        """Measure every config; failed builds yield :data:`FAILED`."""
+        return self.measure_many(spec, list(space), deadline=deadline)
 
     def best(self, spec: GemmSpec, space: Sequence[TileConfig],
              deadline: Optional[float] = None) -> Tuple[TileConfig, float]:

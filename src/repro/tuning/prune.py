@@ -8,9 +8,9 @@ an order of magnitude. The model's job here is not to pick the winner
 criterion is deliberately loose: a config survives when its predicted
 latency is within ``ratio``× of the best prediction over the space.
 
-Pruning is **opt-in everywhere** (``repro tune --prune-ratio``,
-``Tuner(prune_ratio=...)``, ``Measurer.sweep(prune_ratio=...)``): the
-fig12/fig13 fidelity benchmarks and all default workflows run unpruned.
+Pruning is **opt-in** (``repro tune --prune-ratio``,
+``Tuner(prune_ratio=...)``): the fig12/fig13 fidelity benchmarks and all
+default workflows run unpruned.
 
 Configs the model outright rejects (non-divisible tiling, threadblock that
 cannot launch) are pruned too — the measurement path applies the very same

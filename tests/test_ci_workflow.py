@@ -323,6 +323,18 @@ def test_bench_smoke_checks_incremental_engine_fields(workflow):
     assert "r['incremental_identity_checked'] is True" in cmds
 
 
+def test_bench_smoke_gates_incremental_engine_on_counts(workflow):
+    """The engine's work is gated on deterministic counts, not on a timing
+    floor: two fresh builds per checked tile group, and every other trial
+    of the group-preserving sweep answered from its group. An engine that
+    starts rebuilding per sibling fails here."""
+    cmds = "\n".join(job_commands(workflow["jobs"]["bench-smoke"]))
+    assert ("r['incremental_check_builds'] == 2 * r['incremental_groups_checked']"
+            in cmds)
+    assert ("r['incremental_hits'] + r['incremental_groups_checked'] == "
+            "r['incremental_space_size']" in cmds)
+
+
 def test_bench_smoke_runs_traced_perfbench(workflow):
     """A traced perfbench run of compile and tune must stay correct,
     deterministic and see the simulator and, on tune, the batch analytical

@@ -159,6 +159,41 @@ class TestCommands:
         for stage_name in ("schedule", "lower", "transform", "simulate"):
             assert stage_name in out, stage_name
 
+    COMPILE_64 = ["compile", "--m", "64", "--n", "64", "--k", "64", "--space", "0"]
+
+    @staticmethod
+    def _stage_cache(out):
+        """(compiled, hits, misses, bypasses) from a ``--profile`` report."""
+        compiled = int(re.search(r"(\d+) compiled \(", out).group(1))
+        line = re.search(r"stage cache .*", out).group(0)
+        hits, misses = map(int, re.search(r"(\d+) hits / (\d+) misses", line).groups())
+        bypassed = re.search(r"(\d+) bypassed", line)
+        return compiled, hits, misses, int(bypassed.group(1)) if bypassed else 0
+
+    def test_compile_via_ir_matches_static_and_reuses_stages(self, capsys):
+        """A full-space via-IR compile picks the static run's kernels and
+        answers most of its trials from checked tile groups."""
+        def picks(out):
+            return [ln for ln in out.splitlines()
+                    if ln.startswith(("alcop", "tvm", "speedup"))]
+
+        assert main(self.COMPILE_64) == 0
+        static = capsys.readouterr().out
+        assert main(self.COMPILE_64 + ["--via-ir", "--profile"]) == 0
+        via_ir = capsys.readouterr().out
+        assert len(picks(static)) == 3
+        assert picks(via_ir) == picks(static)
+        assert self._stage_cache(via_ir)[1] > 0
+
+    def test_compile_jobs_reports_worker_stage_cache(self, capsys):
+        """Under --jobs 2 every compile runs in a fleet worker; the
+        workers' engine counts come back with each trial, so the stage
+        cache line accounts for every compiled trial."""
+        assert main(self.COMPILE_64 + ["--via-ir", "--profile", "--jobs", "2"]) == 0
+        compiled, hits, misses, bypasses = self._stage_cache(capsys.readouterr().out)
+        assert hits > 0
+        assert hits + misses + bypasses == compiled
+
     def test_tune_counts_worker_compiles_like_serial(self, capsys):
         """Serial and --jobs 2 report the same compiled count and a stage
         breakdown: compiles run in worker processes are merged into the

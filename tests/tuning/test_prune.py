@@ -16,7 +16,6 @@ from repro.schedule import TileConfig
 from repro.tensor import GemmSpec
 from repro.tuning import (
     DEFAULT_PRUNE_RATIO,
-    FAILED,
     Measurer,
     SpaceOptions,
     enumerate_space,
@@ -141,33 +140,3 @@ class TestTunerIntegration:
         kept = {c.key() for c in tuner.space}
         assert all(r.config.key() in kept for r in history.records)
 
-
-class TestSweepIntegration:
-    def test_sweep_prune_positions_align(self):
-        spec = SPECS[0]
-        space = small_space(spec)
-        full = Measurer(A100).sweep(spec, space)
-        measurer = Measurer(A100)
-        pruned = measurer.sweep(spec, space, prune_ratio=1.5)
-        assert len(pruned) == len(space)
-        stats = measurer.last_prune_stats
-        assert stats is not None and stats.n_kept < stats.n_total
-        kept = {c.key() for c in prune_space(spec, space, A100, ratio=1.5)[0]}
-        n_failed_at_pruned = 0
-        for cfg, lat, ref in zip(space, pruned, full):
-            if cfg.key() in kept:
-                assert lat == ref
-            else:
-                assert lat is FAILED or lat == FAILED
-                n_failed_at_pruned += 1
-        assert n_failed_at_pruned == stats.n_total - stats.n_kept
-        assert measurer.telemetry.n_pruned == n_failed_at_pruned
-        assert "pruned by the analytical model" in measurer.telemetry.summary()
-
-    def test_sweep_without_prune_has_no_stats(self):
-        spec = SPECS[1]
-        measurer = Measurer(A100)
-        measurer.sweep(spec, small_space(spec))
-        assert measurer.last_prune_stats is None
-        assert measurer.telemetry.n_pruned == 0
-        assert "pruned" not in measurer.telemetry.summary()
