@@ -26,7 +26,12 @@ PR by the CI artifact:
   rather than on a timing floor;
 * **tracing overhead** — the same cold sweep with an active tracer and a
   root span (so every compile stage is also recorded as a span), asserted
-  to cost < 2% of cold-sweep throughput (docs/observability.md).
+  to cost < 2% of cold-sweep throughput (docs/observability.md);
+* **simulator kernels/sec** — ``simulate_kernel`` alone on the static
+  timing specs of the operator suite's capped spaces on A100 (what a serve
+  solve sweeps; two of the twelve under ``--smoke``), with the number of
+  wave simulations they run, so host time per simulated wave is tracked
+  PR over PR.
 
 Runs two ways: as a pytest benchmark inside the suite, and as a plain
 script (``python benchmarks/bench_compile_throughput.py --smoke --out
@@ -59,6 +64,11 @@ INCREMENTAL_SPEEDUP_FLOOR = 1.3
 #: The engine answers 7 of each 8-config stage group from the group's
 #: check; the measured ratio is deterministic, the floor merely loose.
 INCREMENTAL_REUSE_FLOOR = 0.5
+#: Suite operators whose capped spaces time the simulator under ``--smoke``
+#: (a GEMM and a conv); the full run takes all twelve.
+SIM_SMOKE_OPS = ("MM_BERT_FC1", "Conv_RN50_3x3")
+#: The serve daemon's default space cap.
+SIM_SPACE_CAP = 600
 
 
 def _group_preserving_space(spec, gpu, target: int):
@@ -90,6 +100,55 @@ def _best_of(fn, rounds: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _simulator_throughput(quick: bool, rounds: int) -> dict:
+    """Best-of-``rounds`` host time of ``simulate_kernel`` over the static
+    timing specs of the suite's capped spaces that launch on A100. A
+    separate untimed pass counts their wave simulations through the
+    ``simulate_wave`` module global, as perfbench's traced mode does."""
+    from repro.gpusim import A100, CompileError, engine
+    from repro.perfmodel import timing_spec_from_config
+    from repro.tuning import SpaceOptions, enumerate_space
+    from repro.workloads import get_operator, suite_specs
+
+    specs = [get_operator(name) for name in SIM_SMOKE_OPS] if quick else suite_specs()
+    options = SpaceOptions(max_size=SIM_SPACE_CAP)
+    candidates = [timing_spec_from_config(spec, cfg) for spec in specs
+                  for cfg in enumerate_space(spec, A100, options)]
+
+    wave_sims = 0
+    plain = engine.simulate_wave
+
+    def counted(*args, **kwargs):
+        nonlocal wave_sims
+        wave_sims += 1
+        return plain(*args, **kwargs)
+
+    kernels = []
+    engine.simulate_wave = counted
+    try:
+        for ts in candidates:
+            try:
+                engine.simulate_kernel(ts, A100)
+            except CompileError:
+                continue
+            kernels.append(ts)
+    finally:
+        engine.simulate_wave = plain
+
+    def simulate_all():
+        for ts in kernels:
+            engine.simulate_kernel(ts, A100)
+
+    seconds = _best_of(simulate_all, rounds)
+    return {
+        "simulate_spaces": len(specs),
+        "simulate_kernels": len(kernels),
+        "simulate_wave_sims": wave_sims,
+        "simulate_s": seconds,
+        "simulate_kernels_per_s": len(kernels) / seconds,
+    }
 
 
 def run_experiment(quick: bool, jobs: int = 1) -> dict:
@@ -206,7 +265,10 @@ def run_experiment(quick: bool, jobs: int = 1) -> dict:
         if overhead_pct < TRACING_OVERHEAD_CEILING_PCT / 2:
             break
 
+    simulator = _simulator_throughput(quick, rounds)
+
     return {
+        **simulator,
         "quick": quick,
         "rank_space_size": len(rank_space),
         "scalar_rank_s": scalar_s,
@@ -265,6 +327,11 @@ def format_table(r: dict) -> str:
         f"configs/s, on {r['traced_cold_configs_per_s']:7.1f} configs/s "
         f"({r['tracing_overhead_pct']:+.2f}%)"
     )
+    lines.append(
+        f"simulator ({r['simulate_kernels']} static kernels of "
+        f"{r['simulate_spaces']} suite spaces, {r['simulate_wave_sims']} wave "
+        f"sims): {r['simulate_kernels_per_s']:7.1f} kernels/s"
+    )
     lines.append("per-stage compile breakdown (cold sweep):")
     total = sum(r["stage_time_s"].values()) or 1.0
     for name, s in r["stage_time_s"].items():
@@ -303,6 +370,7 @@ def check_invariants(r: dict) -> None:
     assert r["incremental_stage_time_s"], (
         "incremental sweep recorded no stage breakdown"
     )
+    assert r["simulate_wave_sims"] > 0, "simulator throughput ran no wave simulations"
     assert r["tracing_overhead_pct"] < TRACING_OVERHEAD_CEILING_PCT, (
         f"tracing-on cold sweep costs {r['tracing_overhead_pct']:.2f}% "
         f"(ceiling {TRACING_OVERHEAD_CEILING_PCT}%): the observability "

@@ -24,7 +24,9 @@ the paper.
 Each threadblock process is a generator that keeps its own clock and
 yields the absolute time it resumes at. :func:`simulate_wave` resumes the
 earliest one first from a ``(time, seq, generator)`` heap, ties broken in
-push order. Because the threadblocks therefore act in nondecreasing time
+push order; a threadblock whose new clock is still strictly before every
+other's is resumed again without a push and pop, which is the pop the heap
+would make. Because the threadblocks therefore act in nondecreasing time
 order, each FIFO server (L2, DRAM, the SM's tensor cores) is a single
 float — the time it next falls free — and a request at ``now`` completes
 at ``free = max(now, free) + service``.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .config import A100, GpuSpec
 from .occupancy import CompileError, tb_per_sm
@@ -138,84 +140,132 @@ def simulate_wave(
 
     trace: Optional[list] = [] if collect_trace else None
     finish: List[float] = []
-    # Time each FIFO server next falls free.
-    l2_free = dram_free = tc_free = 0.0
+    # Per-wave constants: each is the same IEEE expression, on the same
+    # operands, as the step that uses it, so computing it once changes no bit.
+    chunk_service = [
+        (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
+        for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
+        if nbytes > 0
+    ]
+    issue_cost = 2 * gpu.issue_overhead
+    frag_fill = t_load + gpu.smem_latency
+    epilogue_service = ts.epilogue_bytes / dram_rate
+    hoisted_fill = ts.reg_stages >= 2 and S >= 2
+    chunk_fill = ts.reg_stages >= 2 and S == 1
+    sync_overhead = gpu.sync_overhead
+    dram_write_latency = gpu.dram_write_latency
+    # The time each FIFO server (L2, DRAM, tensor cores) next falls free.
+    free = [0.0, 0.0, 0.0]
 
+    # ``b if b > a else a`` is CPython's ``max(a, b)`` exactly: it keeps the
+    # first argument unless the second compares greater.
     def issue_chunk(now: float) -> float:
         """Post one outer chunk's copies; returns their completion time."""
-        nonlocal l2_free, dram_free
         done = 0.0
-        for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes):
-            if nbytes <= 0:
-                continue
-            l2_free = max(now, l2_free) + nbytes / l2_rate
-            dram_free = max(now, dram_free) + nbytes * dram_frac / dram_rate
-            done = max(done, l2_free, dram_free)
+        for l2_service, dram_service in chunk_service:
+            l2 = free[0]
+            l2 = (l2 if l2 > now else now) + l2_service
+            dram = free[1]
+            dram = (dram if dram > now else now) + dram_service
+            free[0] = l2
+            free[1] = dram
+            if l2 > done:
+                done = l2
+            if dram > done:
+                done = dram
         return done + mem_latency
 
     def tb_process(tb_idx: int, now: float):
-        nonlocal dram_free, tc_free
-        smem_done: Dict[int, float] = {}
+        smem_done: List[float] = []  # completion time of chunk i
         # Prologue: the first S-1 chunks are issued ahead of the loop.
-        for p in range(S - 1):
-            smem_done[p] = issue_chunk(now)
-            now += 2 * gpu.issue_overhead
+        for _ in range(S - 1):
+            smem_done.append(issue_chunk(now))
+            now += issue_cost
             yield now
-        if ts.reg_stages >= 2 and S >= 2:
+        if hoisted_fill:
             # Hoisted inner-pipeline prologue (holistic pipeline): one
             # fragment load after the first chunk lands.
-            now = max(now, smem_done[0])
+            landed = smem_done[0]
+            if landed > now:
+                now = landed
             yield now
-            now += t_load + gpu.smem_latency
+            now += frag_fill
             yield now
         for ko in range(E_o):
-            smem_done[ko + S - 1] = issue_chunk(now)
-            now += 2 * gpu.issue_overhead
+            smem_done.append(issue_chunk(now))
+            now += issue_cost
             yield now
             wait_start = now
-            now = max(now, smem_done[ko])
+            landed = smem_done[ko]
+            if landed > now:
+                now = landed
             yield now
             if trace is not None:
                 trace.append((tb_idx, f"smem_wait[{ko}]", wait_start, now))
             if t_store_through > 0.0:
                 # Register-staged stores into shared memory occupy the SM.
-                tc_free = max(now, tc_free) + t_store_through
-                now = max(now, tc_free)
+                tc = free[2]
+                tc = (tc if tc > now else now) + t_store_through
+                free[2] = tc
+                if tc > now:
+                    now = tc
                 yield now
-            if ts.reg_stages >= 2 and S == 1:
+            if chunk_fill:
                 # Recursive (non-fused) inner pipeline refills each chunk.
-                now += t_load + gpu.smem_latency
+                now += frag_fill
                 yield now
             use_start = now
             for _ in range(E_i):
-                tc_free = max(now, tc_free) + inner_service
-                now = max(now, tc_free)
+                tc = free[2]
+                tc = (tc if tc > now else now) + inner_service
+                free[2] = tc
+                if tc > now:
+                    now = tc
                 yield now
             if trace is not None:
                 trace.append((tb_idx, f"use[{ko}]", use_start, now))
-            now += gpu.sync_overhead
+            now += sync_overhead
             yield now
         # Epilogue write-back.
         ep_start = now
-        dram_free = max(now, dram_free) + ts.epilogue_bytes / dram_rate
-        now = max(now, dram_free + gpu.dram_write_latency)
+        dram = free[1]
+        dram = (dram if dram > now else now) + epilogue_service
+        free[1] = dram
+        written = dram + dram_write_latency
+        if written > now:
+            now = written
         yield now
         if trace is not None:
             trace.append((tb_idx, "epilogue", ep_start, now))
         finish.append(now)
 
-    # Sorted by (start time, seq), so already a heap.
+    # Sorted by (start time, seq), so already a heap. The root is the
+    # threadblock to resume. Pushed back after yielding ``when``, it would
+    # carry the largest ``seq`` so far and lose every tie, so it would be
+    # popped again next exactly when ``when`` is strictly below the
+    # earliest other entry, the smaller of the root's children: then it is
+    # resumed again without touching the heap.
     heap = [(i * _TB_STAGGER, i, tb_process(i, i * _TB_STAGGER)) for i in range(n_tb_on_sm)]
-    seq = n_tb_on_sm
-    while heap:
+    seq = n = n_tb_on_sm
+    while n > 1:
         tb = heap[0][2]
-        try:
-            when = next(tb)
-        except StopIteration:
+        due = heap[1][0]
+        if n > 2:
+            other = heap[2][0]
+            if other < due:
+                due = other
+        for when in tb:
+            if when < due:
+                continue
+            heapq.heapreplace(heap, (when, seq, tb))
+            seq += 1
+            break
+        else:
             heapq.heappop(heap)
-            continue
-        heapq.heapreplace(heap, (when, seq, tb))
-        seq += 1
+            n -= 1
+    if n:
+        for _ in heap[0][2]:  # the last threadblock runs to completion
+            pass
     return max(finish), dram_frac, trace
 
 

@@ -69,7 +69,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec
-from .measure import FAILED, Measurer, _cfg_token
+from .measure import FAILED, Measurer, Trial, _cfg_token
 
 __all__ = [
     "CircuitBreaker",
@@ -991,11 +991,11 @@ def fleet_sweep(
     """
     telemetry = FleetTelemetry(0, 0, 0, 0, 0, 0, batches=0)
 
-    def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
+    def run(order: List[Trial]) -> None:
         nonlocal telemetry
         coordinator = FleetCoordinator(
             spec,
-            [cfg for _, cfg in order],
+            [cfg for _, cfg, _ in order],
             gpu=measurer.gpu,
             via_ir=measurer.via_ir,
             workers=workers,
@@ -1007,11 +1007,10 @@ def fleet_sweep(
         )
 
         def on_result(pos: int, latency: float, persist: bool) -> None:
-            key, cfg = order[pos]
-            measurer._record(key, spec, cfg, latency, persist=persist)
+            measurer._record(spec, order[pos], latency, persist=persist)
 
         def on_trial(pos: int, outcome: str, attempt: int, detail) -> None:
-            key, cfg = order[pos]
+            key, cfg, _ = order[pos]
             if outcome == "compiled":
                 measurer._tally_compile(*detail)
             elif outcome == "endpoint":

@@ -62,6 +62,11 @@ __all__ = ["Measurer", "MeasureTelemetry", "MeasureFailure", "FAILED"]
 #: Latency recorded for configurations that fail to compile/launch.
 FAILED = math.inf
 
+#: One uncached trial of a batch: its in-memory identity, its config, and
+#: its disk-cache content address (None without a disk cache), computed
+#: once when the lookup misses and reused when the result is committed.
+Trial = Tuple[Tuple, TileConfig, Optional[str]]
+
 #: LRU bound on the per-spec tensor-expression graph cache: one entry per
 #: distinct problem shape, so a long-lived serve daemon cycling many shapes
 #: holds at most this many graphs.
@@ -400,17 +405,16 @@ class Measurer:
             self.n_compiled += 1
         return latency
 
-    def _record(
-        self, key: Tuple, spec: GemmSpec, cfg: TileConfig, latency: float,
-        persist: bool = True,
-    ) -> None:
+    def _record(self, spec: GemmSpec, trial: Trial, latency: float,
+                persist: bool = True) -> None:
         """Commit a result to the memory cache and (for genuine
         measurements, not crash/timeout placeholders) the disk cache."""
+        key, cfg, disk_key = trial
         with self._lock:
             self._cache[key] = latency
-        if self.cache is not None and persist:
+        if disk_key is not None and persist:
             self.cache.put(
-                measurement_key(self.gpu, spec, cfg, self.via_ir, version=self.cache.version),
+                disk_key,
                 latency,
                 meta={
                     "gpu": self.gpu.name,
@@ -421,23 +425,25 @@ class Measurer:
                 },
             )
 
-    def _lookup(self, key: Tuple, spec: GemmSpec, cfg: TileConfig) -> Optional[float]:
-        """Memory cache, then disk cache (promoting disk hits to memory)."""
+    def _lookup(self, key: Tuple, spec: GemmSpec,
+                cfg: TileConfig) -> Tuple[Optional[float], Optional[str]]:
+        """Memory cache, then disk cache (promoting disk hits to memory).
+        Returns the hit or None, and the disk-cache key when the memory
+        cache missed and a disk cache is attached (else None)."""
         with self._lock:
             hit = self._cache.get(key)
             if hit is not None:
                 self.n_memory_hits += 1
-                return hit
-        if self.cache is not None:
-            disk = self.cache.get(
-                measurement_key(self.gpu, spec, cfg, self.via_ir, version=self.cache.version)
-            )
-            if disk is not None:
-                with self._lock:
-                    self.n_disk_hits += 1
-                    self._cache[key] = disk
-                return disk
-        return None
+                return hit, None
+        if self.cache is None:
+            return None, None
+        disk_key = measurement_key(self.gpu, spec, cfg, self.via_ir, version=self.cache.version)
+        disk = self.cache.get(disk_key)
+        if disk is not None:
+            with self._lock:
+                self.n_disk_hits += 1
+                self._cache[key] = disk
+        return disk, disk_key
 
     # ------------------------------------------------------------- recovery
     def _tally_compile(self, compile_s: float, stage_times: Dict[str, float],
@@ -483,10 +489,11 @@ class Measurer:
                 )
             )
 
-    def _measure_with_recovery(self, spec: GemmSpec, cfg: TileConfig, key: Tuple) -> None:
+    def _measure_with_recovery(self, spec: GemmSpec, trial: Trial) -> None:
         """Serial (in-process) trial with bounded retry; crash-class
         exceptions become :data:`FAILED` + quarantine instead of aborting
         the sweep."""
+        key, cfg, _ = trial
         # The trial token exists solely for fault injection; don't pay for
         # its construction per trial when no plan is active.
         token_base = _cfg_token(spec, cfg) if faults.active_plan() is not None else ""
@@ -494,13 +501,13 @@ class Measurer:
             try:
                 token = f"{token_base}#a{attempt}" if token_base else ""
                 latency = self._compile_and_time(spec, cfg, token=token)
-                self._record(key, spec, cfg, latency)
+                self._record(spec, trial, latency)
                 return
             except Exception as e:
                 self._tally_failure(spec, key, cfg, "crash", attempt, repr(e))
                 if attempt < self.retries:
                     time.sleep(self.backoff_s * (2**attempt))
-        self._record(key, spec, cfg, FAILED, persist=False)
+        self._record(spec, trial, FAILED, persist=False)
 
     @staticmethod
     def _deadline_check(deadline: Optional[float], spec: GemmSpec, done: int,
@@ -544,33 +551,33 @@ class Measurer:
             return fleet_sweep(self, spec, cfgs, workers=workers,
                                endpoints=self.endpoints, deadline=deadline)[0]
 
-        def run(order: List[Tuple[Tuple, TileConfig]]) -> None:
-            for done, (key, cfg) in enumerate(order):
+        def run(order: List[Trial]) -> None:
+            for done, trial in enumerate(order):
                 self._deadline_check(deadline, spec, done, len(order))
-                self._measure_with_recovery(spec, cfg, key)
+                self._measure_with_recovery(spec, trial)
 
         return self._measure_batch(spec, cfgs, run)
 
     def _measure_batch(self, spec: GemmSpec, cfgs: Sequence[TileConfig],
-                       run: Callable[[List[Tuple[Tuple, TileConfig]]], None]) -> List[float]:
+                       run: Callable[[List[Trial]], None]) -> List[float]:
         """The one cache-lookup / dedup / commit path: answer hits from the
-        caches, hand the distinct uncached ``(key, config)`` pairs to
-        ``run`` (which commits each through :meth:`_record`), and read the
-        batch back from the memory cache in input order."""
+        caches, hand the distinct uncached :data:`Trial` s to ``run``
+        (which commits each through :meth:`_record`), and read the batch
+        back from the memory cache in input order."""
         results: Dict[int, float] = {}
         pending: Dict[Tuple, List[int]] = {}
-        order: List[Tuple[Tuple, TileConfig]] = []
+        order: List[Trial] = []
         for i, cfg in enumerate(cfgs):
             key = self._key(spec, cfg)
             if key in pending:  # duplicate within the batch: compile once
                 pending[key].append(i)
                 continue
-            hit = self._lookup(key, spec, cfg)
+            hit, disk_key = self._lookup(key, spec, cfg)
             if hit is not None:
                 results[i] = hit
                 continue
             pending[key] = [i]
-            order.append((key, cfg))
+            order.append((key, cfg, disk_key))
         if self.engine is not None and len(order) > 1:
             # Group uncached trials by tile group so each group's trials
             # are contiguous (within a fleet shard too, so one worker checks
@@ -580,10 +587,10 @@ class Measurer:
             # the recorded latencies — and which configs are measured — are
             # unchanged.
             order.sort(key=lambda kc: _incremental_sort_key(kc[1]))
-            self.engine.note_batch(spec, [cfg for _, cfg in order])
+            self.engine.note_batch(spec, [cfg for _, cfg, _ in order])
         if order:
             run(order)
-            for key, _ in order:
+            for key, _, _ in order:
                 for i in pending[key]:
                     results[i] = self._cache[key]
         return [results[i] for i in range(len(cfgs))]

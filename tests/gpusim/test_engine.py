@@ -11,7 +11,8 @@ from repro.gpusim.trace import format_timeline, stall_time
 from repro.perfmodel import timing_spec_from_config
 from repro.schedule import TileConfig
 from repro.tensor import GemmSpec
-from repro.tuning.space import enumerate_space
+from repro.tuning.space import SpaceOptions, enumerate_space
+from repro.workloads import suite_specs
 
 
 def ts_for(m=2048, n=2048, k=2048, bm=128, bn=128, bk=32, wm=64, wn=64, ck=16, ss=1, rs=1,
@@ -206,12 +207,12 @@ _PINNED = {
 }
 
 
-def _sim_digest(spec, gpu):
+def _sim_digest(gpu, cases):
     """Digest every ``SimResult`` field's ``repr`` (floats bit for bit), or
-    the rejection's type and message, over every 47th config of the full
-    space; every 5th sampled config also collects its trace."""
+    the rejection's type and message, over ``(spec, config)`` cases; every
+    5th case also collects its trace."""
     h = hashlib.sha256()
-    for i, cfg in enumerate(enumerate_space(spec)[::47]):
+    for i, (spec, cfg) in enumerate(cases):
         try:
             res = simulate_kernel(timing_spec_from_config(spec, cfg), gpu,
                                   collect_trace=i % 5 == 0)
@@ -224,5 +225,22 @@ def _sim_digest(spec, gpu):
 
 @pytest.mark.parametrize("gpu_name,shape", sorted(_PINNED))
 def test_simulation_matches_pinned_digest(gpu_name, shape):
+    """Every 47th config of the full space."""
     spec = GemmSpec("pin", *_PIN_SHAPES[shape])
-    assert _sim_digest(spec, _PIN_GPUS[gpu_name]) == _PINNED[gpu_name, shape]
+    cases = [(spec, cfg) for cfg in enumerate_space(spec)[::47]]
+    assert _sim_digest(_PIN_GPUS[gpu_name], cases) == _PINNED[gpu_name, shape]
+
+
+#: :func:`_sim_digest` of every 5th config of the 12 operator-suite spaces
+#: capped at 600 (the serve daemon's default cap) on A100, in suite order.
+_SUITE_PINNED = "426e316be4d0887447ac7fa60b05b402155007b72f111df1fc88adf44b8793a2"
+
+
+def test_suite_capped_spaces_match_pinned_digest():
+    """The static-spec simulations a serve solve sweeps, including both
+    conv shapes, which the strided full spaces above do not cover."""
+    options = SpaceOptions(max_size=600)
+    cases = [(spec, cfg) for spec in suite_specs()
+             for cfg in enumerate_space(spec, A100, options)[::5]]
+    assert len(cases) == 1380
+    assert _sim_digest(A100, cases) == _SUITE_PINNED

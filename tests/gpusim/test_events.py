@@ -113,3 +113,41 @@ class TestSimulator:
         assert [(tb, s) for tb, s, _ in waits(trace)] == [
             (i, i * _TB_STAGGER) for i in range(3)
         ]
+
+
+class TestContinuation:
+    """A resumed threadblock keeps running while its new clock is strictly
+    below the earliest other threadblock's; these cases pin the event
+    order at the edges of that rule."""
+
+    def test_equal_clock_goes_behind_earlier_push(self):
+        # Two stages; each chunk is one 10 us DRAM copy. Threadblock 0
+        # posts chunk 0 at 0 (DRAM 0-10), and its issue cost takes its
+        # clock to exactly threadblock 1's start. The tie goes to
+        # threadblock 1, pushed first: its chunk 0 is served 10-20, before
+        # threadblock 0's chunk 1 (20-30).
+        gpu = toy_gpu(issue_overhead=_TB_STAGGER / 2)
+        _, trace = run(toy_spec(a=100, smem_stages=2), gpu, n_tb=2)
+        assert [(tb, end) for tb, _, end in waits(trace)] == [(0, 10.0), (1, 20.0)]
+
+    def test_earliest_other_entry_in_right_child(self):
+        # Each threadblock copies one chunk: 1 us on L2, 10 us on DRAM, 3 us
+        # latency. Posted at 0, 0.01 and 0.02, the chunks land at 13, 23
+        # and 33; when threadblock 0 resumes at 13, the heap's left child
+        # holds threadblock 2 (33) and its right child threadblock 1 (23).
+        # Threadblock 0 computes 13-17, then its epilogue waits for DRAM to
+        # drain at 30, past 23: threadblock 1 computes before threadblock
+        # 0's epilogue, and the two epilogues at 30 go in push order.
+        latency, trace = run(toy_spec(a=100), toy_gpu(l2_latency=1.0, dram_latency=3.0), n_tb=3)
+        assert latency == 37.0
+        assert trace == [
+            (0, "smem_wait[0]", 0.0, 13.0),
+            (0, "use[0]", 13.0, 17.0),
+            (1, "smem_wait[0]", _TB_STAGGER, 23.0),
+            (1, "use[0]", 23.0, 27.0),
+            (0, "epilogue", 17.0, 30.0),
+            (1, "epilogue", 27.0, 30.0),
+            (2, "smem_wait[0]", 2 * _TB_STAGGER, 33.0),
+            (2, "use[0]", 33.0, 37.0),
+            (2, "epilogue", 37.0, 37.0),
+        ]

@@ -335,6 +335,16 @@ def test_bench_smoke_gates_incremental_engine_on_counts(workflow):
             "r['incremental_space_size']" in cmds)
 
 
+def test_bench_smoke_checks_simulator_fields(workflow):
+    """The throughput record must carry the simulator's kernels/sec and the
+    wave simulations behind it, so host time per simulated wave is tracked
+    PR over PR; a record that ran no wave simulation fails."""
+    cmds = "\n".join(job_commands(workflow["jobs"]["bench-smoke"]))
+    assert "'simulate_kernels_per_s' in r" in cmds
+    assert "'simulate_wave_sims' in r" in cmds
+    assert "r['simulate_wave_sims'] > 0" in cmds
+
+
 def test_bench_smoke_runs_traced_perfbench(workflow):
     """A traced perfbench run of compile and tune must stay correct,
     deterministic and see the simulator and, on tune, the batch analytical

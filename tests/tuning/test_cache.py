@@ -122,6 +122,31 @@ class TestDiskCache:
         assert reloaded.get("k1") == 42.0
         assert reloaded.get("k2") is None
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_content_address_per_uncached_trial(self, tmp_path, monkeypatch, jobs):
+        """The lookup's content address is reused to commit the result, on
+        the serial and the fleet path; the stored keys are unchanged."""
+        from repro.tuning import measure
+
+        hashed = []
+
+        def counting_key(gpu, spec, cfg, via_ir, version=None):
+            hashed.append(cfg)
+            return measurement_key(gpu, spec, cfg, via_ir, version=version)
+
+        monkeypatch.setattr(measure, "measurement_key", counting_key)
+        m = Measurer(via_ir=False, cache=MeasurementCache(tmp_path), jobs=jobs)
+        m.sweep(SPEC, SPACE + SPACE[:3])  # in-batch duplicates hash nothing
+        assert sorted(c.key() for c in hashed) == sorted(c.key() for c in SPACE)
+        stored = {
+            tuple(entry["config"]): entry["key"]
+            for entry in map(json.loads, m.cache.path.read_text().splitlines())
+        }
+        assert stored == {
+            c.key(): measurement_key(A100, SPEC, c, False, version=m.cache.version)
+            for c in SPACE
+        }
+
     def test_entries_carry_human_readable_meta(self, tmp_path):
         m = Measurer(via_ir=False, cache=MeasurementCache(tmp_path))
         m.measure(SPEC, CFG)
