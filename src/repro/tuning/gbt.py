@@ -214,7 +214,7 @@ class GradientBoostedTrees:
         for _ in range(self.n_estimators):
             tree = RegressionTree(self.max_depth, self.min_samples_leaf)
             step = tree._grow(X, y - pred, w, order)
-            if np.allclose(step, 0):
+            if np.abs(step).max() <= 1e-8:  # np.allclose(step, 0), NaN included
                 break
             pred += self.learning_rate * step
             self._trees.append(tree)

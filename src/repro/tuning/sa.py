@@ -99,8 +99,9 @@ class SimulatedAnnealingSampler:
             proposals = []
             for ci, idx in enumerate(current):
                 nbrs = self._neighbor_ids(int(idx))
+                # the draw of rng.choice(nbrs), same stream, at a fifth of its cost
                 proposals.append(
-                    int(self.rng.choice(nbrs)) if nbrs else int(self.rng.integers(n))
+                    nbrs[int(self.rng.integers(len(nbrs)))] if nbrs else int(self.rng.integers(n))
                 )
             new_scores = score_fn([self.space[i] for i in proposals])
             for ci in range(len(current)):

@@ -6,10 +6,10 @@
   XGBoost dependency).
 * :class:`AnalyticalOnlyTuner` — rank the whole space by the pipeline-aware
   analytical model's predictions; measure in rank order.
-* :class:`ModelAssistedXGBTuner` — ALCOP's method: pretrain the boosted
-  trees on (schedule, analytical prediction) pseudo-pairs, then run the
-  XGB workflow, so the first proposals already carry hardware knowledge
-  while measured data keeps refining the model.
+* :class:`ModelAssistedXGBTuner` — ALCOP's method: the XGB workflow with
+  (schedule, analytical prediction) pseudo-pairs in every fit's training
+  set, so the first proposals already carry hardware knowledge while
+  measured data keeps refining the model.
 """
 
 from __future__ import annotations
@@ -198,7 +198,12 @@ class AnalyticalOnlyTuner(Tuner):
 
 
 class XGBTuner(Tuner):
-    """ML cost model + simulated annealing (TVM's default, Table II col 2)."""
+    """ML cost model + simulated annealing (TVM's default, Table II col 2).
+
+    :meth:`_next_batch` fits the model right before simulated annealing
+    reads it, on the measured trials plus the pseudo pool (``n_pseudo``
+    analytical pairs, ``warm_start`` trials) at ``pseudo_weight``; there is
+    no separate pretraining fit."""
 
     name = "xgb"
     #: measurements per round between model refits (TVM's default workflow
@@ -218,9 +223,8 @@ class XGBTuner(Tuner):
         self.sampler = SimulatedAnnealingSampler(
             self.space, n_iters=60, seed=int(self.rng.integers(2**31))
         )
-        # Lazily computed once and shared between pseudo-label pretraining
-        # and ModelAssistedXGBTuner's cold-start batch (previously each
-        # ranked the full space independently).
+        # Computed once, shared by the pseudo pool and ModelAssistedXGBTuner's
+        # cold-start batch.
         self._analytical_order_cache: Optional[List[int]] = None
         self._feature_cache: dict = {}
         self._prior_seeds: List[TileConfig] = []
@@ -236,8 +240,6 @@ class XGBTuner(Tuner):
             # pool at the same reduced weight — they inform, measurements
             # of *this* task dominate.
             self._absorb_warm_start(warm_start)
-        if self._pseudo_X is not None:
-            self._refit()
 
     def _analytical_order(self) -> List[int]:
         """Full-space analytical ranking, computed once per tuner."""
@@ -245,7 +247,7 @@ class XGBTuner(Tuner):
             self._analytical_order_cache = analytical_rank(self.spec, self.space, self.gpu)
         return self._analytical_order_cache
 
-    # -- pretraining on analytical predictions ---------------------------------
+    # -- pseudo pool: analytical predictions and warm-start trials -------------
     def _build_pseudo(self, n_pseudo: int) -> None:
         idx = self.rng.permutation(len(self.space))[:n_pseudo]
         configs = [self.space[i] for i in idx]
@@ -272,7 +274,7 @@ class XGBTuner(Tuner):
         configs = [r.config for r in history.records]
         X = self._features(configs)
         y = np.array([self._score_from_latency(r.latency_us) for r in history.records])
-        if self._pseudo_X is None or not len(self._pseudo_X):
+        if self._pseudo_X is None:
             self._pseudo_X, self._pseudo_y = X, y
         else:
             self._pseudo_X = np.vstack([self._pseudo_X, X])
@@ -290,7 +292,7 @@ class XGBTuner(Tuner):
 
     def _refit(self) -> None:
         X_parts, y_parts, w_parts = [], [], []
-        if self._pseudo_X is not None and len(self._pseudo_X):
+        if self._pseudo_X is not None:
             X_parts.append(self._pseudo_X)
             y_parts.append(self._pseudo_y)
             w_parts.append(np.full(len(self._pseudo_X), self.pseudo_weight))
@@ -301,8 +303,6 @@ class XGBTuner(Tuner):
                 np.array([self._score_from_latency(r.latency_us) for r in self.history.records])
             )
             w_parts.append(np.ones(len(configs)))
-        if not X_parts:
-            return
         self.model.fit(np.vstack(X_parts), np.concatenate(y_parts), np.concatenate(w_parts))
 
     def _features(self, configs: Sequence[TileConfig]) -> np.ndarray:
@@ -316,39 +316,36 @@ class XGBTuner(Tuner):
             rows.append(row)
         return np.stack(rows) if rows else np.empty((0, 0))
 
-    def _score_batch(self, configs: Sequence[TileConfig]) -> np.ndarray:
-        if not self.model.is_fitted:
-            return self.rng.random(len(configs))
-        return self.model.predict(self._features(configs))
-
     def _next_batch(self, n: int) -> List[TileConfig]:
         # Measurements proceed in rounds of ``batch_size`` with a model
         # refit between rounds (the AutoTVM workflow).
         n = min(n, self.batch_size)
-        if not self.model.is_fitted and not self.history.records:
-            # Cold start: random batch (the un-pretrained XGB workflow).
+        if self._pseudo_X is None and not self.history.records:
+            # Cold start, no training data yet: a random batch (the
+            # un-pretrained XGB workflow).
             order = self.rng.permutation(len(self.space))
             return [self.space[i] for i in order[:n]]
         self._refit()
         seeds = [r.config for r in sorted(self.history.records, key=lambda r: r.latency_us)[:4]]
         seeds.extend(self._prior_seeds)
         return self.sampler.propose(
-            self._score_batch, max(n, 1), exclude=self._measured_keys(), seeds=seeds
+            lambda cs: self.model.predict(self._features(cs)),
+            max(n, 1), exclude=self._measured_keys(), seeds=seeds,
         )
 
 
 class ModelAssistedXGBTuner(XGBTuner):
-    """ALCOP's tuner (Table II col 4): XGB workflow pretrained on the
+    """ALCOP's tuner (Table II col 4): XGB workflow informed by the
     analytical model's predictions.
 
-    The prior knowledge enters in two places: (1) the boosted trees are
-    pretrained on (schedule, analytical prediction) pseudo-pairs, so later
-    refits keep the hardware prior while fitting measured data; (2) the
-    first batch of proposals is the pretrained model's argmax, which for a
-    faithfully pretrained model coincides with the analytical ranking — we
-    take it from the ranking directly rather than through the tree
-    approximation (trees cannot resolve the top-of-ranking fine structure
-    from pseudo-samples alone)."""
+    The prior knowledge enters in two places: (1) pseudo-pairs of (schedule,
+    analytical prediction) sit in every fit's training set at weight 0.25,
+    so each per-batch refit keeps the hardware prior while fitting measured
+    data (there is no separate pretraining fit); (2) the first batch is the
+    analytical ranking's top, which a faithfully fit model's argmax would
+    coincide with — we take it from the ranking directly rather than
+    through the tree approximation (trees cannot resolve the
+    top-of-ranking fine structure from pseudo-samples alone)."""
 
     name = "model-assisted-xgb"
 

@@ -366,11 +366,12 @@ def test_bench_smoke_runs_traced_perfbench(workflow):
 
 def test_bench_smoke_gates_tune_on_trials_only(workflow):
     """The traced tune must run no exhaustive sweep, compile no more configs
-    than its trials, and still fit the GBT (a refactor that unhooks the
-    cost-model wrapper reads as zero fits)."""
+    than its trials, and fit the GBT exactly once per model-guided batch (a
+    refactor that unhooks the cost-model wrapper reads as zero fits, one
+    that fits eagerly as one fit too many)."""
     cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
                if "perfbench/run.py" in c)
     tune = cmd.split('if w == "tune":')[1]
     assert 'm["sweep.calls"] == 0' in tune
     assert 'm["measure.configs_compiled"] <= m["tuner.trials"]' in tune
-    assert 'm["model-fit.calls"] > 0' in tune
+    assert 'm["model-fit.calls"] == m["tuner.trials"] // 16 - 1' in tune

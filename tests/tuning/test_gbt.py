@@ -94,6 +94,22 @@ class TestGradientBoosting:
         assert zero.is_fitted and not zero._trees
         np.testing.assert_array_equal(zero.predict(np.ones((3, 2))), 0.0)
 
+    def test_stops_at_first_step_within_tolerance(self):
+        """Boosting stops at the first tree whose every training-row step is
+        within 1e-8 of zero (``np.allclose(step, 0)``), not only at an exact
+        zero; heavy weights keep such tiny residuals splittable. A NaN step
+        is not close to zero, so a NaN target boosts on."""
+        X = np.repeat([[0.0], [1.0]], 4, axis=0)
+        y = np.where(X[:, 0] > 0, 0.1, -0.1)
+        w = np.full(8, 1e6)
+        m = GradientBoostedTrees(learning_rate=0.5, max_depth=1).fit(X, y, w)
+        assert len(m._trees) == 24
+        assert np.abs(m._trees[-1].predict(X)).max() > 1e-8
+        step = RegressionTree(max_depth=1).fit(X, y - m.predict(X), w).predict(X)
+        assert 0 < np.abs(step).max() <= 1e-8
+        nan = GradientBoostedTrees(n_estimators=3).fit(X, np.full(8, np.nan))
+        assert len(nan._trees) == 3
+
     def test_bad_inputs_rejected(self):
         X, y = np.zeros((3, 2)), np.zeros(3)
         for w in ([-1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0]):

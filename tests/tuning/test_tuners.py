@@ -17,6 +17,7 @@ from repro.tuning import (
     analytical_rank,
     enumerate_space,
 )
+from repro.tuning.gbt import GradientBoostedTrees
 
 SPEC = GemmSpec("mm", 1, 512, 768, 1024)
 SPACE = enumerate_space(SPEC, options=SpaceOptions(max_size=400))
@@ -143,3 +144,37 @@ class TestTunerQuality:
         h1 = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=7).tune(24)
         h2 = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=7).tune(24)
         assert [r.config.key() for r in h1.records] == [r.config.key() for r in h2.records]
+
+
+class TestFitCount:
+    """The cost model is fit once per model-guided batch, right before
+    simulated annealing reads it, and never in the constructor."""
+
+    PRIOR = GridSearchTuner(SPEC, SPACE, measurer=MEAS).tune(16)
+
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        rows = []
+        fit = GradientBoostedTrees.fit
+
+        def counting_fit(model, X, y, w=None):
+            rows.append(len(X))
+            return fit(model, X, y, w)
+
+        monkeypatch.setattr(GradientBoostedTrees, "fit", counting_fit)
+        return rows
+
+    @pytest.mark.parametrize("cls, warm, trials, n_fits", [
+        (ModelAssistedXGBTuner, False, 64, 3),  # batch 1: the analytical ranking
+        (XGBTuner, True, 16, 1),  # batch 1: SA over the warm-start fit
+        (ModelAssistedXGBTuner, True, 16, 0),
+        (XGBTuner, False, 32, 1),  # batch 1: random
+    ])
+    def test_one_fit_per_model_guided_batch(self, fits, cls, warm, trials, n_fits):
+        t = cls(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=self.PRIOR if warm else None)
+        t.tune(trials)
+        assert len(fits) == n_fits
+        # each fit trains on the pseudo pool plus every trial measured so far
+        pool = 0 if t._pseudo_X is None else len(t._pseudo_X)
+        unfit = trials - 16 * n_fits  # trials measured before the first fit
+        assert fits == [pool + unfit + 16 * i for i in range(n_fits)]

@@ -30,6 +30,7 @@ def _prior_history(n=40, seed=3):
 class TestWarmStart:
     def test_model_fitted_before_first_measurement(self):
         t = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=_prior_history())
+        t._next_batch(8)
         assert t.model.is_fitted
 
     def test_first_batch_is_model_guided_not_random(self):
@@ -51,10 +52,12 @@ class TestWarmStart:
         path = tmp_path / "log.json"
         save_history(prior, path)
         t = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=load_history(path))
+        t._next_batch(8)
         assert t.model.is_fitted
 
     def test_empty_history_is_noop(self):
         t = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=TuneHistory())
+        t._next_batch(8)
         assert not t.model.is_fitted
 
     def test_best_prior_config_becomes_seed(self):
@@ -74,9 +77,9 @@ class TestWarmStart:
         for cfg in SPACE[:5]:
             prior.append(cfg, FAILED)
         t = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=prior)
-        assert t.model.is_fitted
         assert np.isfinite(t._pseudo_y).all()
         h = t.tune(8)
+        assert t.model.is_fitted
         assert len(h) == 8
         assert math.isfinite(h.best_latency_at(8))
 
@@ -87,8 +90,8 @@ class TestWarmStart:
         for cfg in SPACE[:6]:
             prior.append(cfg, FAILED)
         t = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=prior)
-        assert t.model.is_fitted
         assert len(t.tune(8)) == 8
+        assert t.model.is_fitted
 
     def test_warm_start_round_trip_preserves_failures(self, tmp_path):
         import math
@@ -102,4 +105,5 @@ class TestWarmStart:
         loaded = load_history(path)
         assert math.isinf(loaded.records[-1].latency_us)
         t = XGBTuner(SPEC, SPACE, measurer=MEAS, seed=0, warm_start=loaded)
+        t._next_batch(8)
         assert t.model.is_fitted
