@@ -4,8 +4,8 @@ The ``repro serve`` daemon exists to amortize compile state across
 requests; this benchmark records the numbers that claim rests on, as JSON
 so the CI serve-smoke job can track their trajectory from PR to PR:
 
-* **cold latency** — first tune of a shape: full space sweep + kernel
-  build, through a real Unix-socket round trip;
+* **cold latency** — first tune of a shape: the bounded exhaustive search
+  of its space + kernel build, through a real Unix-socket round trip;
 * **warm latency (p50/p95)** — repeat compiles of the same shape, served
   from the artifact registry with zero compile stages;
 * **dedup factor** — N concurrent identical tune requests against a fresh

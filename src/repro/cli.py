@@ -289,8 +289,8 @@ def _cmd_tune(args) -> int:
                            "method": args.method, "trials": args.trials}))
     try:
         space = enumerate_space(spec, gpu, options=SpaceOptions(max_size=_space_cap(args)))
-        # The exhaustive oracle measures the whole space; only the
-        # best-in-k lines need it, so a plain tune pays for its trials only.
+        # The exhaustive oracle (a bounded search on the static path); only
+        # the best-in-k lines need it, so a plain tune pays for its trials only.
         best = measurer.best(spec, space)[1] if args.oracle else None
         tuner = methods[args.method](
             spec, space, measurer=measurer, gpu=gpu, seed=args.seed,

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import List, Optional, Tuple
+import math
+from typing import List, NamedTuple, Optional, Tuple
 
 from .config import A100, GpuSpec
 from .occupancy import CompileError, tb_per_sm
 from .spec import KernelTimingSpec
 
-__all__ = ["SimResult", "simulate_kernel", "simulate_wave"]
+__all__ = ["SimResult", "kernel_latency_bound", "simulate_kernel", "simulate_wave"]
 
 #: Fixed kernel launch overhead (us).
 _LAUNCH_OVERHEAD = 3.0
@@ -55,6 +56,14 @@ _TB_STAGGER = 0.01
 #: the SM's issue/shared-memory ports when copies are not cp.async; the
 #: remainder overlaps with math under warp scheduling.
 _STORE_THROUGH_FACTOR = 0.5
+#: Outer iterations a wave is simulated for before its latency is
+#: extrapolated: :func:`simulate_kernel`'s default ``max_outer_iters``, and
+#: the cap above which :func:`kernel_latency_bound` bounds nothing.
+_MAX_OUTER_ITERS = 64
+#: Factor on each of :func:`kernel_latency_bound`'s closed-form sums. The
+#: event loop adds the same terms one at a time, and the two roundings
+#: differ by about 2e-12 relative at most at this simulator's sizes.
+_BOUND_SLACK = 1.0 - 1e-9
 
 
 @dataclasses.dataclass
@@ -95,21 +104,35 @@ def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
     return min(1.0, unique / requested)
 
 
-def simulate_wave(
-    ts: KernelTimingSpec,
-    gpu: GpuSpec,
-    n_tb_on_sm: int,
-    active_sms: int,
-    collect_trace: bool = False,
-    outer_extent: Optional[int] = None,
-) -> Tuple[float, float, Optional[list]]:
-    """Simulate one wave on a representative SM.
+class _WaveConstants(NamedTuple):
+    """What one step of a wave costs: the per-wave constants that
+    :func:`simulate_wave` runs on and :func:`kernel_latency_bound` sums."""
 
-    Returns ``(wave_latency, dram_fraction, trace)``.
-    """
-    E_o = outer_extent if outer_extent is not None else ts.outer_extent
-    E_i = ts.inner_extent
-    S = ts.smem_stages
+    dram_frac: float
+    #: latency of a copy after its last byte is served (L2/DRAM blend)
+    mem_latency: float
+    #: ``(L2 service, DRAM service)`` of each nonzero operand chunk
+    chunk_service: List[Tuple[float, float]]
+    issue_cost: float
+    #: one fragment load into registers plus its latency
+    frag_fill: float
+    #: tensor-core service of one inner-loop chunk
+    inner_service: float
+    #: tensor-core service of one register-staged store (0 with cp.async)
+    store_through: float
+    #: DRAM service of one threadblock's output tile
+    epilogue_service: float
+    #: one fragment fill hoisted ahead of the outer loop (holistic pipeline)
+    hoisted_fill: bool
+    #: one fragment fill per outer iteration (recursive inner pipeline)
+    chunk_fill: bool
+
+
+def _wave_constants(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int,
+                    active_sms: int) -> _WaveConstants:
+    """The constants of a wave of ``n_tb_on_sm`` threadblocks on each of
+    ``active_sms`` SMs. Each is the same IEEE expression, on the same
+    operands, as the step that uses it, so computing it once changes no bit."""
     wave_tbs = n_tb_on_sm * active_sms
     dram_frac = _dram_fraction(ts, gpu, wave_tbs)
 
@@ -137,21 +160,54 @@ def simulate_wave(
         inner_service = max(t_load, t_math) + gpu.issue_overhead
     else:
         inner_service = t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead
-
-    trace: Optional[list] = [] if collect_trace else None
-    finish: List[float] = []
-    # Per-wave constants: each is the same IEEE expression, on the same
-    # operands, as the step that uses it, so computing it once changes no bit.
     chunk_service = [
         (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
         for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
         if nbytes > 0
     ]
-    issue_cost = 2 * gpu.issue_overhead
-    frag_fill = t_load + gpu.smem_latency
-    epilogue_service = ts.epilogue_bytes / dram_rate
-    hoisted_fill = ts.reg_stages >= 2 and S >= 2
-    chunk_fill = ts.reg_stages >= 2 and S == 1
+    return _WaveConstants(
+        dram_frac=dram_frac,
+        mem_latency=mem_latency,
+        chunk_service=chunk_service,
+        issue_cost=2 * gpu.issue_overhead,
+        frag_fill=t_load + gpu.smem_latency,
+        inner_service=inner_service,
+        store_through=t_store_through,
+        epilogue_service=ts.epilogue_bytes / dram_rate,
+        hoisted_fill=ts.reg_stages >= 2 and ts.smem_stages >= 2,
+        chunk_fill=ts.reg_stages >= 2 and ts.smem_stages == 1,
+    )
+
+
+def simulate_wave(
+    ts: KernelTimingSpec,
+    gpu: GpuSpec,
+    n_tb_on_sm: int,
+    active_sms: int,
+    collect_trace: bool = False,
+    outer_extent: Optional[int] = None,
+) -> Tuple[float, float, Optional[list]]:
+    """Simulate one wave on a representative SM.
+
+    Returns ``(wave_latency, dram_fraction, trace)``.
+    """
+    E_o = outer_extent if outer_extent is not None else ts.outer_extent
+    E_i = ts.inner_extent
+    S = ts.smem_stages
+    c = _wave_constants(ts, gpu, n_tb_on_sm, active_sms)
+    dram_frac = c.dram_frac
+    mem_latency = c.mem_latency
+    chunk_service = c.chunk_service
+    issue_cost = c.issue_cost
+    frag_fill = c.frag_fill
+    inner_service = c.inner_service
+    t_store_through = c.store_through
+    epilogue_service = c.epilogue_service
+    hoisted_fill = c.hoisted_fill
+    chunk_fill = c.chunk_fill
+
+    trace: Optional[list] = [] if collect_trace else None
+    finish: List[float] = []
     sync_overhead = gpu.sync_overhead
     dram_write_latency = gpu.dram_write_latency
     # The time each FIFO server (L2, DRAM, tensor cores) next falls free.
@@ -296,22 +352,12 @@ def _wave_latency_extrapolated(
     return t_long + rate * (ts.outer_extent - e_long), frac, trace
 
 
-def simulate_kernel(
-    ts: KernelTimingSpec,
-    gpu: GpuSpec = A100,
-    collect_trace: bool = False,
-    max_outer_iters: Optional[int] = 64,
-) -> SimResult:
-    """Simulate a full kernel launch; raises :class:`CompileError` when the
-    kernel cannot be built or launched on ``gpu``.
-
-    Carries the ``simulate`` fault-injection site (:mod:`repro.faults`):
-    chaos plans can crash the simulator (:class:`SimulationError`) or
-    corrupt the reported latency here.
-    """
-    from .. import faults
-
-    faults.inject("simulate")
+def _launch(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[int, int, Optional[Tuple[int, int]]]:
+    """``(threadblocks per SM, full waves, tail)`` of launching ``ts`` on
+    ``gpu``, where ``tail`` is the tail wave's ``(threadblocks per SM,
+    active SMs)`` or None. Raises ``ValueError`` for an invalid spec and
+    :class:`CompileError` when the kernel cannot be built or launched on
+    ``gpu``."""
     ts.validate()
     if ts.async_smem_copy and not gpu.has_async_copy:
         raise CompileError(
@@ -323,6 +369,86 @@ def simulate_kernel(
     tbs_per_wave = occ * gpu.num_sms
     full_waves = ts.grid // tbs_per_wave
     remainder = ts.grid - full_waves * tbs_per_wave
+    tail = None
+    if remainder:
+        tail_occ = min(occ, -(-remainder // gpu.num_sms))
+        tail = (tail_occ, min(gpu.num_sms, -(-remainder // tail_occ)))
+    return occ, full_waves, tail
+
+
+def _wave_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int, active_sms: int) -> float:
+    """A lower bound on :func:`simulate_wave`'s latency for this wave: the
+    largest of three sums the event loop provably reaches
+    (docs/simulator.md proves each)."""
+    c = _wave_constants(ts, gpu, n_tb_on_sm, active_sms)
+    E_o = ts.outer_extent
+    E_i = ts.inner_extent
+    S = ts.smem_stages
+    sync = gpu.sync_overhead
+    write = gpu.dram_write_latency
+    chunk_dram = sum(dram for _, dram in c.chunk_service)
+    step = c.issue_cost
+    if S == 1 and c.chunk_service:
+        # Each iteration waits for the copy it has just issued.
+        copy = max(sum(l2 for l2, _ in c.chunk_service), chunk_dram) + c.mem_latency
+        step = max(c.issue_cost, copy)
+    # The last threadblock's own dependency chain.
+    chain = (
+        (n_tb_on_sm - 1) * _TB_STAGGER
+        + (S - 1) * c.issue_cost
+        + (c.frag_fill if c.hoisted_fill else 0.0)
+        + E_o * (step + c.store_through + (c.frag_fill if c.chunk_fill else 0.0)
+                 + E_i * c.inner_service + sync)
+        + c.epilogue_service
+        + write
+    )
+    # The tensor-core server's total service, then the last user's tail.
+    tensor_cores = (n_tb_on_sm * E_o * (E_i * c.inner_service + c.store_through)
+                    + sync + c.epilogue_service + write)
+    # The DRAM server's total service; the wave's last request is an epilogue.
+    dram = n_tb_on_sm * ((S - 1 + E_o) * chunk_dram + c.epilogue_service) + write
+    return max(chain, tensor_cores, dram) * _BOUND_SLACK
+
+
+def kernel_latency_bound(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> float:
+    """A lower bound on ``simulate_kernel(ts, gpu).latency_us``, in
+    microseconds, from closed-form sums over each wave's constants and no
+    event simulation.
+
+    ``-inf`` for a kernel whose waves would be extrapolated (``outer_extent
+    > 64``, :func:`simulate_kernel`'s default ``max_outer_iters``): an
+    extrapolated latency is not a time the event loop reaches, so nothing
+    bounds it. Raises :class:`CompileError` or ``ValueError`` where
+    :func:`simulate_kernel` would, for a kernel that cannot be built or
+    launched.
+    """
+    occ, full_waves, tail = _launch(ts, gpu)
+    if ts.outer_extent > _MAX_OUTER_ITERS:
+        return -math.inf
+    wave_bound = _wave_bound(ts, gpu, occ, gpu.num_sms) if full_waves else 0.0
+    tail_bound = _wave_bound(ts, gpu, *tail) if tail is not None else 0.0
+    # The same expression as simulate_kernel's latency: IEEE addition and
+    # multiplication are monotone, so smaller terms give a smaller sum.
+    return _LAUNCH_OVERHEAD + full_waves * wave_bound + tail_bound
+
+
+def simulate_kernel(
+    ts: KernelTimingSpec,
+    gpu: GpuSpec = A100,
+    collect_trace: bool = False,
+    max_outer_iters: Optional[int] = _MAX_OUTER_ITERS,
+) -> SimResult:
+    """Simulate a full kernel launch; raises :class:`CompileError` when the
+    kernel cannot be built or launched on ``gpu``.
+
+    Carries the ``simulate`` fault-injection site (:mod:`repro.faults`):
+    chaos plans can crash the simulator (:class:`SimulationError`) or
+    corrupt the reported latency here.
+    """
+    from .. import faults
+
+    faults.inject("simulate")
+    occ, full_waves, tail = _launch(ts, gpu)
 
     wave_lat = 0.0
     dram_frac = 1.0
@@ -333,9 +459,8 @@ def simulate_kernel(
         )
 
     tail_lat = 0.0
-    if remainder:
-        tail_occ = min(occ, -(-remainder // gpu.num_sms))
-        tail_active = min(gpu.num_sms, -(-remainder // tail_occ))
+    if tail is not None:
+        tail_occ, tail_active = tail
         tail_lat, tail_frac, tail_trace = _wave_latency_extrapolated(
             ts, gpu, tail_occ, tail_active, collect_trace and trace is None, max_outer_iters
         )
@@ -348,7 +473,7 @@ def simulate_kernel(
     return SimResult(
         latency_us=latency,
         tb_per_sm=occ,
-        waves=full_waves + (1 if remainder else 0),
+        waves=full_waves + (0 if tail is None else 1),
         wave_latency_us=wave_lat,
         tail_latency_us=tail_lat,
         dram_fraction=dram_frac,

@@ -28,6 +28,7 @@ exercises every one of those recovery paths.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import threading
@@ -48,7 +49,7 @@ from ..core.incremental import IncrementalEngine, fresh_timing_spec
 from ..core.incremental import sort_key as _incremental_sort_key
 from ..obs import metrics as _metrics
 from ..gpusim.config import A100, GpuSpec
-from ..gpusim.engine import simulate_kernel
+from ..gpusim.engine import kernel_latency_bound, simulate_kernel
 from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec, Tensor, gemm_graph
@@ -61,6 +62,10 @@ __all__ = ["Measurer", "MeasureTelemetry", "MeasureFailure", "FAILED"]
 
 #: Latency recorded for configurations that fail to compile/launch.
 FAILED = math.inf
+
+#: Configs a bounded :meth:`Measurer.best` measures per batch after its
+#: first, which also takes every config that has no bound.
+_BOUND_BATCH = 16
 
 #: One uncached trial of a batch: its in-memory identity, its config, and
 #: its disk-cache content address (None without a disk cache), computed
@@ -602,15 +607,60 @@ class Measurer:
 
     def best(self, spec: GemmSpec, space: Sequence[TileConfig],
              deadline: Optional[float] = None) -> Tuple[TileConfig, float]:
-        """Exhaustive-search optimum over ``space``."""
+        """Exhaustive-search optimum over ``space``: the lowest-index
+        config of minimal latency.
+
+        Via IR every config is measured, because that path promises to
+        time the compiler's output. On the static path the search is exact
+        branch-and-bound: configs are measured in ascending order of
+        :func:`~repro.gpusim.engine.kernel_latency_bound`, in batches of
+        16 (the first also takes every config that has no bound), until the
+        next bound exceeds the best latency measured so far. No config left
+        can beat or tie that latency, so the answer is the exhaustive one,
+        bit for bit; only the configs measured reach the caches.
+        """
         space = list(space)
         if not space:
             raise CompileError(
                 f"cannot search an empty design space for {spec.name}: every "
                 "candidate was removed by the variant/space restrictions"
             )
-        latencies = self.sweep(spec, space, deadline=deadline)
-        idx = min(range(len(space)), key=lambda i: latencies[i])
-        if latencies[idx] == FAILED:
+        if self.via_ir:
+            latencies = self.sweep(spec, space, deadline=deadline)
+            idx = min(range(len(space)), key=lambda i: latencies[i])
+            latency = latencies[idx]
+        else:
+            idx, latency = self._bounded_best(spec, space, deadline)
+        if latency == FAILED:
             raise CompileError(f"no configuration in the space compiles for {spec.name}")
-        return space[idx], latencies[idx]
+        return space[idx], latency
+
+    def _latency_bound(self, spec: GemmSpec, cfg: TileConfig) -> float:
+        """A lower bound on the static path's latency for ``cfg``:
+        :data:`FAILED` where that path records :data:`FAILED`."""
+        try:
+            return kernel_latency_bound(timing_spec_from_config(spec, cfg), self.gpu)
+        except (CompileError, ValueError):
+            return FAILED
+
+    def _bounded_best(self, spec: GemmSpec, space: List[TileConfig],
+                      deadline: Optional[float]) -> Tuple[int, float]:
+        """``(index, latency)`` of the exhaustive argmin of ``space``,
+        measuring only configs whose bound is at most the best so far."""
+        bounds = [self._latency_bound(spec, cfg) for cfg in space]
+        ranked = sorted(range(len(space)), key=bounds.__getitem__)
+        ranked_bounds = [bounds[i] for i in ranked]
+        best_idx, best = len(space), FAILED
+        # Configs without a bound (extrapolated, -inf) are always measured,
+        # so the first batch takes all of them: on a fleet, one start.
+        start, size = 0, max(_BOUND_BATCH, bisect.bisect_right(ranked_bounds, -math.inf))
+        while True:
+            stop = min(start + size, bisect.bisect_right(ranked_bounds, best))
+            if stop <= start:
+                return best_idx, best
+            batch = ranked[start:stop]
+            latencies = self.measure_many(spec, [space[i] for i in batch], deadline=deadline)
+            for i, latency in zip(batch, latencies):
+                if latency < best or (latency == best and i < best_idx):
+                    best_idx, best = i, latency
+            start, size = stop, _BOUND_BATCH

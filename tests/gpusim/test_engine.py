@@ -3,10 +3,13 @@ qualitative phenomena the paper builds on."""
 
 import dataclasses
 import hashlib
+import math
+import random
 
 import pytest
 
 from repro.gpusim import A100, A100_NO_ASYNC, H100, V100, CompileError, simulate_kernel
+from repro.gpusim.engine import kernel_latency_bound
 from repro.gpusim.trace import format_timeline, stall_time
 from repro.perfmodel import timing_spec_from_config
 from repro.schedule import TileConfig
@@ -244,3 +247,64 @@ def test_suite_capped_spaces_match_pinned_digest():
              for cfg in enumerate_space(spec, A100, options)[::5]]
     assert len(cases) == 1380
     assert _sim_digest(A100, cases) == _SUITE_PINNED
+
+
+def _check_latency_bound(gpu, spec, configs):
+    """Assert ``kernel_latency_bound`` <= the simulated latency of every
+    launchable static kernel among ``configs``; returns how many had a
+    finite bound. Extrapolated kernels must get ``-inf``; a kernel that
+    cannot launch must raise from both."""
+    checked = 0
+    for cfg in configs:
+        ts = timing_spec_from_config(spec, cfg)
+        try:
+            bound = kernel_latency_bound(ts, gpu)
+        except CompileError:
+            with pytest.raises(CompileError):
+                simulate_kernel(ts, gpu)
+            continue
+        if ts.outer_extent > 64:
+            assert bound == -math.inf, (spec, cfg)
+            continue
+        latency = simulate_kernel(ts, gpu).latency_us
+        assert 0.0 < bound <= latency, (gpu.name, spec, cfg, bound, latency)
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("gpu", [A100, V100, H100], ids=lambda g: g.name)
+def test_latency_bound_holds_on_suite_capped_spaces(gpu):
+    """Every launchable kernel of the 12 suite spaces capped at 600, the
+    spaces a serve solve searches."""
+    options = SpaceOptions(max_size=600)
+    checked = sum(_check_latency_bound(gpu, spec, enumerate_space(spec, gpu, options))
+                  for spec in suite_specs())
+    assert checked == {"A100": 5812, "V100": 2300, "H100": 5812}[gpu.name[:4]]
+
+
+@pytest.mark.parametrize("gpu", [A100, V100, H100], ids=lambda g: g.name)
+@pytest.mark.parametrize("shape,checked", [
+    ((1, 64, 64, 64), (2236, 1186, 2236)),
+    ((1, 128, 128, 16), (1056, 1056, 1056)),  # K of one tile: every stage count degrades to 1
+    ((12, 128, 64, 256), (3128, 782, 3128)),  # batch > 1
+    ((1, 96, 160, 48), (144, 36, 144)),
+], ids=["64^3", "K16", "batch12", "96x160x48"])
+def test_latency_bound_holds_on_full_spaces(gpu, shape, checked):
+    """``checked`` is the number of launchable kernels on A100, V100, H100."""
+    spec = GemmSpec("bound", *shape)
+    want = checked[("A100", "V100", "H100").index(gpu.name[:4])]
+    assert _check_latency_bound(gpu, spec, enumerate_space(spec, gpu)) == want
+
+
+@pytest.mark.parametrize("gpu", [A100, V100, H100], ids=lambda g: g.name)
+def test_latency_bound_holds_on_random_shapes(gpu):
+    """Up to 60 configs of each of 12 seeded random shapes (batch, tail
+    waves, long reductions)."""
+    rng = random.Random(22)
+    checked = 0
+    for i in range(12):
+        spec = GemmSpec(f"rand{i}", rng.choice((1, 1, 2, 8)), 16 * rng.randint(1, 96),
+                        16 * rng.randint(1, 96), 16 * rng.randint(1, 160))
+        space = enumerate_space(spec, gpu)
+        checked += _check_latency_bound(gpu, spec, rng.sample(space, min(60, len(space))))
+    assert checked == {"A100": 314, "V100": 83, "H100": 314}[gpu.name[:4]]

@@ -118,6 +118,13 @@ class TestServeSmokeJob:
         cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
         assert 'assert s["counters"]["sweeps_run"] == 1' in cmds
 
+    def test_asserts_the_sweep_is_bounded(self, workflow):
+        """The one sweep is a bounded search: a regression to an
+        exhaustive sweep of the 60-config space fails on a count."""
+        cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
+        assert 'assert 0 < s["measurer"]["n_compiled"] < 60' in cmds
+        assert "--space 60" in cmds
+
     def test_asserts_warm_round_from_registry_with_zero_compiles(self, workflow):
         cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
         assert 'warm["served_from"] == "registry"' in cmds
