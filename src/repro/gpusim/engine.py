@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 from typing import List, NamedTuple, Optional, Tuple
 
 from .config import A100, GpuSpec
 from .occupancy import CompileError, tb_per_sm
 from .spec import KernelTimingSpec
 
-__all__ = ["SimResult", "kernel_latency_bound", "simulate_kernel", "simulate_wave"]
+__all__ = ["SimResult", "bound_short_runs", "kernel_latency_bound", "simulate_kernel",
+           "simulate_wave"]
 
 #: Fixed kernel launch overhead (us).
 _LAUNCH_OVERHEAD = 3.0
@@ -58,7 +58,7 @@ _TB_STAGGER = 0.01
 _STORE_THROUGH_FACTOR = 0.5
 #: Outer iterations a wave is simulated for before its latency is
 #: extrapolated: :func:`simulate_kernel`'s default ``max_outer_iters``, and
-#: the cap above which :func:`kernel_latency_bound` bounds nothing.
+#: the cap above which :func:`kernel_latency_bound` extrapolates its bound.
 _MAX_OUTER_ITERS = 64
 #: Factor on each of :func:`kernel_latency_bound`'s closed-form sums. The
 #: event loop adds the same terms one at a time, and the two roundings
@@ -325,6 +325,29 @@ def simulate_wave(
     return max(finish), dram_frac, trace
 
 
+def _short_extent(ts: KernelTimingSpec, max_outer_iters: int) -> int:
+    """Length of the shorter of the two truncated runs a wave longer than
+    ``max_outer_iters`` is extrapolated from (the longer runs
+    ``max_outer_iters``)."""
+    if max_outer_iters <= ts.smem_stages + 1:
+        # The shorter truncated run has at least smem_stages + 1 iterations.
+        raise ValueError(
+            f"max_outer_iters={max_outer_iters} is too small to extrapolate a "
+            f"{ts.outer_extent}-iteration loop; it must exceed "
+            f"smem_stages + 1 = {ts.smem_stages + 1}"
+        )
+    return max(ts.smem_stages + 1, max_outer_iters // 2)
+
+
+def _extrapolate(t_long: float, t_short: float, e_long: int, e_short: int,
+                 outer_extent: int) -> float:
+    """A wave's latency over ``outer_extent`` iterations from its runs of
+    ``e_long`` and ``e_short``. Nondecreasing in ``t_long`` under IEEE
+    rounding, so a lower bound on ``t_long`` gives one on the result."""
+    rate = (t_long - t_short) / (e_long - e_short)
+    return t_long + rate * (outer_extent - e_long)
+
+
 def _wave_latency_extrapolated(
     ts: KernelTimingSpec,
     gpu: GpuSpec,
@@ -337,19 +360,11 @@ def _wave_latency_extrapolated(
     steady-state rate measured over two truncated runs."""
     if max_outer_iters is None or ts.outer_extent <= max_outer_iters:
         return simulate_wave(ts, gpu, n_tb, active, collect_trace)
-    if max_outer_iters <= ts.smem_stages + 1:
-        # The shorter truncated run has at least smem_stages + 1 iterations.
-        raise ValueError(
-            f"max_outer_iters={max_outer_iters} is too small to extrapolate a "
-            f"{ts.outer_extent}-iteration loop; it must exceed "
-            f"smem_stages + 1 = {ts.smem_stages + 1}"
-        )
-    e_long = max_outer_iters
-    e_short = max(ts.smem_stages + 1, max_outer_iters // 2)
-    t_long, frac, trace = simulate_wave(ts, gpu, n_tb, active, collect_trace, outer_extent=e_long)
+    e_short = _short_extent(ts, max_outer_iters)
+    t_long, frac, trace = simulate_wave(ts, gpu, n_tb, active, collect_trace,
+                                        outer_extent=max_outer_iters)
     t_short, _, _ = simulate_wave(ts, gpu, n_tb, active, False, outer_extent=e_short)
-    rate = (t_long - t_short) / (e_long - e_short)
-    return t_long + rate * (ts.outer_extent - e_long), frac, trace
+    return _extrapolate(t_long, t_short, max_outer_iters, e_short, ts.outer_extent), frac, trace
 
 
 def _launch(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[int, int, Optional[Tuple[int, int]]]:
@@ -376,12 +391,12 @@ def _launch(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[int, int, Optional[Tupl
     return occ, full_waves, tail
 
 
-def _wave_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int, active_sms: int) -> float:
-    """A lower bound on :func:`simulate_wave`'s latency for this wave: the
-    largest of three sums the event loop provably reaches
-    (docs/simulator.md proves each)."""
+def _wave_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int, active_sms: int,
+                E_o: int) -> float:
+    """A lower bound on ``simulate_wave(..., outer_extent=E_o)``'s latency
+    for this wave: the largest of three sums the event loop provably
+    reaches (docs/simulator.md proves each)."""
     c = _wave_constants(ts, gpu, n_tb_on_sm, active_sms)
-    E_o = ts.outer_extent
     E_i = ts.inner_extent
     S = ts.smem_stages
     sync = gpu.sync_overhead
@@ -410,26 +425,47 @@ def _wave_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int, active_sms:
     return max(chain, tensor_cores, dram) * _BOUND_SLACK
 
 
+def _wave_latency_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb: int, active: int) -> float:
+    """A lower bound on :func:`_wave_latency_extrapolated`'s latency at
+    ``max_outer_iters=_MAX_OUTER_ITERS``. An extrapolated wave runs the
+    same short simulation, bounds the long run with :func:`_wave_bound`
+    and extrapolates from the two with :func:`_extrapolate`
+    (docs/simulator.md)."""
+    if ts.outer_extent <= _MAX_OUTER_ITERS:
+        return _wave_bound(ts, gpu, n_tb, active, ts.outer_extent)
+    e_short = _short_extent(ts, _MAX_OUTER_ITERS)
+    t_short, _, _ = simulate_wave(ts, gpu, n_tb, active, False, outer_extent=e_short)
+    b_long = _wave_bound(ts, gpu, n_tb, active, _MAX_OUTER_ITERS)
+    return _extrapolate(b_long, t_short, _MAX_OUTER_ITERS, e_short, ts.outer_extent)
+
+
 def kernel_latency_bound(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> float:
     """A lower bound on ``simulate_kernel(ts, gpu).latency_us``, in
-    microseconds, from closed-form sums over each wave's constants and no
-    event simulation.
+    microseconds, from closed-form sums over each wave's constants.
 
-    ``-inf`` for a kernel whose waves would be extrapolated (``outer_extent
-    > 64``, :func:`simulate_kernel`'s default ``max_outer_iters``): an
-    extrapolated latency is not a time the event loop reaches, so nothing
-    bounds it. Raises :class:`CompileError` or ``ValueError`` where
-    :func:`simulate_kernel` would, for a kernel that cannot be built or
-    launched.
+    A wave whose loop is extrapolated (``outer_extent > 64``,
+    :func:`simulate_kernel`'s default ``max_outer_iters``) also runs the
+    shorter of its two truncated simulations, exactly as
+    :func:`simulate_kernel` does; that bound may be negative. Raises
+    :class:`CompileError` or ``ValueError`` where :func:`simulate_kernel`
+    would, for a kernel that cannot be built or launched.
     """
     occ, full_waves, tail = _launch(ts, gpu)
-    if ts.outer_extent > _MAX_OUTER_ITERS:
-        return -math.inf
-    wave_bound = _wave_bound(ts, gpu, occ, gpu.num_sms) if full_waves else 0.0
-    tail_bound = _wave_bound(ts, gpu, *tail) if tail is not None else 0.0
+    wave_bound = _wave_latency_bound(ts, gpu, occ, gpu.num_sms) if full_waves else 0.0
+    tail_bound = _wave_latency_bound(ts, gpu, *tail) if tail is not None else 0.0
     # The same expression as simulate_kernel's latency: IEEE addition and
     # multiplication are monotone, so smaller terms give a smaller sum.
     return _LAUNCH_OVERHEAD + full_waves * wave_bound + tail_bound
+
+
+def bound_short_runs(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> int:
+    """How many short wave simulations ``kernel_latency_bound(ts, gpu)``
+    runs: one per wave shape (full, tail) of an extrapolated kernel, else
+    0. Raises where :func:`kernel_latency_bound` does when it is nonzero."""
+    if ts.outer_extent <= _MAX_OUTER_ITERS:
+        return 0
+    _, full_waves, tail = _launch(ts, gpu)
+    return (1 if full_waves else 0) + (0 if tail is None else 1)
 
 
 def simulate_kernel(

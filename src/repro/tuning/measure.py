@@ -49,7 +49,7 @@ from ..core.incremental import IncrementalEngine, fresh_timing_spec
 from ..core.incremental import sort_key as _incremental_sort_key
 from ..obs import metrics as _metrics
 from ..gpusim.config import A100, GpuSpec
-from ..gpusim.engine import kernel_latency_bound, simulate_kernel
+from ..gpusim.engine import bound_short_runs, kernel_latency_bound, simulate_kernel
 from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec, Tensor, gemm_graph
@@ -63,8 +63,7 @@ __all__ = ["Measurer", "MeasureTelemetry", "MeasureFailure", "FAILED"]
 #: Latency recorded for configurations that fail to compile/launch.
 FAILED = math.inf
 
-#: Configs a bounded :meth:`Measurer.best` measures per batch after its
-#: first, which also takes every config that has no bound.
+#: Configs a bounded :meth:`Measurer.best` measures per batch.
 _BOUND_BATCH = 16
 
 #: One uncached trial of a batch: its in-memory identity, its config, and
@@ -122,6 +121,11 @@ class MeasureTelemetry:
     endpoint_trials: int = 0
     #: summed telemetry of every batch that ran on the fleet (None: none did)
     fleet: Optional["FleetTelemetry"] = None
+    #: latency bounds a bounded :meth:`Measurer.best` derived (neither
+    #: cached nor memoized)
+    bounds_derived: int = 0
+    #: short wave simulations those bounds ran (extrapolated kernels)
+    bound_short_runs: int = 0
 
     @property
     def n_measured(self) -> int:
@@ -159,6 +163,11 @@ class MeasureTelemetry:
             )
             if self.lower_cache_bypasses:
                 out += f", {self.lower_cache_bypasses} bypassed"
+        if self.bounds_derived:
+            out += (
+                f"\n  latency bounds   {self.bounds_derived} derived, "
+                f"{self.bound_short_runs} short run(s) simulated"
+            )
         return out
 
 
@@ -275,6 +284,9 @@ class Measurer:
         #: (fleet driver threads commit concurrently).
         self._lock = threading.Lock()
         self._cache: Dict[Tuple, float] = {}
+        #: latency bounds that ran a simulation, by in-memory key, so a
+        #: later bounded search (another variant's subspace) reuses them
+        self._simulated_bounds: Dict[Tuple, float] = {}
         #: canonical tensor-expression graph per problem: building the
         #: placeholders + contraction is config-independent, so one graph
         #: serves every trial of a spec (auto_schedule never mutates it —
@@ -300,6 +312,8 @@ class Measurer:
         self.n_timeouts = 0
         self.n_retries = 0
         self.n_endpoint_trials = 0
+        self.n_bounds_derived = 0
+        self.n_bound_short_runs = 0
         #: summed :class:`~repro.tuning.fleet.FleetTelemetry` of every
         #: batch that ran on the fleet; None until one does.
         self.fleet_telemetry: Optional["FleetTelemetry"] = None
@@ -336,6 +350,8 @@ class Measurer:
             incremental=self.engine is not None,
             endpoint_trials=self.n_endpoint_trials,
             fleet=self.fleet_telemetry,
+            bounds_derived=self.n_bounds_derived,
+            bound_short_runs=self.n_bound_short_runs,
         )
 
     def _key(self, spec: GemmSpec, cfg: TileConfig) -> Tuple:
@@ -516,14 +532,14 @@ class Measurer:
 
     @staticmethod
     def _deadline_check(deadline: Optional[float], spec: GemmSpec, done: int,
-                        total: int) -> None:
+                        total: int, what: str = "uncached trials") -> None:
         """Raise :class:`DeadlineExceededError` when ``deadline`` (absolute
         ``time.monotonic``) has passed. Results already committed stay in
         the caches, so a retry of the same request resumes warm."""
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceededError(
                 f"sweep of {spec.name} ran out of its deadline after "
-                f"{done}/{total} uncached trials; committed results are kept"
+                f"{done}/{total} {what}; committed results are kept"
             )
 
     # ------------------------------------------------------------------ api
@@ -613,11 +629,12 @@ class Measurer:
         Via IR every config is measured, because that path promises to
         time the compiler's output. On the static path the search is exact
         branch-and-bound: configs are measured in ascending order of
-        :func:`~repro.gpusim.engine.kernel_latency_bound`, in batches of
-        16 (the first also takes every config that has no bound), until the
-        next bound exceeds the best latency measured so far. No config left
-        can beat or tie that latency, so the answer is the exhaustive one,
-        bit for bit; only the configs measured reach the caches.
+        :func:`~repro.gpusim.engine.kernel_latency_bound` (a config already
+        in the memory cache ranks by its latency), in batches of 16, until
+        the next bound exceeds the best latency measured so far. No config
+        left can beat or tie that latency, so the answer is the exhaustive
+        one, bit for bit; only the configs measured reach the caches.
+        ``deadline`` is also checked before each bound that simulates.
         """
         space = list(space)
         if not space:
@@ -635,27 +652,55 @@ class Measurer:
             raise CompileError(f"no configuration in the space compiles for {spec.name}")
         return space[idx], latency
 
-    def _latency_bound(self, spec: GemmSpec, cfg: TileConfig) -> float:
-        """A lower bound on the static path's latency for ``cfg``:
-        :data:`FAILED` where that path records :data:`FAILED`."""
+    def _latency_bounds(self, spec: GemmSpec, space: List[TileConfig],
+                        deadline: Optional[float]) -> List[float]:
+        """A lower bound on each config's static-path latency: its latency
+        when the memory cache holds it, :data:`FAILED` where that path
+        records :data:`FAILED`. A bound that simulates short runs (an
+        extrapolated kernel's) checks ``deadline`` first and is memoized."""
+        keys = [self._key(spec, cfg) for cfg in space]
+        with self._lock:
+            bounds = [self._cache.get(key) for key in keys]
+        derived = short_runs = 0
         try:
-            return kernel_latency_bound(timing_spec_from_config(spec, cfg), self.gpu)
-        except (CompileError, ValueError):
-            return FAILED
+            for i, cfg in enumerate(space):
+                if bounds[i] is not None:
+                    continue
+                try:
+                    ts = timing_spec_from_config(spec, cfg)
+                    runs = bound_short_runs(ts, self.gpu)
+                    if runs:
+                        with self._lock:
+                            bounds[i] = self._simulated_bounds.get(keys[i])
+                        if bounds[i] is not None:
+                            continue
+                        self._deadline_check(deadline, spec, i, len(space), "latency bounds")
+                    bound = kernel_latency_bound(ts, self.gpu)
+                except (CompileError, ValueError):
+                    bound, runs = FAILED, 0
+                derived += 1
+                if runs:
+                    short_runs += runs
+                    with self._lock:
+                        self._simulated_bounds[keys[i]] = bound
+                bounds[i] = bound
+        finally:
+            with self._lock:
+                self.n_bounds_derived += derived
+                self.n_bound_short_runs += short_runs
+        return bounds
 
     def _bounded_best(self, spec: GemmSpec, space: List[TileConfig],
                       deadline: Optional[float]) -> Tuple[int, float]:
         """``(index, latency)`` of the exhaustive argmin of ``space``,
         measuring only configs whose bound is at most the best so far."""
-        bounds = [self._latency_bound(spec, cfg) for cfg in space]
+        bounds = self._latency_bounds(spec, space, deadline)
         ranked = sorted(range(len(space)), key=bounds.__getitem__)
         ranked_bounds = [bounds[i] for i in ranked]
         best_idx, best = len(space), FAILED
-        # Configs without a bound (extrapolated, -inf) are always measured,
-        # so the first batch takes all of them: on a fleet, one start.
-        start, size = 0, max(_BOUND_BATCH, bisect.bisect_right(ranked_bounds, -math.inf))
+        start = 0
         while True:
-            stop = min(start + size, bisect.bisect_right(ranked_bounds, best))
+            stop = min(start + _BOUND_BATCH, bisect.bisect_right(ranked_bounds, best))
             if stop <= start:
                 return best_idx, best
             batch = ranked[start:stop]
@@ -663,4 +708,4 @@ class Measurer:
             for i, latency in zip(batch, latencies):
                 if latency < best or (latency == best and i < best_idx):
                     best_idx, best = i, latency
-            start, size = stop, _BOUND_BATCH
+            start = stop

@@ -3,7 +3,6 @@ qualitative phenomena the paper builds on."""
 
 import dataclasses
 import hashlib
-import math
 import random
 
 import pytest
@@ -251,9 +250,9 @@ def test_suite_capped_spaces_match_pinned_digest():
 
 def _check_latency_bound(gpu, spec, configs):
     """Assert ``kernel_latency_bound`` <= the simulated latency of every
-    launchable static kernel among ``configs``; returns how many had a
-    finite bound. Extrapolated kernels must get ``-inf``; a kernel that
-    cannot launch must raise from both."""
+    launchable static kernel among ``configs``; returns how many it
+    checked. An extrapolated kernel's bound (``outer_extent > 64``) may be
+    negative; a kernel that cannot launch must raise from both."""
     checked = 0
     for cfg in configs:
         ts = timing_spec_from_config(spec, cfg)
@@ -263,11 +262,9 @@ def _check_latency_bound(gpu, spec, configs):
             with pytest.raises(CompileError):
                 simulate_kernel(ts, gpu)
             continue
-        if ts.outer_extent > 64:
-            assert bound == -math.inf, (spec, cfg)
-            continue
         latency = simulate_kernel(ts, gpu).latency_us
-        assert 0.0 < bound <= latency, (gpu.name, spec, cfg, bound, latency)
+        assert bound <= latency, (gpu.name, spec, cfg, bound, latency)
+        assert ts.outer_extent > 64 or 0.0 < bound, (gpu.name, spec, cfg, bound)
         checked += 1
     return checked
 
@@ -279,7 +276,7 @@ def test_latency_bound_holds_on_suite_capped_spaces(gpu):
     options = SpaceOptions(max_size=600)
     checked = sum(_check_latency_bound(gpu, spec, enumerate_space(spec, gpu, options))
                   for spec in suite_specs())
-    assert checked == {"A100": 5812, "V100": 2300, "H100": 5812}[gpu.name[:4]]
+    assert checked == {"A100": 6840, "V100": 2952, "H100": 6840}[gpu.name[:4]]
 
 
 @pytest.mark.parametrize("gpu", [A100, V100, H100], ids=lambda g: g.name)
@@ -288,7 +285,9 @@ def test_latency_bound_holds_on_suite_capped_spaces(gpu):
     ((1, 128, 128, 16), (1056, 1056, 1056)),  # K of one tile: every stage count degrades to 1
     ((12, 128, 64, 256), (3128, 782, 3128)),  # batch > 1
     ((1, 96, 160, 48), (144, 36, 144)),
-], ids=["64^3", "K16", "batch12", "96x160x48"])
+    ((1, 256, 256, 4096), (5334, 1336, 5344)),  # long reduction: most waves extrapolated
+    ((4, 128, 512, 16384), (4771, 1194, 4776)),  # every wave extrapolated
+], ids=["64^3", "K16", "batch12", "96x160x48", "K4096", "K16384"])
 def test_latency_bound_holds_on_full_spaces(gpu, shape, checked):
     """``checked`` is the number of launchable kernels on A100, V100, H100."""
     spec = GemmSpec("bound", *shape)
@@ -307,4 +306,4 @@ def test_latency_bound_holds_on_random_shapes(gpu):
                         16 * rng.randint(1, 96), 16 * rng.randint(1, 160))
         space = enumerate_space(spec, gpu)
         checked += _check_latency_bound(gpu, spec, rng.sample(space, min(60, len(space))))
-    assert checked == {"A100": 314, "V100": 83, "H100": 314}[gpu.name[:4]]
+    assert checked == {"A100": 676, "V100": 170, "H100": 676}[gpu.name[:4]]

@@ -125,6 +125,16 @@ class TestServeSmokeJob:
         assert 'assert 0 < s["measurer"]["n_compiled"] < 60' in cmds
         assert "--space 60" in cmds
 
+    def test_asserts_extrapolated_kernels_are_bounded(self, workflow):
+        """35 of the long-K request's 60 configs are extrapolated: a
+        search that simulated every one of them fails on the count."""
+        cmds = job_commands(workflow["jobs"]["serve-smoke"])
+        longk = [c for c in cmds if "client compile" in c and "--k 4096" in c]
+        assert len(longk) == 1
+        assert "--m 512 --n 512 --k 4096" in longk[0]
+        assert 'n = s3["measurer"]["n_compiled"] - s2["measurer"]["n_compiled"]' in longk[0]
+        assert "assert 0 < n < 35, n" in longk[0]
+
     def test_asserts_warm_round_from_registry_with_zero_compiles(self, workflow):
         cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
         assert 'warm["served_from"] == "registry"' in cmds

@@ -3,12 +3,16 @@
 lowest-index config of minimal latency, and that latency bit for bit)
 while measuring only the configs whose bound can still win."""
 
+import hashlib
 import random
+import time
 
 import pytest
 
+import repro.gpusim.engine as engine
+import repro.tuning.measure as measure
 from repro.core.compiler import VARIANTS
-from repro.core.errors import CompileError
+from repro.core.errors import CompileError, DeadlineExceededError
 from repro.gpusim import A100, V100
 from repro.tensor import GemmSpec
 from repro.tuning import FAILED, Measurer, SpaceOptions, enumerate_space, restrict_space
@@ -74,23 +78,93 @@ def test_bounded_best_measures_a_fraction_of_the_space():
     assert (cfg, latency) == exhaustive_best(Measurer(A100, via_ir=False), spec, space)
 
 
-def test_unbounded_configs_share_the_first_batch(monkeypatch):
-    """Kernels with extrapolated waves have no bound and are always
-    measured, so all 371 of MM_BERT_FC2's go in the first batch and later
-    batches take 16: on a fleet, one worker start each, not one per 16."""
-    spec = next(s for s in suite_specs() if s.name == "MM_BERT_FC2")
-    space = enumerate_space(spec, A100, SpaceOptions(max_size=600))
+#: sha256 of the 24 serve keys' ``(config key, latency.hex())`` answers, in
+#: suite order with ``alcop`` first; computed from exhaustive sweeps.
+_SERVE_ANSWERS = "c4ac3f3cb2281d0f1e1592cfd4e326f17530b36d1d787b3bda14166dd09b2357"
+
+
+def test_a_cold_serve_pass_measures_649_configs():
+    """One cold measurer answers the 24 serve keys (12 suite ops x
+    {alcop, tvm}, cap 600) as a serve replay meets them. Extrapolated
+    kernels are bounded from their exact short run, so Conv_VGG_3x3's
+    ``alcop`` search measures 16 of its 600 configs (377 when they had no
+    bound) and the pass 649 (1,570), with the exhaustive answers."""
     measurer = Measurer(A100, via_ir=False)
-    sizes = []
-    measure_many = measurer.measure_many
+    answers = hashlib.sha256()
+    compiled = {}
+    for spec in suite_specs():
+        full = enumerate_space(spec, A100, SpaceOptions(max_size=600))
+        for variant in ("alcop", "tvm"):
+            before = measurer.telemetry.n_compiled
+            cfg, latency = measurer.best(spec, restrict_space(full, variant))
+            compiled[spec.name, variant] = measurer.telemetry.n_compiled - before
+            answers.update(repr((cfg.key(), latency.hex())).encode())
+    assert answers.hexdigest() == _SERVE_ANSWERS
+    assert compiled["Conv_VGG_3x3", "alcop"] == 16
+    telemetry = measurer.telemetry
+    assert telemetry.n_compiled == sum(compiled.values()) == 649
+    assert (telemetry.bounds_derived, telemetry.bound_short_runs) == (8159, 1346)
 
-    def record(spec, cfgs, deadline=None):
-        sizes.append(len(cfgs))
-        return measure_many(spec, cfgs, deadline=deadline)
 
-    monkeypatch.setattr(measurer, "measure_many", record)
-    measurer.best(spec, space)
-    assert sizes == [371, 16, 16, 9]
+def _count_bound_waves(monkeypatch):
+    """Patch the engine so every ``simulate_wave`` call made while
+    ``Measurer`` derives a bound is recorded; returns the record."""
+    calls = []
+    bounding = []
+    wave, bound = engine.simulate_wave, measure.kernel_latency_bound
+
+    def counted_wave(*args, **kwargs):
+        if bounding:
+            calls.append(args[0])
+        return wave(*args, **kwargs)
+
+    def counted_bound(ts, gpu):
+        bounding.append(ts)
+        try:
+            return bound(ts, gpu)
+        finally:
+            bounding.pop()
+
+    monkeypatch.setattr(engine, "simulate_wave", counted_wave)
+    monkeypatch.setattr(measure, "kernel_latency_bound", counted_bound)
+    return calls
+
+
+def test_a_tvm_solve_reuses_the_bounds_of_its_alcop_solve(monkeypatch):
+    """The ``tvm`` subspace lies inside the ``alcop`` space, whose solve
+    bounded every config: the ``tvm`` solve reads the memoized bounds (or
+    the cached latencies) and simulates no short run again."""
+    spec = next(s for s in suite_specs() if s.name == "Conv_VGG_3x3")
+    full = enumerate_space(spec, A100, SpaceOptions(max_size=600))
+    alcop, tvm = restrict_space(full, "alcop"), restrict_space(full, "tvm")
+    assert {c.key() for c in tvm} <= {c.key() for c in alcop}
+    calls = _count_bound_waves(monkeypatch)
+    measurer = Measurer(A100, via_ir=False)
+    measurer.best(spec, alcop)
+    short_runs = measurer.telemetry.bound_short_runs
+    assert short_runs == len(calls) > 0
+    calls.clear()
+    assert measurer.best(spec, tvm) == exhaustive_best(Measurer(A100, via_ir=False), spec, tvm)
+    assert calls == []
+    assert measurer.telemetry.bound_short_runs == short_runs
+
+
+def test_an_expired_deadline_stops_before_the_first_simulated_bound(monkeypatch):
+    """A long-K space has extrapolated kernels, whose bounds simulate:
+    the deadline is checked before each, so an expired request runs no
+    wave at all."""
+    spec = GemmSpec("long_k", 1, 256, 256, 4096)
+    space = enumerate_space(spec, A100, SpaceOptions(max_size=600))
+    calls = []
+    wave = engine.simulate_wave
+    monkeypatch.setattr(engine, "simulate_wave",
+                        lambda *args, **kwargs: calls.append(args) or wave(*args, **kwargs))
+    measurer = Measurer(A100, via_ir=False)
+    with pytest.raises(DeadlineExceededError, match="latency bounds"):
+        measurer.best(spec, space, deadline=time.monotonic() - 1.0)
+    assert calls == []
+    telemetry = measurer.telemetry
+    assert (telemetry.n_compiled, telemetry.bound_short_runs) == (0, 0)
 
 
 def test_via_ir_best_measures_the_whole_space():

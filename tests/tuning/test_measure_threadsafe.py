@@ -7,6 +7,7 @@ design-space memoization tolerate concurrent access, and the stage-profiling
 collector stack is thread-local (one request's collector never sees another
 request's stages)."""
 
+import sys
 import threading
 
 from repro.core import profiling
@@ -90,6 +91,37 @@ class TestTelemetryCounters:
         _run_threads(12, work)
         for key, latencies in results.items():
             assert latencies == {serial[key]}
+
+    def test_concurrent_bounded_searches_count_bounds_exactly(self):
+        """8 threads, each a static ``best`` over its own long-K space,
+        share one measurer: the bound counters are the serial sums (a lost
+        update would undercount) and every answer is the serial one."""
+        specs = [GemmSpec(f"long_k{i}", 1, 128, 128, 4096 + 512 * i) for i in range(8)]
+        options = SpaceOptions(max_size=40)
+        serial = {}
+        for spec in specs:
+            m = Measurer(A100, via_ir=False)
+            serial[spec.name] = (m.best(spec, enumerate_space(spec, A100, options)),
+                                 m.telemetry)
+        assert all(t.bound_short_runs for _, t in serial.values())
+        measurer = Measurer(A100, via_ir=False)
+        answers = {}
+
+        def work(i):
+            spec = specs[i]
+            answers[spec.name] = measurer.best(spec, enumerate_space(spec, A100, options))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(8, work)
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == {name: best for name, (best, _) in serial.items()}
+        t = measurer.telemetry
+        assert t.bounds_derived == sum(s.bounds_derived for _, s in serial.values())
+        assert t.bound_short_runs == sum(s.bound_short_runs for _, s in serial.values())
+        assert t.n_compiled == sum(s.n_compiled for _, s in serial.values())
 
 
 class TestSpaceCacheThreadSafety:
