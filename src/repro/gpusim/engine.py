@@ -36,14 +36,16 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 from typing import List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from .config import A100, GpuSpec
-from .occupancy import CompileError, tb_per_sm
+from .occupancy import CompileError, tb_per_sm, tb_per_sm_batch
 from .spec import KernelTimingSpec
 
-__all__ = ["SimResult", "bound_short_runs", "kernel_latency_bound", "simulate_kernel",
-           "simulate_wave"]
+__all__ = ["LatencyBounds", "SimResult", "simulate_kernel", "simulate_wave"]
 
 #: Fixed kernel launch overhead (us).
 _LAUNCH_OVERHEAD = 3.0
@@ -58,9 +60,9 @@ _TB_STAGGER = 0.01
 _STORE_THROUGH_FACTOR = 0.5
 #: Outer iterations a wave is simulated for before its latency is
 #: extrapolated: :func:`simulate_kernel`'s default ``max_outer_iters``, and
-#: the cap above which :func:`kernel_latency_bound` extrapolates its bound.
+#: the cap above which :class:`LatencyBounds` extrapolates its bound.
 _MAX_OUTER_ITERS = 64
-#: Factor on each of :func:`kernel_latency_bound`'s closed-form sums. The
+#: Factor on each of :class:`LatencyBounds`' closed-form sums. The
 #: event loop adds the same terms one at a time, and the two roundings
 #: differ by about 2e-12 relative at most at this simulator's sizes.
 _BOUND_SLACK = 1.0 - 1e-9
@@ -106,7 +108,8 @@ def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
 
 class _WaveConstants(NamedTuple):
     """What one step of a wave costs: the per-wave constants that
-    :func:`simulate_wave` runs on and :func:`kernel_latency_bound` sums."""
+    :func:`simulate_wave` runs on and :class:`LatencyBounds` sums (as
+    columns, :func:`_wave_constants_columns`)."""
 
     dram_frac: float
     #: latency of a copy after its last byte is served (L2/DRAM blend)
@@ -391,28 +394,103 @@ def _launch(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[int, int, Optional[Tupl
     return occ, full_waves, tail
 
 
-def _wave_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int, active_sms: int,
-                E_o: int) -> float:
+def _row(ts: KernelTimingSpec, i: int) -> KernelTimingSpec:
+    """Row ``i`` of timing-spec columns as a scalar spec (Python ints,
+    floats and bools, as :func:`timing_spec_from_config` gives them)."""
+    return dataclasses.replace(
+        ts, **{k: v[i].item() for k, v in vars(ts).items() if isinstance(v, np.ndarray)})
+
+
+def _launch_columns(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[np.ndarray, ...]:
+    """:func:`_launch` over a static space's timing-spec columns:
+    ``(launchable, occ, full_waves, has_tail, tail_occ, tail_active)``.
+    A static spec always validates (positive dimensions and tiles that
+    divide them), so only the cp.async and occupancy checks can refuse a
+    row. Rows without a tail hold 1s in its columns, and rows that cannot
+    launch hold 1 in ``occ``, so every wave's constants stay finite."""
+    occ, launchable = tb_per_sm_batch(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread,
+                                      ts.threads_per_tb)
+    if not gpu.has_async_copy:
+        launchable &= ~ts.async_smem_copy
+    tbs_per_wave = occ * gpu.num_sms
+    full_waves = ts.grid // tbs_per_wave
+    remainder = ts.grid - full_waves * tbs_per_wave
+    # max(., 1) moves only the rows without a tail (remainder 0).
+    tail_occ = np.maximum(np.minimum(occ, -(-remainder // gpu.num_sms)), 1)
+    tail_active = np.maximum(np.minimum(gpu.num_sms, -(-remainder // tail_occ)), 1)
+    return launchable, occ, full_waves, remainder > 0, tail_occ, tail_active
+
+
+def _wave_constants_columns(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm,
+                            active_sms) -> _WaveConstants:
+    """:func:`_wave_constants` of each row's wave, over a static space's
+    timing-spec columns (``n_tb_on_sm`` and ``active_sms`` may be columns
+    too). Each entry is the same IEEE expression, in the same order, as
+    the scalar constant, so it is that constant bit for bit; a parity test
+    keeps the two equal. Both operand chunks of a static spec are nonzero,
+    so ``chunk_service`` always holds two entries. The simulator keeps the
+    scalar function: on one config, ufuncs cost more than the arithmetic."""
+    wave_tbs = n_tb_on_sm * active_sms
+    covered = np.minimum(wave_tbs, ts.grid)
+    unique = ts.workset_bytes(covered)
+    requested = covered * (ts.a_chunk_bytes + ts.b_chunk_bytes)
+    # If the live working set overflows L2, re-reads also go to DRAM.
+    resident = unique * (ts.smem_stages + 1)
+    dram_frac = np.where(resident > gpu.l2_size, 1.0, np.minimum(1.0, unique / requested))
+
+    l2_rate = gpu.l2_bw / active_sms
+    dram_rate = gpu.dram_bw / active_sms
+    mem_latency = gpu.l2_latency + dram_frac * (gpu.dram_latency - gpu.l2_latency)
+
+    bank = np.where(ts.swizzle, 1.0, _BANK_CONFLICT_FACTOR)
+    t_load = ts.frag_bytes_tb * bank / gpu.smem_bw_per_sm
+    mma_ops = ts.flops_chunk_tb / (2 * 16 * 16 * 16)
+    t_math = ts.flops_chunk_tb / gpu.tc_flops_per_sm + mma_ops * gpu.mma_issue_cost
+    t_store_through = np.where(
+        ts.async_smem_copy, 0.0,
+        _STORE_THROUGH_FACTOR * ts.smem_chunk_bytes * bank / gpu.smem_bw_per_sm)
+    inner_service = np.where(
+        ts.reg_stages >= 2,
+        np.maximum(t_load, t_math) + gpu.issue_overhead,
+        t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead)
+    return _WaveConstants(
+        dram_frac=dram_frac,
+        mem_latency=mem_latency,
+        chunk_service=[
+            (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
+            for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
+        ],
+        issue_cost=2 * gpu.issue_overhead,
+        frag_fill=t_load + gpu.smem_latency,
+        inner_service=inner_service,
+        store_through=t_store_through,
+        epilogue_service=ts.epilogue_bytes / dram_rate,
+        hoisted_fill=(ts.reg_stages >= 2) & (ts.smem_stages >= 2),
+        chunk_fill=(ts.reg_stages >= 2) & (ts.smem_stages == 1),
+    )
+
+
+def _wave_bound_columns(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm, active_sms,
+                        E_o: np.ndarray) -> np.ndarray:
     """A lower bound on ``simulate_wave(..., outer_extent=E_o)``'s latency
-    for this wave: the largest of three sums the event loop provably
+    for each row's wave: the largest of three sums the event loop provably
     reaches (docs/simulator.md proves each)."""
-    c = _wave_constants(ts, gpu, n_tb_on_sm, active_sms)
+    c = _wave_constants_columns(ts, gpu, n_tb_on_sm, active_sms)
     E_i = ts.inner_extent
     S = ts.smem_stages
     sync = gpu.sync_overhead
     write = gpu.dram_write_latency
-    chunk_dram = sum(dram for _, dram in c.chunk_service)
-    step = c.issue_cost
-    if S == 1 and c.chunk_service:
-        # Each iteration waits for the copy it has just issued.
-        copy = max(sum(l2 for l2, _ in c.chunk_service), chunk_dram) + c.mem_latency
-        step = max(c.issue_cost, copy)
+    (a_l2, a_dram), (b_l2, b_dram) = c.chunk_service
+    chunk_dram = a_dram + b_dram
+    # With one stage, each iteration waits for the copy it has just issued.
+    copy = np.maximum(a_l2 + b_l2, chunk_dram) + c.mem_latency
+    step = np.where(S == 1, np.maximum(c.issue_cost, copy), c.issue_cost)
     # The last threadblock's own dependency chain.
     chain = (
         (n_tb_on_sm - 1) * _TB_STAGGER
         + (S - 1) * c.issue_cost
-        + (c.frag_fill if c.hoisted_fill else 0.0)
-        + E_o * (step + c.store_through + (c.frag_fill if c.chunk_fill else 0.0)
+        + np.where(c.hoisted_fill, c.frag_fill, 0.0)
+        + E_o * (step + c.store_through + np.where(c.chunk_fill, c.frag_fill, 0.0)
                  + E_i * c.inner_service + sync)
         + c.epilogue_service
         + write
@@ -422,50 +500,58 @@ def _wave_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int, active_sms:
                     + sync + c.epilogue_service + write)
     # The DRAM server's total service; the wave's last request is an epilogue.
     dram = n_tb_on_sm * ((S - 1 + E_o) * chunk_dram + c.epilogue_service) + write
-    return max(chain, tensor_cores, dram) * _BOUND_SLACK
+    return np.maximum(np.maximum(chain, tensor_cores), dram) * _BOUND_SLACK
 
 
-def _wave_latency_bound(ts: KernelTimingSpec, gpu: GpuSpec, n_tb: int, active: int) -> float:
-    """A lower bound on :func:`_wave_latency_extrapolated`'s latency at
-    ``max_outer_iters=_MAX_OUTER_ITERS``. An extrapolated wave runs the
-    same short simulation, bounds the long run with :func:`_wave_bound`
-    and extrapolates from the two with :func:`_extrapolate`
-    (docs/simulator.md)."""
-    if ts.outer_extent <= _MAX_OUTER_ITERS:
-        return _wave_bound(ts, gpu, n_tb, active, ts.outer_extent)
-    e_short = _short_extent(ts, _MAX_OUTER_ITERS)
-    t_short, _, _ = simulate_wave(ts, gpu, n_tb, active, False, outer_extent=e_short)
-    b_long = _wave_bound(ts, gpu, n_tb, active, _MAX_OUTER_ITERS)
-    return _extrapolate(b_long, t_short, _MAX_OUTER_ITERS, e_short, ts.outer_extent)
+class LatencyBounds:
+    """A lower bound on ``simulate_kernel(ts_i, gpu).latency_us``, in
+    microseconds, for each row ``ts_i`` of a static space's timing-spec
+    columns ``ts`` (:func:`~repro.perfmodel.batch.derive_timing_arrays`),
+    from one numpy pass of closed-form sums over each wave's constants.
 
-
-def kernel_latency_bound(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> float:
-    """A lower bound on ``simulate_kernel(ts, gpu).latency_us``, in
-    microseconds, from closed-form sums over each wave's constants.
-
-    A wave whose loop is extrapolated (``outer_extent > 64``,
-    :func:`simulate_kernel`'s default ``max_outer_iters``) also runs the
-    shorter of its two truncated simulations, exactly as
-    :func:`simulate_kernel` does; that bound may be negative. Raises
-    :class:`CompileError` or ``ValueError`` where :func:`simulate_kernel`
-    would, for a kernel that cannot be built or launched.
+    ``bound[i]`` is ``inf`` where :func:`simulate_kernel` would refuse the
+    kernel. A row whose loop is extrapolated (``outer_extent > 64``,
+    :func:`simulate_kernel`'s default ``max_outer_iters``) also needs the
+    shorter of its two truncated simulations for each wave shape (full,
+    tail): ``short_runs[i]`` counts them, ``bound[i]`` is ``-inf`` until
+    they run, and :meth:`extrapolate` runs them and returns the row's
+    bound, which may be negative.
     """
-    occ, full_waves, tail = _launch(ts, gpu)
-    wave_bound = _wave_latency_bound(ts, gpu, occ, gpu.num_sms) if full_waves else 0.0
-    tail_bound = _wave_latency_bound(ts, gpu, *tail) if tail is not None else 0.0
-    # The same expression as simulate_kernel's latency: IEEE addition and
-    # multiplication are monotone, so smaller terms give a smaller sum.
-    return _LAUNCH_OVERHEAD + full_waves * wave_bound + tail_bound
 
+    def __init__(self, ts: KernelTimingSpec, gpu: GpuSpec) -> None:
+        launchable, occ, full_waves, has_tail, tail_occ, tail_active = _launch_columns(ts, gpu)
+        # An extrapolated wave's closed-form part bounds its long run.
+        E_o = np.minimum(ts.outer_extent, _MAX_OUTER_ITERS)
+        wave = np.where(full_waves > 0, _wave_bound_columns(ts, gpu, occ, gpu.num_sms, E_o), 0.0)
+        tail = np.where(has_tail, _wave_bound_columns(ts, gpu, tail_occ, tail_active, E_o), 0.0)
+        extrapolated = launchable & (ts.outer_extent > _MAX_OUTER_ITERS)
+        # The same expression as simulate_kernel's latency: IEEE addition
+        # and multiplication are monotone, so smaller terms give a smaller sum.
+        self.bound = np.where(launchable, _LAUNCH_OVERHEAD + full_waves * wave + tail, math.inf)
+        self.bound[extrapolated] = -math.inf
+        self.short_runs = np.where(
+            extrapolated, (full_waves > 0).astype(np.int64) + has_tail, 0)
+        self._ts, self._gpu = ts, gpu
+        self._waves = (full_waves, occ, wave, has_tail, tail_occ, tail_active, tail)
 
-def bound_short_runs(ts: KernelTimingSpec, gpu: GpuSpec = A100) -> int:
-    """How many short wave simulations ``kernel_latency_bound(ts, gpu)``
-    runs: one per wave shape (full, tail) of an extrapolated kernel, else
-    0. Raises where :func:`kernel_latency_bound` does when it is nonzero."""
-    if ts.outer_extent <= _MAX_OUTER_ITERS:
-        return 0
-    _, full_waves, tail = _launch(ts, gpu)
-    return (1 if full_waves else 0) + (0 if tail is None else 1)
+    def extrapolate(self, i: int) -> float:
+        """Row ``i``'s bound when ``short_runs[i]`` is nonzero. Each wave
+        runs its exact short run and goes through :func:`_extrapolate`
+        with its long run's closed-form bound, as
+        :func:`_wave_latency_extrapolated` does with the simulated one."""
+        ts, gpu = _row(self._ts, i), self._gpu
+        full_waves, occ, wave, has_tail, tail_occ, tail_active, tail = self._waves
+        e_short = _short_extent(ts, _MAX_OUTER_ITERS)
+
+        def bound(n_tb: int, active: int, b_long: float) -> float:
+            t_short, _, _ = simulate_wave(ts, gpu, n_tb, active, False, outer_extent=e_short)
+            return _extrapolate(b_long, t_short, _MAX_OUTER_ITERS, e_short, ts.outer_extent)
+
+        n_waves = int(full_waves[i])
+        wave_bound = bound(int(occ[i]), gpu.num_sms, float(wave[i])) if n_waves else 0.0
+        tail_bound = (bound(int(tail_occ[i]), int(tail_active[i]), float(tail[i]))
+                      if has_tail[i] else 0.0)
+        return _LAUNCH_OVERHEAD + n_waves * wave_bound + tail_bound
 
 
 def simulate_kernel(

@@ -9,13 +9,17 @@ model) and it divides the per-threadblock bandwidth share.
 
 from __future__ import annotations
 
+from typing import Tuple
+
+import numpy as np
+
 from ..core.errors import CompileError
 from .config import GpuSpec
 
 #: Back-compat re-export: the canonical class now lives in the unified
 #: error taxonomy (:mod:`repro.core.errors`); existing imports of
 #: ``repro.gpusim.occupancy.CompileError`` keep working unchanged.
-__all__ = ["CompileError", "tb_per_sm", "check_launchable"]
+__all__ = ["CompileError", "tb_per_sm", "tb_per_sm_batch", "check_launchable"]
 
 
 def check_launchable(gpu: GpuSpec, smem_bytes: int, regs_per_thread: int, threads: int) -> None:
@@ -51,3 +55,23 @@ def tb_per_sm(gpu: GpuSpec, smem_bytes: int, regs_per_thread: int, threads: int)
     if occ < 1:
         raise CompileError("threadblock resources exceed one SM; kernel cannot launch")
     return occ
+
+
+def tb_per_sm_batch(gpu: GpuSpec, smem_bytes: np.ndarray, regs_per_thread: np.ndarray,
+                    threads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`tb_per_sm` over columns: ``(occ, launchable)``, with ``occ``
+    1 where a threadblock cannot launch. :func:`tb_per_sm` stays scalar for
+    the simulator's one call per kernel."""
+    launchable = (
+        (smem_bytes <= gpu.max_smem_per_tb)
+        & (regs_per_thread <= gpu.max_regs_per_thread)
+        & (threads <= gpu.max_threads_per_sm)
+        & (regs_per_thread * threads <= gpu.regs_per_sm)
+    )
+    # All divisors are >= 1 for real TileConfigs, so the minimum can be
+    # taken unconditionally (the scalar path guards smem > 0 / regs > 0).
+    occ = np.minimum(np.int64(gpu.max_tb_per_sm), gpu.max_threads_per_sm // threads)
+    occ = np.minimum(occ, gpu.smem_per_sm // smem_bytes)
+    occ = np.minimum(occ, gpu.regs_per_sm // (regs_per_thread * threads))
+    launchable &= occ >= 1
+    return np.where(launchable, occ, 1), launchable

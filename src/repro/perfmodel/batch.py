@@ -26,6 +26,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..gpusim.config import A100, GpuSpec
+from ..gpusim.occupancy import tb_per_sm_batch
 from ..gpusim.spec import KernelTimingSpec
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec
@@ -36,20 +37,19 @@ __all__ = ["derive_timing_arrays", "predict_latency_batch"]
 
 
 class _TileColumns:
-    """A space's :class:`TileConfig` fields as int64 columns. It borrows
-    ``TileConfig``'s derived geometry, so the derivation reads it like a
-    single config. ``swizzle`` stays unknown: Table I does not read it, and
-    a ninth column would slow the extraction loop by a ninth."""
+    """A space's :class:`TileConfig` fields as columns, in
+    :meth:`TileConfig.key` order. It borrows ``TileConfig``'s derived
+    geometry, so the derivation reads it like a single config."""
 
     warps_per_block = TileConfig.warps_per_block
     reg_loop_extent = TileConfig.reg_loop_extent
     grid_size = TileConfig.grid_size
     smem_loop_extent = TileConfig.smem_loop_extent
-    swizzle = None
 
     def __init__(self, raw: np.ndarray) -> None:
         (self.block_m, self.block_n, self.block_k, self.warp_m, self.warp_n,
-         self.chunk_k, self.smem_stages, self.reg_stages) = raw.T
+         self.chunk_k, self.smem_stages, self.reg_stages, swizzle) = raw.T
+        self.swizzle = swizzle.astype(bool)
 
 
 def derive_timing_arrays(
@@ -61,40 +61,18 @@ def derive_timing_arrays(
     ``ts`` is a column over those configs only, so no derived tile count
     is zero.
     """
-    # One flat list + a single np.fromiter call is ~3x faster than n*8
+    # One flat list + a single np.fromiter call is ~3x faster than n*9
     # indexed stores (and np.fromiter beats np.array on a list of ints);
-    # this loop is the batch path's dominant cost.
+    # the memoized key is the config's fields as one tuple.
     flat: list = []
     extend = flat.extend
     for c in configs:
-        extend(
-            (c.block_m, c.block_n, c.block_k, c.warp_m, c.warp_n,
-             c.chunk_k, c.smem_stages, c.reg_stages)
-        )
-    raw = np.fromiter(flat, np.int64, len(flat)).reshape(len(configs), 8)
+        extend(c.key())
+    raw = np.fromiter(flat, np.int64, len(flat)).reshape(len(configs), 9)
     ok = tiles_divide(spec, _TileColumns(raw))
     if not ok.all():
         raw = raw[ok]
     return ok, derive_timing_spec(spec, _TileColumns(raw))
-
-
-def _tb_per_sm_batch(gpu: GpuSpec, ts: KernelTimingSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized occupancy: ``(occ, launchable)`` (mirror of ``tb_per_sm``,
-    which stays scalar for the simulator's one call per kernel)."""
-    smem, regs, threads = ts.smem_bytes_per_tb, ts.regs_per_thread, ts.threads_per_tb
-    launchable = (
-        (smem <= gpu.max_smem_per_tb)
-        & (regs <= gpu.max_regs_per_thread)
-        & (threads <= gpu.max_threads_per_sm)
-        & (regs * threads <= gpu.regs_per_sm)
-    )
-    # All divisors are >= 1 for real TileConfigs, so the minimum can be
-    # taken unconditionally (the scalar path guards smem > 0 / regs > 0).
-    occ = np.minimum(np.int64(gpu.max_tb_per_sm), gpu.max_threads_per_sm // threads)
-    occ = np.minimum(occ, gpu.smem_per_sm // smem)
-    occ = np.minimum(occ, gpu.regs_per_sm // (regs * threads))
-    launchable &= occ >= 1
-    return np.where(launchable, occ, 1), launchable
 
 
 def predict_latency_batch(
@@ -108,7 +86,8 @@ def predict_latency_batch(
     spec, cfg), gpu)`` on every accepted config.
     """
     ok, ts = derive_timing_arrays(spec, configs)
-    occ, launchable = _tb_per_sm_batch(gpu, ts)
+    occ, launchable = tb_per_sm_batch(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread,
+                                      ts.threads_per_tb)
     latency = np.full(len(configs), np.inf)
     latency[ok] = np.where(launchable, table1(ts, gpu, occ).t_kernel, np.inf)
     return latency

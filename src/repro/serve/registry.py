@@ -38,6 +38,7 @@ matching :class:`~repro.tuning.cache.MeasurementCache`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -70,6 +71,10 @@ QUARANTINE_DIR = "quarantine"
 INDEX_FILE = "index.json"
 
 
+#: Solved problems whose content address :func:`artifact_key` memoizes.
+_ARTIFACT_KEY_MEMO = 1024
+
+
 def artifact_key(
     gpu: GpuSpec,
     spec: GemmSpec,
@@ -85,17 +90,28 @@ def artifact_key(
     hash — plus the search inputs that determine *which* config wins
     (variant restriction and the design-space cap). Identical inputs on an
     identical compiler always map to the same artifact; any drift in
-    either orphans the entry.
+    either orphans the entry. Keys on the live compiler are memoized: a
+    warm request would otherwise pay the hashing again each time.
     """
+    if version is None:
+        return _live_artifact_key(gpu, spec, variant, bool(via_ir), space_max)
     payload = {
         "gpu": gpu_fingerprint(gpu),
         "spec": dataclasses.asdict(spec),
         "variant": variant,
         "via_ir": bool(via_ir),
         "space": space_max,
-        "version": version if version is not None else compiler_version_hash(),
+        "version": version,
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=_ARTIFACT_KEY_MEMO)
+def _live_artifact_key(gpu: GpuSpec, spec: GemmSpec, variant: str, via_ir: bool,
+                       space_max: Optional[int]) -> str:
+    """:func:`artifact_key` on the live compiler, whose version hash (like
+    ``gpu_fingerprint``) is constant for the process."""
+    return artifact_key(gpu, spec, variant, via_ir, space_max, compiler_version_hash())
 
 
 @dataclasses.dataclass(frozen=True)

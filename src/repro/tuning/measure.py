@@ -36,6 +36,8 @@ import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import faults
 from ..core import profiling
 from ..core.errors import (
@@ -49,7 +51,8 @@ from ..core.incremental import IncrementalEngine, fresh_timing_spec
 from ..core.incremental import sort_key as _incremental_sort_key
 from ..obs import metrics as _metrics
 from ..gpusim.config import A100, GpuSpec
-from ..gpusim.engine import bound_short_runs, kernel_latency_bound, simulate_kernel
+from ..gpusim.engine import LatencyBounds, simulate_kernel
+from ..perfmodel.batch import derive_timing_arrays
 from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec, Tensor, gemm_graph
@@ -628,8 +631,8 @@ class Measurer:
 
         Via IR every config is measured, because that path promises to
         time the compiler's output. On the static path the search is exact
-        branch-and-bound: configs are measured in ascending order of
-        :func:`~repro.gpusim.engine.kernel_latency_bound` (a config already
+        branch-and-bound: configs are measured in ascending order of their
+        :class:`~repro.gpusim.engine.LatencyBounds` bound (a config already
         in the memory cache ranks by its latency), in batches of 16, until
         the next bound exceeds the best latency measured so far. No config
         left can beat or tie that latency, so the answer is the exhaustive
@@ -656,34 +659,41 @@ class Measurer:
                         deadline: Optional[float]) -> List[float]:
         """A lower bound on each config's static-path latency: its latency
         when the memory cache holds it, :data:`FAILED` where that path
-        records :data:`FAILED`. A bound that simulates short runs (an
-        extrapolated kernel's) checks ``deadline`` first and is memoized."""
+        records :data:`FAILED`. The others are bounded in one columnar pass
+        (:class:`~repro.gpusim.engine.LatencyBounds`); a bound that needs
+        short runs (an extrapolated kernel's) checks ``deadline`` first,
+        runs them in the ``simulate`` stage and is memoized."""
         keys = [self._key(spec, cfg) for cfg in space]
         with self._lock:
             bounds = [self._cache.get(key) for key in keys]
-        derived = short_runs = 0
+        todo = [i for i, bound in enumerate(bounds) if bound is None]
+        if not todo:
+            return bounds
+        # A tile that does not divide the problem is FAILED on the static path.
+        ok, ts = derive_timing_arrays(spec, [space[i] for i in todo])
+        columns = LatencyBounds(ts, self.gpu)
+        rows = np.flatnonzero(ok)
+        found = np.full(len(todo), FAILED)
+        found[rows] = columns.bound
+        for i, bound in zip(todo, found.tolist()):
+            bounds[i] = bound
+        pending = np.flatnonzero(columns.short_runs)
+        derived, short_runs = len(todo) - len(pending), 0
         try:
-            for i, cfg in enumerate(space):
-                if bounds[i] is not None:
-                    continue
-                try:
-                    ts = timing_spec_from_config(spec, cfg)
-                    runs = bound_short_runs(ts, self.gpu)
-                    if runs:
-                        with self._lock:
-                            bounds[i] = self._simulated_bounds.get(keys[i])
-                        if bounds[i] is not None:
-                            continue
-                        self._deadline_check(deadline, spec, i, len(space), "latency bounds")
-                    bound = kernel_latency_bound(ts, self.gpu)
-                except (CompileError, ValueError):
-                    bound, runs = FAILED, 0
-                derived += 1
-                if runs:
-                    short_runs += runs
+            with profiling.collect(self.stage_times):
+                for row in pending.tolist():
+                    i = todo[rows[row]]
                     with self._lock:
-                        self._simulated_bounds[keys[i]] = bound
-                bounds[i] = bound
+                        bounds[i] = self._simulated_bounds.get(keys[i])
+                    if bounds[i] is not None:
+                        continue
+                    self._deadline_check(deadline, spec, i, len(space), "latency bounds")
+                    with profiling.stage("simulate"):
+                        bounds[i] = columns.extrapolate(row)
+                    derived += 1
+                    short_runs += int(columns.short_runs[row])
+                    with self._lock:
+                        self._simulated_bounds[keys[i]] = bounds[i]
         finally:
             with self._lock:
                 self.n_bounds_derived += derived

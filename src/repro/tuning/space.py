@@ -128,7 +128,9 @@ def enumerate_space(
 def _enumerate_space_uncached(
     spec: GemmSpec, gpu: GpuSpec, opt: SpaceOptions
 ) -> List[TileConfig]:
-    out: List[TileConfig] = []
+    # The knob grid as int tuples in TileConfig field order, so a capped
+    # space builds only the configs it keeps.
+    tiles = []
     for bm in _BLOCK_MN:
         if spec.m % bm:
             continue
@@ -150,24 +152,21 @@ def _enumerate_space_uncached(
                         for ck in _CHUNK_K:
                             if bk % ck:
                                 continue
-                            for ss in range(1, opt.max_smem_stages + 1):
-                                for rs in range(1, opt.max_reg_stages + 1):
-                                    cfg = TileConfig(
-                                        bm, bn, bk, warp_m=wm, warp_n=wn, chunk_k=ck,
-                                        smem_stages=ss, reg_stages=rs,
-                                    )
-                                    if opt.launchable_only and not _launchable(cfg, spec, gpu):
-                                        continue
-                                    out.append(cfg)
-    if not out:
+                            tiles.append((bm, bn, bk, wm, wn, ck))
+    stages = [(ss, rs) for ss in range(1, opt.max_smem_stages + 1)
+              for rs in range(1, opt.max_reg_stages + 1)]
+    grid = [tile + pair for tile in tiles for pair in stages]
+    if opt.launchable_only:
+        grid = [knobs for knobs in grid if _launchable(TileConfig(*knobs), spec, gpu)]
+    if not grid:
         raise ValueError(
             f"design space for {spec.name} ({spec.m}x{spec.n}x{spec.k}) is "
             "empty; the problem dimensions admit no candidate tiles"
         )
-    if opt.max_size is not None and len(out) > opt.max_size:
-        stride = -(-len(out) // opt.max_size)
-        out = out[::stride]
-    return out
+    if opt.max_size is not None and len(grid) > opt.max_size:
+        stride = -(-len(grid) // opt.max_size)
+        grid = grid[::stride]
+    return [TileConfig(*knobs) for knobs in grid]
 
 
 def _launchable(cfg: TileConfig, spec: GemmSpec, gpu: GpuSpec) -> bool:

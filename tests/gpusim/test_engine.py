@@ -3,14 +3,23 @@ qualitative phenomena the paper builds on."""
 
 import dataclasses
 import hashlib
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.gpusim import A100, A100_NO_ASYNC, H100, V100, CompileError, simulate_kernel
-from repro.gpusim.engine import kernel_latency_bound
+from repro.gpusim.engine import (
+    LatencyBounds,
+    _launch,
+    _launch_columns,
+    _row,
+    _wave_constants,
+    _wave_constants_columns,
+)
 from repro.gpusim.trace import format_timeline, stall_time
-from repro.perfmodel import timing_spec_from_config
+from repro.perfmodel import derive_timing_arrays, timing_spec_from_config
 from repro.schedule import TileConfig
 from repro.tensor import GemmSpec
 from repro.tuning.space import SpaceOptions, enumerate_space
@@ -249,16 +258,19 @@ def test_suite_capped_spaces_match_pinned_digest():
 
 
 def _check_latency_bound(gpu, spec, configs):
-    """Assert ``kernel_latency_bound`` <= the simulated latency of every
-    launchable static kernel among ``configs``; returns how many it
-    checked. An extrapolated kernel's bound (``outer_extent > 64``) may be
-    negative; a kernel that cannot launch must raise from both."""
+    """Assert that the :class:`LatencyBounds` of ``configs``, from one
+    columnar pass, is <= the simulated latency of every launchable static
+    kernel among them; returns how many it checked. An extrapolated
+    kernel's bound (``outer_extent > 64``) may be negative; a kernel whose
+    bound is ``inf`` must be one that ``simulate_kernel`` refuses."""
+    ok, columns = derive_timing_arrays(spec, configs)
+    assert ok.all()
+    bounds = LatencyBounds(columns, gpu)
     checked = 0
-    for cfg in configs:
+    for i, cfg in enumerate(configs):
         ts = timing_spec_from_config(spec, cfg)
-        try:
-            bound = kernel_latency_bound(ts, gpu)
-        except CompileError:
+        bound = bounds.extrapolate(i) if bounds.short_runs[i] else float(bounds.bound[i])
+        if bound == math.inf:
             with pytest.raises(CompileError):
                 simulate_kernel(ts, gpu)
             continue
@@ -307,3 +319,82 @@ def test_latency_bound_holds_on_random_shapes(gpu):
         space = enumerate_space(spec, gpu)
         checked += _check_latency_bound(gpu, spec, rng.sample(space, min(60, len(space))))
     assert checked == {"A100": 676, "V100": 170, "H100": 676}[gpu.name[:4]]
+
+
+#: The full spaces of ``test_latency_bound_holds_on_full_spaces``.
+_FULL_SHAPES = [(1, 64, 64, 64), (1, 128, 128, 16), (12, 128, 64, 256), (1, 96, 160, 48),
+                (1, 256, 256, 4096), (4, 128, 512, 16384)]
+
+
+def _bits(constants):
+    """A ``_WaveConstants``' fields with every float as its hex string."""
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    return tuple([(bits(l2), bits(dram)) for l2, dram in value] if name == "chunk_service"
+                 else bits(value) for name, value in zip(constants._fields, constants))
+
+
+def _entry(constants, i):
+    """Row ``i`` of columnar wave constants, as Python scalars."""
+    def pick(x):
+        return x[i].item() if isinstance(x, np.ndarray) else x
+
+    return constants._replace(
+        chunk_service=[(pick(l2), pick(dram)) for l2, dram in constants.chunk_service],
+        **{name: pick(value) for name, value in zip(constants._fields, constants)
+           if name != "chunk_service"})
+
+
+def _check_wave_constants(gpu, spec, configs):
+    """Assert that the columnar launch geometry and wave constants of
+    ``configs`` are the scalar ones bit for bit, field by field, and that a
+    row refuses exactly where ``_launch`` raises; returns ``(waves, tail
+    waves, refused)`` counts."""
+    ok, columns = derive_timing_arrays(spec, configs)
+    assert ok.all()
+    launchable, occ, full_waves, has_tail, tail_occ, tail_active = _launch_columns(columns, gpu)
+    full = _wave_constants_columns(columns, gpu, occ, gpu.num_sms)
+    tail = _wave_constants_columns(columns, gpu, tail_occ, tail_active)
+    waves = tails = refused = 0
+    for i, cfg in enumerate(configs):
+        ts = timing_spec_from_config(spec, cfg)
+        assert _row(columns, i) == ts
+        try:
+            n_tb, n_full, tail_shape = _launch(ts, gpu)
+        except CompileError:
+            assert not launchable[i], (gpu.name, spec, cfg)
+            refused += 1
+            continue
+        assert launchable[i] and (occ[i], full_waves[i]) == (n_tb, n_full)
+        assert has_tail[i] == (tail_shape is not None)
+        if n_full:
+            want = _wave_constants(ts, gpu, n_tb, gpu.num_sms)
+            assert _bits(_entry(full, i)) == _bits(want), (gpu.name, spec, cfg)
+            waves += 1
+        if tail_shape is not None:
+            assert (tail_occ[i], tail_active[i]) == tail_shape
+            want = _wave_constants(ts, gpu, *tail_shape)
+            assert _bits(_entry(tail, i)) == _bits(want), (gpu.name, spec, cfg)
+            tails += 1
+    return waves, tails, refused
+
+
+@pytest.mark.parametrize("gpu", [A100, V100, H100], ids=lambda g: g.name)
+def test_columnar_wave_constants_equal_the_simulators(gpu):
+    """The bound sums its constants from columns while the simulator
+    keeps the scalar ``_wave_constants``: no shared function keeps them
+    equal, this test does. It covers the suite spaces at cap 600 and the
+    six full spaces, each with every third config also unswizzled (a
+    bank factor from a missing swizzle column would read 1.8 for all)."""
+    options = SpaceOptions(max_size=600)
+    spaces = [(spec, enumerate_space(spec, gpu, options)) for spec in suite_specs()]
+    spaces += [(spec, enumerate_space(spec, gpu))
+               for spec in (GemmSpec("bound", *shape) for shape in _FULL_SHAPES)]
+    counts = [0, 0, 0]
+    for spec, space in spaces:
+        configs = space + [dataclasses.replace(cfg, swizzle=False) for cfg in space[::3]]
+        counts = [a + b for a, b in zip(counts, _check_wave_constants(gpu, spec, configs))]
+    # ``[full waves, tail waves, refused]``; V100 refuses every cp.async kernel.
+    assert counts == {"A100": [4237, 31350, 159], "V100": [2714, 11405, 20104],
+                      "H100": [3387, 31371, 138]}[gpu.name[:4]]

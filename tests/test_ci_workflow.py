@@ -363,7 +363,7 @@ def test_bench_smoke_checks_simulator_fields(workflow):
 
 
 def test_bench_smoke_runs_traced_perfbench(workflow):
-    """A traced perfbench run of compile and tune must stay correct,
+    """A traced perfbench run of compile, tune and serve must stay correct,
     deterministic and see the simulator and, on tune, the batch analytical
     model: a refactor that silently unhooks a layer perfbench wraps
     (``simulate.wave_sims`` or ``analytical.configs`` falling to 0) fails
@@ -372,7 +372,8 @@ def test_bench_smoke_runs_traced_perfbench(workflow):
     assert len(cmds) == 1, "bench-smoke must run the traced perfbench step once"
     cmd = cmds[0]
     assert "set -o pipefail" in cmd, "a failing run.py must not be masked by tee"
-    assert "for w in compile tune" in cmd
+    assert "for w in compile tune serve; do" in cmd
+    assert 'for w in ("compile", "tune", "serve"):' in cmd
     assert "python3 perfbench/run.py --workload $w --seed 1 --seconds 5 --trace 1" in cmd
     assert 'r["correct"] is True' in cmd
     assert 'm["nondeterministic.counts"] == 0' in cmd
@@ -392,3 +393,14 @@ def test_bench_smoke_gates_tune_on_trials_only(workflow):
     assert 'm["sweep.calls"] == 0' in tune
     assert 'm["measure.configs_compiled"] <= m["tuner.trials"]' in tune
     assert 'm["model-fit.calls"] == m["tuner.trials"] // 16 - 1' in tune
+
+
+def test_bench_smoke_gates_serve_on_the_bounded_search(workflow):
+    """The traced serve replay's cold solves are bounded searches: a config
+    the bound skips is never simulated, and one measured is simulated once
+    (a bound's short runs are wave simulations, not kernel ones), so a
+    search that measures more, or simulates outside its measurements, fails."""
+    cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
+               if "perfbench/run.py" in c)
+    serve = cmd.split('if w == "serve":')[1]
+    assert 'm["simulate.calls"] == m["measure.configs_compiled"] <= 648' in serve

@@ -1,5 +1,5 @@
-"""The static path's ``Measurer.best`` is branch-and-bound over
-``kernel_latency_bound``: it must return exactly the exhaustive argmin (the
+"""The static path's ``Measurer.best`` is branch-and-bound over the
+engine's ``LatencyBounds``: it must return exactly the exhaustive argmin (the
 lowest-index config of minimal latency, and that latency bit for bit)
 while measuring only the configs whose bound can still win."""
 
@@ -10,7 +10,6 @@ import time
 import pytest
 
 import repro.gpusim.engine as engine
-import repro.tuning.measure as measure
 from repro.core.compiler import VARIANTS
 from repro.core.errors import CompileError, DeadlineExceededError
 from repro.gpusim import A100, V100
@@ -107,26 +106,27 @@ def test_a_cold_serve_pass_measures_649_configs():
 
 
 def _count_bound_waves(monkeypatch):
-    """Patch the engine so every ``simulate_wave`` call made while
-    ``Measurer`` derives a bound is recorded; returns the record."""
+    """Patch the engine so every ``simulate_wave`` call made while a bound
+    runs its short runs (``LatencyBounds.extrapolate``) is recorded;
+    returns the record."""
     calls = []
     bounding = []
-    wave, bound = engine.simulate_wave, measure.kernel_latency_bound
+    wave, extrapolate = engine.simulate_wave, engine.LatencyBounds.extrapolate
 
     def counted_wave(*args, **kwargs):
         if bounding:
             calls.append(args[0])
         return wave(*args, **kwargs)
 
-    def counted_bound(ts, gpu):
-        bounding.append(ts)
+    def counted_extrapolate(bounds, i):
+        bounding.append(i)
         try:
-            return bound(ts, gpu)
+            return extrapolate(bounds, i)
         finally:
             bounding.pop()
 
     monkeypatch.setattr(engine, "simulate_wave", counted_wave)
-    monkeypatch.setattr(measure, "kernel_latency_bound", counted_bound)
+    monkeypatch.setattr(engine.LatencyBounds, "extrapolate", counted_extrapolate)
     return calls
 
 
