@@ -345,10 +345,14 @@ def _short_extent(ts: KernelTimingSpec, max_outer_iters: int) -> int:
 def _extrapolate(t_long: float, t_short: float, e_long: int, e_short: int,
                  outer_extent: int) -> float:
     """A wave's latency over ``outer_extent`` iterations from its runs of
-    ``e_long`` and ``e_short``. Nondecreasing in ``t_long`` under IEEE
-    rounding, so a lower bound on ``t_long`` gives one on the result."""
+    ``e_long`` and ``e_short``, never below ``t_long``: a longer loop is
+    not faster than its truncated run. So a lower bound on ``t_long``
+    bounds the result by itself, and, the result being nondecreasing in
+    ``t_long`` under IEEE rounding, passing that bound in place of
+    ``t_long`` gives a tighter one."""
     rate = (t_long - t_short) / (e_long - e_short)
-    return t_long + rate * (outer_extent - e_long)
+    t = t_long + rate * (outer_extent - e_long)
+    return t if t > t_long else t_long
 
 
 def _wave_latency_extrapolated(
@@ -511,11 +515,11 @@ class LatencyBounds:
 
     ``bound[i]`` is ``inf`` where :func:`simulate_kernel` would refuse the
     kernel. A row whose loop is extrapolated (``outer_extent > 64``,
-    :func:`simulate_kernel`'s default ``max_outer_iters``) also needs the
-    shorter of its two truncated simulations for each wave shape (full,
-    tail): ``short_runs[i]`` counts them, ``bound[i]`` is ``-inf`` until
-    they run, and :meth:`extrapolate` runs them and returns the row's
-    bound, which may be negative.
+    :func:`simulate_kernel`'s default ``max_outer_iters``) is bounded by
+    its 64-iteration closed form, because :func:`_extrapolate` never
+    returns less than the long run. :meth:`extrapolate` tightens it: it
+    runs the shorter of the row's two truncated simulations for each wave
+    shape (full, tail), which ``short_runs[i]`` counts.
     """
 
     def __init__(self, ts: KernelTimingSpec, gpu: GpuSpec) -> None:
@@ -528,17 +532,17 @@ class LatencyBounds:
         # The same expression as simulate_kernel's latency: IEEE addition
         # and multiplication are monotone, so smaller terms give a smaller sum.
         self.bound = np.where(launchable, _LAUNCH_OVERHEAD + full_waves * wave + tail, math.inf)
-        self.bound[extrapolated] = -math.inf
         self.short_runs = np.where(
             extrapolated, (full_waves > 0).astype(np.int64) + has_tail, 0)
         self._ts, self._gpu = ts, gpu
         self._waves = (full_waves, occ, wave, has_tail, tail_occ, tail_active, tail)
 
     def extrapolate(self, i: int) -> float:
-        """Row ``i``'s bound when ``short_runs[i]`` is nonzero. Each wave
-        runs its exact short run and goes through :func:`_extrapolate`
-        with its long run's closed-form bound, as
-        :func:`_wave_latency_extrapolated` does with the simulated one."""
+        """Row ``i``'s tighter bound, at least ``bound[i]``, when
+        ``short_runs[i]`` is nonzero. Each wave runs its exact short run
+        and goes through :func:`_extrapolate` with its long run's
+        closed-form bound, as :func:`_wave_latency_extrapolated` does with
+        the simulated one."""
         ts, gpu = _row(self._ts, i), self._gpu
         full_waves, occ, wave, has_tail, tail_occ, tail_active, tail = self._waves
         e_short = _short_extent(ts, _MAX_OUTER_ITERS)

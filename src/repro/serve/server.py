@@ -902,6 +902,8 @@ class ReproServer:
                 "n_crashes": telemetry.n_crashes,
                 "n_timeouts": telemetry.n_timeouts,
                 "disk_errors": telemetry.disk_errors,
+                "bounds_derived": telemetry.bounds_derived,
+                "bound_short_runs": telemetry.bound_short_runs,
             },
             "incremental": (
                 self.measurer.engine.stats()

@@ -28,8 +28,8 @@ exercises every one of those recovery paths.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
+import heapq
 import math
 import threading
 import time
@@ -127,7 +127,8 @@ class MeasureTelemetry:
     #: latency bounds a bounded :meth:`Measurer.best` derived (neither
     #: cached nor memoized)
     bounds_derived: int = 0
-    #: short wave simulations those bounds ran (extrapolated kernels)
+    #: short wave simulations that refined the bounds of extrapolated
+    #: kernels the search reached
     bound_short_runs: int = 0
 
     @property
@@ -636,8 +637,10 @@ class Measurer:
         in the memory cache ranks by its latency), in batches of 16, until
         the next bound exceeds the best latency measured so far. No config
         left can beat or tie that latency, so the answer is the exhaustive
-        one, bit for bit; only the configs measured reach the caches.
-        ``deadline`` is also checked before each bound that simulates.
+        one, bit for bit; only the configs measured reach the caches. An
+        extrapolated kernel's closed-form bound is refined by its short
+        simulation only when the search reaches it, and ``deadline`` is
+        also checked before each such refinement.
         """
         space = list(space)
         if not space:
@@ -655,67 +658,68 @@ class Measurer:
             raise CompileError(f"no configuration in the space compiles for {spec.name}")
         return space[idx], latency
 
-    def _latency_bounds(self, spec: GemmSpec, space: List[TileConfig],
-                        deadline: Optional[float]) -> List[float]:
-        """A lower bound on each config's static-path latency: its latency
-        when the memory cache holds it, :data:`FAILED` where that path
-        records :data:`FAILED`. The others are bounded in one columnar pass
-        (:class:`~repro.gpusim.engine.LatencyBounds`); a bound that needs
-        short runs (an extrapolated kernel's) checks ``deadline`` first,
-        runs them in the ``simulate`` stage and is memoized."""
+    def _bounded_best(self, spec: GemmSpec, space: List[TileConfig],
+                      deadline: Optional[float]) -> Tuple[int, float]:
+        """``(index, latency)`` of the exhaustive argmin of ``space``.
+
+        A heap holds each config at a lower bound on its static-path
+        latency, ties by space index: its cached latency, :data:`FAILED`
+        where that path fails, else its columnar
+        :class:`~repro.gpusim.engine.LatencyBounds` bound or the memoized
+        refinement of it. A config popped at a bound that can still win
+        joins the next batch, unless it is an extrapolated kernel not
+        refined yet: that one is refined (a ``deadline`` check, then its
+        short runs in the ``simulate`` stage), memoized and pushed back. A
+        refinement never lowers a bound, so configs reach the batches in
+        the order of their final bounds."""
         keys = [self._key(spec, cfg) for cfg in space]
         with self._lock:
             bounds = [self._cache.get(key) for key in keys]
         todo = [i for i, bound in enumerate(bounds) if bound is None]
-        if not todo:
-            return bounds
-        # A tile that does not divide the problem is FAILED on the static path.
-        ok, ts = derive_timing_arrays(spec, [space[i] for i in todo])
-        columns = LatencyBounds(ts, self.gpu)
-        rows = np.flatnonzero(ok)
-        found = np.full(len(todo), FAILED)
-        found[rows] = columns.bound
-        for i, bound in zip(todo, found.tolist()):
-            bounds[i] = bound
-        pending = np.flatnonzero(columns.short_runs)
-        derived, short_runs = len(todo) - len(pending), 0
-        try:
-            with profiling.collect(self.stage_times):
-                for row in pending.tolist():
-                    i = todo[rows[row]]
-                    with self._lock:
-                        bounds[i] = self._simulated_bounds.get(keys[i])
-                    if bounds[i] is not None:
-                        continue
-                    self._deadline_check(deadline, spec, i, len(space), "latency bounds")
-                    with profiling.stage("simulate"):
-                        bounds[i] = columns.extrapolate(row)
-                    derived += 1
-                    short_runs += int(columns.short_runs[row])
-                    with self._lock:
-                        self._simulated_bounds[keys[i]] = bounds[i]
-        finally:
+        # space index -> the LatencyBounds row whose short runs refine its bound
+        unrefined: Dict[int, int] = {}
+        if todo:
+            # A tile that does not divide the problem is FAILED on the static path.
+            ok, ts = derive_timing_arrays(spec, [space[i] for i in todo])
+            columns = LatencyBounds(ts, self.gpu)
+            rows = np.flatnonzero(ok)
+            found = np.full(len(todo), FAILED)
+            found[rows] = columns.bound
+            for i, bound in zip(todo, found.tolist()):
+                bounds[i] = bound
+            memoized = 0
             with self._lock:
-                self.n_bounds_derived += derived
-                self.n_bound_short_runs += short_runs
-        return bounds
-
-    def _bounded_best(self, spec: GemmSpec, space: List[TileConfig],
-                      deadline: Optional[float]) -> Tuple[int, float]:
-        """``(index, latency)`` of the exhaustive argmin of ``space``,
-        measuring only configs whose bound is at most the best so far."""
-        bounds = self._latency_bounds(spec, space, deadline)
-        ranked = sorted(range(len(space)), key=bounds.__getitem__)
-        ranked_bounds = [bounds[i] for i in ranked]
+                for row in np.flatnonzero(columns.short_runs).tolist():
+                    i = todo[rows[row]]
+                    memo = self._simulated_bounds.get(keys[i])
+                    if memo is None:
+                        unrefined[i] = row
+                    else:
+                        bounds[i], memoized = memo, memoized + 1
+                self.n_bounds_derived += len(todo) - memoized
+        heap = list(zip(bounds, range(len(space))))
+        heapq.heapify(heap)
+        n_unrefined, refined = len(unrefined), 0
         best_idx, best = len(space), FAILED
-        start = 0
         while True:
-            stop = min(start + _BOUND_BATCH, bisect.bisect_right(ranked_bounds, best))
-            if stop <= start:
+            batch: List[int] = []
+            while heap and heap[0][0] <= best and len(batch) < _BOUND_BATCH:
+                _, i = heapq.heappop(heap)
+                row = unrefined.pop(i, None)
+                if row is None:
+                    batch.append(i)
+                    continue
+                self._deadline_check(deadline, spec, refined, n_unrefined, "latency bounds")
+                with profiling.collect(self.stage_times), profiling.stage("simulate"):
+                    bound = columns.extrapolate(row)
+                refined += 1
+                with self._lock:
+                    self._simulated_bounds[keys[i]] = bound
+                    self.n_bound_short_runs += int(columns.short_runs[row])
+                heapq.heappush(heap, (bound, i))
+            if not batch:
                 return best_idx, best
-            batch = ranked[start:stop]
             latencies = self.measure_many(spec, [space[i] for i in batch], deadline=deadline)
             for i, latency in zip(batch, latencies):
                 if latency < best or (latency == best and i < best_idx):
                     best_idx, best = i, latency
-            start = stop

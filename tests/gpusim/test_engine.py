@@ -12,6 +12,7 @@ import pytest
 from repro.gpusim import A100, A100_NO_ASYNC, H100, V100, CompileError, simulate_kernel
 from repro.gpusim.engine import (
     LatencyBounds,
+    _extrapolate,
     _launch,
     _launch_columns,
     _row,
@@ -171,6 +172,23 @@ class TestExtrapolationCap:
         assert (simulate_kernel(ts, max_outer_iters=4).latency_us
                 == simulate_kernel(ts, max_outer_iters=None).latency_us)
 
+    def test_extrapolation_never_drops_below_the_long_run(self):
+        """A loop longer than the long run is never faster than it: a short
+        run slower than the long run (a negative slope) gives the long
+        run's time. Every other case is the linear extrapolation, bit for
+        bit, so no simulated latency moves."""
+        assert _extrapolate(100.0, 100.5, 64, 32, 128) == 100.0
+        assert _extrapolate(100.0, 100.0, 64, 32, 4096) == 100.0
+        rng = random.Random(25)
+        for _ in range(2000):
+            t_long = rng.uniform(1.0, 5000.0)
+            t_short = t_long * rng.uniform(0.3, 1.0)
+            e_short, outer = rng.randint(5, 63), rng.randint(65, 1 << 14)
+            want = t_long + (t_long - t_short) / (64 - e_short) * (outer - 64)
+            assert _extrapolate(t_long, t_short, 64, e_short, outer).hex() == want.hex()
+            slower = t_long * rng.uniform(1.0 + 1e-12, 2.0)
+            assert _extrapolate(t_long, slower, 64, e_short, outer) == t_long
+
 
 #: Problem shapes ``(batch, m, n, k)`` of the pinned identity test.
 _PIN_SHAPES = {
@@ -259,24 +277,28 @@ def test_suite_capped_spaces_match_pinned_digest():
 
 def _check_latency_bound(gpu, spec, configs):
     """Assert that the :class:`LatencyBounds` of ``configs``, from one
-    columnar pass, is <= the simulated latency of every launchable static
-    kernel among them; returns how many it checked. An extrapolated
-    kernel's bound (``outer_extent > 64``) may be negative; a kernel whose
-    bound is ``inf`` must be one that ``simulate_kernel`` refuses."""
+    columnar pass, is positive and <= the simulated latency of every
+    launchable static kernel among them; returns how many it checked. An
+    extrapolated kernel (``outer_extent > 64``) has short runs, and its
+    refined bound lies between the two; a kernel whose bound is ``inf``
+    must be one that ``simulate_kernel`` refuses."""
     ok, columns = derive_timing_arrays(spec, configs)
     assert ok.all()
     bounds = LatencyBounds(columns, gpu)
     checked = 0
     for i, cfg in enumerate(configs):
         ts = timing_spec_from_config(spec, cfg)
-        bound = bounds.extrapolate(i) if bounds.short_runs[i] else float(bounds.bound[i])
+        bound = float(bounds.bound[i])
         if bound == math.inf:
             with pytest.raises(CompileError):
                 simulate_kernel(ts, gpu)
             continue
         latency = simulate_kernel(ts, gpu).latency_us
-        assert bound <= latency, (gpu.name, spec, cfg, bound, latency)
-        assert ts.outer_extent > 64 or 0.0 < bound, (gpu.name, spec, cfg, bound)
+        assert 0.0 < bound <= latency, (gpu.name, spec, cfg, bound, latency)
+        assert bool(bounds.short_runs[i]) == (ts.outer_extent > 64), (gpu.name, spec, cfg)
+        if bounds.short_runs[i]:
+            refined = bounds.extrapolate(i)
+            assert bound <= refined <= latency, (gpu.name, spec, cfg, bound, refined, latency)
         checked += 1
     return checked
 

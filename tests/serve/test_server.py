@@ -440,8 +440,8 @@ class TestStatus:
         for counter in ("sweeps_run", "artifacts_built", "dedup_hits",
                         "registry_hits", "registry_misses"):
             assert counter in status["counters"]
-        for field in ("n_compiled", "memory_hits", "disk_hits",
-                      "compile_time_s", "n_crashes", "n_timeouts"):
+        for field in ("n_compiled", "memory_hits", "disk_hits", "compile_time_s",
+                      "n_crashes", "n_timeouts", "bounds_derived", "bound_short_runs"):
             assert field in status["measurer"]
         tune_stats = status["endpoints"]["tune"]
         assert tune_stats["requests"] == 1

@@ -127,13 +127,17 @@ class TestServeSmokeJob:
 
     def test_asserts_extrapolated_kernels_are_bounded(self, workflow):
         """35 of the long-K request's 60 configs are extrapolated: a
-        search that simulated every one of them fails on the count."""
+        search that simulated every one of them fails on the count, and
+        so does one that ran every one's short run before searching."""
         cmds = job_commands(workflow["jobs"]["serve-smoke"])
         longk = [c for c in cmds if "client compile" in c and "--k 4096" in c]
         assert len(longk) == 1
         assert "--m 512 --n 512 --k 4096" in longk[0]
         assert 'n = s3["measurer"]["n_compiled"] - s2["measurer"]["n_compiled"]' in longk[0]
         assert "assert 0 < n < 35, n" in longk[0]
+        assert ('b = s3["measurer"]["bound_short_runs"] - s2["measurer"]["bound_short_runs"]'
+                in longk[0])
+        assert "assert 0 < b < 35, b" in longk[0]
 
     def test_asserts_warm_round_from_registry_with_zero_compiles(self, workflow):
         cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
@@ -399,8 +403,11 @@ def test_bench_smoke_gates_serve_on_the_bounded_search(workflow):
     """The traced serve replay's cold solves are bounded searches: a config
     the bound skips is never simulated, and one measured is simulated once
     (a bound's short runs are wave simulations, not kernel ones), so a
-    search that measures more, or simulates outside its measurements, fails."""
+    search that measures more, or simulates outside its measurements, fails.
+    A bound's short run runs only when the search reaches it (1,206 wave
+    simulations, 2,200 when every extrapolated bound was refined first)."""
     cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
                if "perfbench/run.py" in c)
     serve = cmd.split('if w == "serve":')[1]
     assert 'm["simulate.calls"] == m["measure.configs_compiled"] <= 648' in serve
+    assert 'm["simulate.wave_sims"] <= 1300' in serve

@@ -6,10 +6,12 @@ while measuring only the configs whose bound can still win."""
 import hashlib
 import random
 import time
+import types
 
 import pytest
 
 import repro.gpusim.engine as engine
+import repro.tuning.measure as measure
 from repro.core.compiler import VARIANTS
 from repro.core.errors import CompileError, DeadlineExceededError
 from repro.gpusim import A100, V100
@@ -82,12 +84,14 @@ def test_bounded_best_measures_a_fraction_of_the_space():
 _SERVE_ANSWERS = "c4ac3f3cb2281d0f1e1592cfd4e326f17530b36d1d787b3bda14166dd09b2357"
 
 
-def test_a_cold_serve_pass_measures_649_configs():
+def test_a_cold_serve_pass_measures_648_configs():
     """One cold measurer answers the 24 serve keys (12 suite ops x
-    {alcop, tvm}, cap 600) as a serve replay meets them. Extrapolated
-    kernels are bounded from their exact short run, so Conv_VGG_3x3's
-    ``alcop`` search measures 16 of its 600 configs (377 when they had no
-    bound) and the pass 649 (1,570), with the exhaustive answers."""
+    {alcop, tvm}, cap 600) as a serve replay meets them. An extrapolated
+    kernel starts at its 64-iteration closed form and runs its short run
+    only when the search reaches it, so the pass runs 352 short runs
+    (1,346 when every extrapolated bound was refined first) and measures
+    648 configs (Conv_VGG_3x3's ``alcop`` search 16 of 600; 1,570 in all
+    when extrapolated kernels had no bound), with the exhaustive answers."""
     measurer = Measurer(A100, via_ir=False)
     answers = hashlib.sha256()
     compiled = {}
@@ -101,58 +105,61 @@ def test_a_cold_serve_pass_measures_649_configs():
     assert answers.hexdigest() == _SERVE_ANSWERS
     assert compiled["Conv_VGG_3x3", "alcop"] == 16
     telemetry = measurer.telemetry
-    assert telemetry.n_compiled == sum(compiled.values()) == 649
-    assert (telemetry.bounds_derived, telemetry.bound_short_runs) == (8159, 1346)
+    assert telemetry.n_compiled == sum(compiled.values()) == 648
+    assert (telemetry.bounds_derived, telemetry.bound_short_runs) == (8643, 352)
 
 
-def _count_bound_waves(monkeypatch):
-    """Patch the engine so every ``simulate_wave`` call made while a bound
-    runs its short runs (``LatencyBounds.extrapolate``) is recorded;
-    returns the record."""
-    calls = []
-    bounding = []
+def _count_refinements(monkeypatch):
+    """Patch the engine so every refinement (``LatencyBounds.extrapolate``)
+    and every ``simulate_wave`` call made during one are recorded; returns
+    ``(refinements, waves)``."""
+    refinements, waves, refining = [], [], []
     wave, extrapolate = engine.simulate_wave, engine.LatencyBounds.extrapolate
 
     def counted_wave(*args, **kwargs):
-        if bounding:
-            calls.append(args[0])
+        if refining:
+            waves.append(args[0])
         return wave(*args, **kwargs)
 
     def counted_extrapolate(bounds, i):
-        bounding.append(i)
+        refinements.append(i)
+        refining.append(i)
         try:
             return extrapolate(bounds, i)
         finally:
-            bounding.pop()
+            refining.pop()
 
     monkeypatch.setattr(engine, "simulate_wave", counted_wave)
     monkeypatch.setattr(engine.LatencyBounds, "extrapolate", counted_extrapolate)
-    return calls
+    return refinements, waves
 
 
 def test_a_tvm_solve_reuses_the_bounds_of_its_alcop_solve(monkeypatch):
-    """The ``tvm`` subspace lies inside the ``alcop`` space, whose solve
-    bounded every config: the ``tvm`` solve reads the memoized bounds (or
-    the cached latencies) and simulates no short run again."""
+    """The ``tvm`` subspace lies inside the ``alcop`` space. A bound is
+    refined only when a search reaches it, so the ``tvm`` solve refines
+    configs the ``alcop`` search never reached, but it reads the memoized
+    bound of every config that search refined: each refinement adds a new
+    memo entry, so no config is refined twice on one measurer."""
     spec = next(s for s in suite_specs() if s.name == "Conv_VGG_3x3")
     full = enumerate_space(spec, A100, SpaceOptions(max_size=600))
     alcop, tvm = restrict_space(full, "alcop"), restrict_space(full, "tvm")
     assert {c.key() for c in tvm} <= {c.key() for c in alcop}
-    calls = _count_bound_waves(monkeypatch)
+    refinements, waves = _count_refinements(monkeypatch)
     measurer = Measurer(A100, via_ir=False)
     measurer.best(spec, alcop)
-    short_runs = measurer.telemetry.bound_short_runs
-    assert short_runs == len(calls) > 0
-    calls.clear()
+    refined_by_alcop = set(measurer._simulated_bounds)
+    assert len(refinements) == len(refined_by_alcop) > 0
     assert measurer.best(spec, tvm) == exhaustive_best(Measurer(A100, via_ir=False), spec, tvm)
-    assert calls == []
-    assert measurer.telemetry.bound_short_runs == short_runs
+    refined_by_tvm = set(measurer._simulated_bounds) - refined_by_alcop
+    assert len(refinements) == len(refined_by_alcop) + len(refined_by_tvm)
+    assert refined_by_tvm, "the tvm solve reached no unrefined config"
+    assert measurer.telemetry.bound_short_runs == len(waves)
 
 
 def test_an_expired_deadline_stops_before_the_first_simulated_bound(monkeypatch):
-    """A long-K space has extrapolated kernels, whose bounds simulate:
-    the deadline is checked before each, so an expired request runs no
-    wave at all."""
+    """A long-K space has extrapolated kernels, whose refined bounds
+    simulate: the deadline is checked before each refinement, so an
+    expired request runs no wave at all."""
     spec = GemmSpec("long_k", 1, 256, 256, 4096)
     space = enumerate_space(spec, A100, SpaceOptions(max_size=600))
     calls = []
@@ -165,6 +172,34 @@ def test_an_expired_deadline_stops_before_the_first_simulated_bound(monkeypatch)
     assert calls == []
     telemetry = measurer.telemetry
     assert (telemetry.n_compiled, telemetry.bound_short_runs) == (0, 0)
+
+
+def test_a_deadline_reports_the_bounds_refined_before_it(monkeypatch):
+    """The clock passes the deadline after the 5th refinement. The long-K
+    search refines 27 bounds before its first batch, so the next check is
+    the 6th refinement's, and it reports 5 of the space's 371
+    extrapolated bounds done, not a position in the space."""
+    spec = GemmSpec("long_k", 1, 256, 256, 4096)
+    space = enumerate_space(spec, A100, SpaceOptions(max_size=600))
+    clock = types.SimpleNamespace(monotonic=lambda: 0.0, perf_counter=time.perf_counter,
+                                  sleep=time.sleep)
+    monkeypatch.setattr(measure, "time", clock)
+    refinements, waves = _count_refinements(monkeypatch)
+    extrapolate = engine.LatencyBounds.extrapolate
+
+    def expiring_extrapolate(bounds, i):
+        bound = extrapolate(bounds, i)
+        if len(refinements) == 5:
+            clock.monotonic = lambda: 2.0
+        return bound
+
+    monkeypatch.setattr(engine.LatencyBounds, "extrapolate", expiring_extrapolate)
+    measurer = Measurer(A100, via_ir=False)
+    with pytest.raises(DeadlineExceededError, match=r"after 5/371 latency bounds"):
+        measurer.best(spec, space, deadline=1.0)
+    telemetry = measurer.telemetry
+    assert len(refinements) == len(measurer._simulated_bounds) == 5
+    assert (telemetry.n_compiled, telemetry.bound_short_runs) == (0, len(waves))
 
 
 def test_via_ir_best_measures_the_whole_space():
