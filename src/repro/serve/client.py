@@ -32,7 +32,7 @@ from typing import Dict, Optional
 from ..core.errors import DeadlineExceededError, OverloadedError, ProtocolError, ServeError
 from ..obs import trace as obs_trace
 from . import protocol
-from .protocol import decode_message, encode_message, raise_remote_error
+from .protocol import decode_message, encode_message, raise_remote_error, spec_to_params
 
 __all__ = ["ServeClient"]
 
@@ -228,32 +228,30 @@ class ServeClient:
         ``draining``, queue depth, shed counters."""
         return self.request("health")
 
-    def compile(self, **params) -> Dict:
+    def compile(self, spec=None, /, **params) -> Dict:
         """Full artifact for a problem: config, latency, IR text, CUDA
         source, provenance, the stages this request paid for, and where it
-        was served from (``registry`` / ``inflight`` / ``fresh``)."""
-        return self.request("compile", params)
+        was served from (``registry`` / ``inflight`` / ``fresh``). The
+        problem is ``spec`` (a GemmSpec, sent whole), problem-field
+        keywords, or both; keywords such as ``variant`` and ``space`` add
+        to the spec's fields."""
+        return self.request("compile", _problem_params(spec, params))
 
-    def tune(self, **params) -> Dict:
+    def tune(self, spec=None, /, **params) -> Dict:
         """Like :meth:`compile` but without the kernel text payload."""
-        return self.request("tune", params)
+        return self.request("tune", _problem_params(spec, params))
 
     def measure(self, spec, configs, **extra) -> Dict:
         """Fleet-worker shard measurement (docs/distributed.md): time each
         config of ``configs`` (TileConfigs or field dicts) for ``spec`` (a
         GemmSpec or problem-field dict) on the daemon. The result carries
         ``latencies`` (request order; ``inf`` decoded from the wire form),
-        ``persist`` flags, and the daemon's ``via_ir``/``gpu`` identity so
-        the coordinator can refuse a mismatched worker."""
+        ``persist`` flags, the ``spec`` the daemon measured, and its
+        ``via_ir``/``gpu`` identity, so the coordinator can refuse a
+        mismatched worker."""
         from .protocol import decode_latency
 
-        if hasattr(spec, "m"):  # a GemmSpec-like object
-            params = {
-                "name": spec.name, "batch": spec.batch, "m": spec.m,
-                "n": spec.n, "k": spec.k, "dtype": spec.dtype,
-            }
-        else:
-            params = dict(spec)
+        params = dict(spec) if isinstance(spec, dict) else spec_to_params(spec)
         params["configs"] = [
             cfg if isinstance(cfg, dict) else cfg.as_dict() for cfg in configs
         ]
@@ -287,3 +285,11 @@ class ServeClient:
             except ServeError:
                 time.sleep(interval)
         return False
+
+
+def _problem_params(spec, params: Dict) -> Dict:
+    """Request params for a problem: ``spec``'s fields (a GemmSpec, or
+    None), then ``params``."""
+    if spec is None:
+        return params
+    return {**spec_to_params(spec), **params}

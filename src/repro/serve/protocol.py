@@ -53,10 +53,12 @@ hint; :func:`raise_remote_error` reconstructs both types client-side.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Dict, Optional, Tuple
 
 from ..core.errors import ProtocolError, ReproError
+from ..tensor.operation import GemmSpec
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -64,9 +66,13 @@ __all__ = [
     "encode_message",
     "decode_message",
     "ok_response",
+    "MemoizedReply",
+    "encode_reply",
     "error_response",
     "error_payload",
     "parse_deadline",
+    "spec_to_params",
+    "spec_from_params",
     "parse_problem_params",
     "parse_measure_params",
     "encode_latency",
@@ -109,6 +115,31 @@ def ok_response(result: Dict, request_id: Optional[object] = None) -> Dict:
     return {"id": request_id, "ok": True, "result": result}
 
 
+class MemoizedReply(dict):
+    """An ok response whose ``result`` is already encoded: ``result_json``
+    holds ``json.dumps(result, sort_keys=True)``. The daemon answers a
+    registry hit with one, its result encoded once per artifact and op."""
+
+    __slots__ = ("result_json",)
+
+    def __init__(self, response: Dict, result_json: bytes) -> None:
+        super().__init__(response)
+        self.result_json = result_json
+
+
+def encode_reply(response: Dict) -> bytes:
+    """The wire bytes of a response, equal to :func:`encode_message`'s.
+
+    A :class:`MemoizedReply` encodes only its id and splices it in front of
+    the encoded result: the envelope's keys sort as ``id``, ``ok``,
+    ``result``, and the encoder writes a nested value the same way at any
+    depth, so the bytes are the same."""
+    if isinstance(response, MemoizedReply):
+        return (b'{"id": ' + json.dumps(response["id"], sort_keys=True).encode()
+                + b', "ok": true, "result": ' + response.result_json + b"}\n")
+    return encode_message(response)
+
+
 def error_response(exc: BaseException, request_id: Optional[object] = None) -> Dict:
     return {"id": request_id, "ok": False, "error": error_payload(exc)}
 
@@ -144,36 +175,62 @@ def parse_deadline(message: Dict) -> Optional[float]:
 
 
 _REQUIRED_DIMS = ("m", "n", "k")
+_FOOTPRINT_RATIOS = ("a_footprint_ratio", "b_footprint_ratio")
+
+
+def spec_to_params(spec: GemmSpec) -> Dict:
+    """The request params of a :class:`~repro.tensor.operation.GemmSpec`:
+    all eight fields, so a convolution's footprint ratios cross the wire.
+    :func:`spec_from_params` is the inverse."""
+    return dataclasses.asdict(spec)
+
+
+def spec_from_params(params: Dict) -> GemmSpec:
+    """The :class:`~repro.tensor.operation.GemmSpec` that request params
+    describe. ``m``, ``n`` and ``k`` are required; ``batch``, ``dtype`` and
+    the footprint ratios default as in ``GemmSpec`` (1, ``float16``, 1.0)
+    and ``name`` to ``"serve"``. Anything ``GemmSpec`` refuses (a ratio
+    outside (0, 1], an unknown dtype) raises :class:`ProtocolError`, so a
+    bad request is answered, never crashes a worker."""
+    if not isinstance(params, dict):
+        raise ProtocolError("params must be a JSON object")
+    dims: Dict = {}
+    for dim in _REQUIRED_DIMS:
+        if dim not in params:
+            raise ProtocolError(f"missing required problem dimension {dim!r}")
+        try:
+            dims[dim] = int(params[dim])
+        except (TypeError, ValueError):
+            raise ProtocolError(f"problem dimension {dim!r} must be an integer") from None
+        if dims[dim] <= 0:
+            raise ProtocolError(f"problem dimension {dim!r} must be positive")
+    try:
+        dims["batch"] = int(params.get("batch", 1))
+    except (TypeError, ValueError):
+        raise ProtocolError("batch must be an integer") from None
+    if dims["batch"] <= 0:
+        raise ProtocolError("batch must be positive")
+    for ratio in _FOOTPRINT_RATIOS:
+        try:
+            dims[ratio] = float(params.get(ratio, 1.0))
+        except (TypeError, ValueError):
+            raise ProtocolError(f"{ratio} must be a number") from None
+    try:
+        return GemmSpec(str(params.get("name", "serve")),
+                        dtype=str(params.get("dtype", "float16")), **dims)
+    except ValueError as e:
+        raise ProtocolError(f"invalid problem: {e}") from None
 
 
 def parse_problem_params(params: Dict) -> Dict:
     """Validate and normalize the problem fields of a compile/tune request.
 
-    Returns a dict with ``name, batch, m, n, k, dtype, variant, space`` —
-    everything :mod:`repro.serve.server` needs to build the spec and the
+    Returns a dict with ``spec`` (:func:`spec_from_params`), ``variant`` and
+    ``space`` — everything :mod:`repro.serve.server` needs to build the
     artifact key. Raises :class:`ProtocolError` on anything missing or
-    non-positive, so a bad request is answered, never crashes a worker.
+    invalid.
     """
-    if not isinstance(params, dict):
-        raise ProtocolError("params must be a JSON object")
-    out: Dict = {}
-    for dim in _REQUIRED_DIMS:
-        if dim not in params:
-            raise ProtocolError(f"missing required problem dimension {dim!r}")
-        try:
-            out[dim] = int(params[dim])
-        except (TypeError, ValueError):
-            raise ProtocolError(f"problem dimension {dim!r} must be an integer") from None
-        if out[dim] <= 0:
-            raise ProtocolError(f"problem dimension {dim!r} must be positive")
-    try:
-        out["batch"] = int(params.get("batch", 1))
-    except (TypeError, ValueError):
-        raise ProtocolError("batch must be an integer") from None
-    if out["batch"] <= 0:
-        raise ProtocolError("batch must be positive")
-    out["name"] = str(params.get("name", "serve"))
-    out["dtype"] = str(params.get("dtype", "float16"))
+    out: Dict = {"spec": spec_from_params(params)}
     space = params.get("space", None)
     if space is not None:
         try:

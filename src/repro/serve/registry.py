@@ -45,7 +45,7 @@ import os
 import pathlib
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .. import faults
 from ..core.degrade import DiskDegrade
@@ -70,6 +70,10 @@ ARTIFACT_DIR = "artifacts"
 QUARANTINE_DIR = "quarantine"
 INDEX_FILE = "index.json"
 
+
+#: Serializes the first :meth:`KernelArtifact.encoded` of each name, so
+#: concurrent warm hits build one encoding, not one each.
+_ENCODE_LOCK = threading.Lock()
 
 #: Solved problems whose content address :func:`artifact_key` memoizes.
 _ARTIFACT_KEY_MEMO = 1024
@@ -128,6 +132,23 @@ class KernelArtifact:
     #: gpu name+fingerprint, compiler-version hash, tune session id,
     #: created-at unix seconds, search inputs (variant, space cap, via_ir).
     provenance: Dict[str, object]
+
+    def __post_init__(self) -> None:
+        # Encodings built from this artifact (:meth:`encoded`). Not a
+        # field: never stored, compared or printed, and freed with it.
+        object.__setattr__(self, "_encoded", {})
+
+    def encoded(self, name: str, build: Callable[[], bytes]) -> bytes:
+        """``build()``, run at most once per artifact and ``name``. The
+        serve daemon keeps a registry hit's encoded reply here, one per
+        op, so a warm reply does not encode the artifact again."""
+        out = self._encoded.get(name)
+        if out is None:
+            with _ENCODE_LOCK:
+                out = self._encoded.get(name)
+                if out is None:
+                    out = self._encoded[name] = build()
+        return out
 
     def tile_config(self) -> TileConfig:
         return TileConfig(**self.config)
@@ -336,6 +357,8 @@ class ArtifactRegistry:
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
+            memo = [len(b) for art in self._memory.values()
+                    for b in list(art._encoded.values())]
             return {
                 "size": len(self.keys()),
                 "hits": self.hits,
@@ -343,6 +366,8 @@ class ArtifactRegistry:
                 "inserted": self.n_put,
                 "quarantined": self.n_quarantined,
                 "disk_errors": self.disk_errors,
+                "memo_replies": len(memo),
+                "memo_bytes": sum(memo),
                 "dir": str(self.root) if self.root is not None else None,
                 "version": self.version,
             }

@@ -25,8 +25,10 @@ accepting, drains the workers, and flushes the registry index last.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
+import json
 import os
 import pathlib
 import queue
@@ -59,14 +61,17 @@ from . import protocol
 from .protocol import (
     OPS,
     PROTOCOL_VERSION,
+    MemoizedReply,
     decode_message,
     encode_latency,
     encode_message,
+    encode_reply,
     error_response,
     ok_response,
     parse_deadline,
     parse_measure_params,
     parse_problem_params,
+    spec_to_params,
 )
 from .registry import ArtifactRegistry, KernelArtifact, artifact_key
 
@@ -131,7 +136,8 @@ class EndpointStats:
         self.shed = 0
         #: requests rejected or aborted because their deadline_s expired
         self.deadline_exceeded = 0
-        self._latencies: List[float] = []
+        self._latencies: "collections.deque[float]" = collections.deque(
+            maxlen=_LATENCY_WINDOW)
 
     def record(self, seconds: float, ok: bool) -> None:
         with self._lock:
@@ -139,8 +145,6 @@ class EndpointStats:
             if not ok:
                 self.errors += 1
             self._latencies.append(seconds)
-            if len(self._latencies) > _LATENCY_WINDOW:
-                del self._latencies[: len(self._latencies) - _LATENCY_WINDOW]
 
     def record_shed(self) -> None:
         """A connection refused at admission: counted as a request + error
@@ -173,6 +177,25 @@ class EndpointStats:
                 "p95_ms": round(self._quantile(ordered, 0.95) * 1e3, 3),
                 "p99_ms": round(self._quantile(ordered, 0.99) * 1e3, 3),
             }
+
+
+def _artifact_result(artifact: KernelArtifact, op: str, served_from: str,
+                     stages: Dict[str, float]) -> Dict[str, object]:
+    """The ``result`` of a compile or tune reply. A registry hit's memoized
+    encoding is built by this function too, so the two cannot drift."""
+    result: Dict[str, object] = {
+        "key": artifact.key,
+        "spec": dict(artifact.spec),
+        "config": dict(artifact.config),
+        "latency_us": artifact.latency_us,
+        "provenance": dict(artifact.provenance),
+        "served_from": served_from,
+        "stages": stages,
+    }
+    if op == "compile":
+        result["ir_text"] = artifact.ir_text
+        result["cuda_source"] = artifact.cuda_source
+    return result
 
 
 class ReproServer:
@@ -501,7 +524,7 @@ class ReproServer:
                     queue_wait_s = max(0.0, time.monotonic() - enqueued_at)
                     enqueued_at = None
                 response = self.handle(message, queue_wait_s=queue_wait_s)
-                f.write(encode_message(response))
+                f.write(encode_reply(response))
                 f.flush()
                 if message.get("op") == "shutdown" and response.get("ok"):
                     self.stop()
@@ -559,7 +582,7 @@ class ReproServer:
             if enqueued_at is not None:
                 queue_wait_s = max(0.0, time.monotonic() - enqueued_at)
             response = self.handle(message, queue_wait_s=queue_wait_s)
-            conn.sendall(protocol.http_response_bytes(encode_message(response)))
+            conn.sendall(protocol.http_response_bytes(encode_reply(response)))
             if message.get("op") == "shutdown" and response.get("ok"):
                 self.stop()
         except (BrokenPipeError, ConnectionResetError, OSError):
@@ -575,9 +598,10 @@ class ReproServer:
         """Dispatch one decoded request envelope to its operation handler.
 
         Transport-independent (tests and the latency benchmark call it
-        directly). Every request runs under its own stage-profiling
-        collector; compile/tune responses report the stages they paid for,
+        directly). Compile/tune responses report the stages they paid for,
         which is how the warm path proves it never touched the compiler.
+        The transports encode the response with
+        :func:`~repro.serve.protocol.encode_reply`.
 
         A ``deadline_s`` budget on the envelope is charged ``queue_wait_s``
         (time already spent in the admission queue) up front: work whose
@@ -624,12 +648,12 @@ class ReproServer:
                             f"{budget}s deadline; rejected before any work started"
                         )
                     deadline = time.monotonic() + remaining
-                stages = profiling.StageTimes()
-                with profiling.collect(stages):
-                    result = self._dispatch(op, params, deadline)
                 if op in ("compile", "tune"):
-                    result["stages"] = {name: round(t, 6) for name, t in stages.ordered()}
-                response = ok_response(result, request_id)
+                    response = self._artifact_reply(op, params, deadline, request_id,
+                                                    memoize=tracer is None)
+                else:
+                    response = ok_response(self._dispatch(op, params, deadline),
+                                           request_id)
                 ok = True
             except Exception as e:  # every failure becomes a structured envelope
                 if isinstance(e, DeadlineExceededError):
@@ -680,8 +704,29 @@ class ReproServer:
         except OSError:
             pass
 
+    def _artifact_reply(self, op: str, params: Dict, deadline: Optional[float],
+                        request_id: object, memoize: bool) -> Dict:
+        """The response to a compile or tune request, whose result reports
+        the stages this request paid for under its own stage-profiling
+        collector. With ``memoize`` (an untraced request), a registry hit
+        that paid none is a :class:`~repro.serve.protocol.MemoizedReply`:
+        its result is encoded once per artifact and op, and every later
+        hit splices its id in front of those bytes."""
+        p = parse_problem_params(params)
+        stages = profiling.StageTimes()
+        with profiling.collect(stages):
+            artifact, served_from = self._ensure_artifact(p, deadline)
+        paid = {name: round(t, 6) for name, t in stages.ordered()}
+        response = ok_response(_artifact_result(artifact, op, served_from, paid), request_id)
+        if not memoize or served_from != "registry" or paid:
+            return response
+        return MemoizedReply(response, artifact.encoded(op, lambda: json.dumps(
+            _artifact_result(artifact, op, "registry", {}), sort_keys=True).encode()))
+
     def _dispatch(self, op: str, params: Dict,
                   deadline: Optional[float] = None) -> Dict:
+        """The result of an op other than compile and tune, which
+        :meth:`_artifact_reply` answers."""
         if op == "ping":
             return {"protocol": PROTOCOL_VERSION, "session": self.session_id}
         if op == "status":
@@ -692,22 +737,7 @@ class ReproServer:
             return self._op_metrics()
         if op == "shutdown":
             return {"stopping": True, "session": self.session_id}
-        if op == "measure":
-            return self._op_measure(params, deadline)
-        p = parse_problem_params(params)
-        artifact, served_from = self._ensure_artifact(p, deadline)
-        result: Dict[str, object] = {
-            "key": artifact.key,
-            "spec": dict(artifact.spec),
-            "config": dict(artifact.config),
-            "latency_us": artifact.latency_us,
-            "provenance": dict(artifact.provenance),
-            "served_from": served_from,
-        }
-        if op == "compile":
-            result["ir_text"] = artifact.ir_text
-            result["cuda_source"] = artifact.cuda_source
-        return result
+        return self._op_measure(params, deadline)
 
     # ------------------------------------------------------------------ health
     def _op_health(self) -> Dict:
@@ -755,9 +785,7 @@ class ReproServer:
         compile failures (cacheable) vs. crash placeholders (run
         properties a coordinator must not persist)."""
         p = parse_measure_params(params)
-        spec = GemmSpec(
-            p["name"], batch=p["batch"], m=p["m"], n=p["n"], k=p["k"], dtype=p["dtype"]
-        )
+        spec = p["spec"]
         cfgs = p["configs"]
         with obs_trace.span("measure-shard", attrs={"configs": len(cfgs)}):
             latencies = self.measurer.measure_many(spec, cfgs, deadline=deadline)
@@ -770,6 +798,7 @@ class ReproServer:
         return {
             "latencies": [encode_latency(x) for x in latencies],
             "persist": persist,
+            "spec": spec_to_params(spec),
             "via_ir": self.measurer.via_ir,
             "gpu": self.gpu.name,
             "session": self.session_id,
@@ -779,9 +808,7 @@ class ReproServer:
     def _ensure_artifact(self, p: Dict,
                          deadline: Optional[float] = None) -> Tuple[KernelArtifact, str]:
         """Registry, then the in-flight dedup map, then a fresh solve."""
-        spec = GemmSpec(
-            p["name"], batch=p["batch"], m=p["m"], n=p["n"], k=p["k"], dtype=p["dtype"]
-        )
+        spec = p["spec"]
         space_cap = p["space"] if p["space"] is not None else self.default_space
         key = artifact_key(self.gpu, spec, p["variant"], self.measurer.via_ir, space_cap)
         artifact = self.registry.get(key)

@@ -383,6 +383,8 @@ class RemoteServeWorker:
         attempts: Optional[Dict[int, int]] = None,
         on_trial: Optional[TrialSink] = None,
     ) -> None:
+        from ..serve.protocol import spec_to_params
+
         result = self._client.measure(spec, [cfg for _, cfg in items])
         if bool(result.get("via_ir")) != bool(self.via_ir):
             raise ServeError(
@@ -390,6 +392,16 @@ class RemoteServeWorker:
                 f"{result.get('via_ir')} but this sweep needs via_ir="
                 f"{self.via_ir}; its latencies would not be bitwise-"
                 "comparable to the serial sweep"
+            )
+        # A daemon that dropped a field (a convolution's footprint ratios)
+        # measured another problem; its latencies must not be committed
+        # under this spec's cache key.
+        if result.get("spec") != spec_to_params(spec):
+            raise ServeError(
+                f"fleet worker {self.endpoint} measured spec "
+                f"{result.get('spec')} but this sweep needs "
+                f"{spec_to_params(spec)}; its latencies would not be "
+                "bitwise-comparable to the serial sweep"
             )
         latencies = result.get("latencies", [])
         persist = result.get("persist", [True] * len(latencies))

@@ -416,6 +416,44 @@ class TestRemoteWorkers:
         with pytest.raises(WorkerCrash, match="via_ir"):
             coord.run()
 
+    @pytest.mark.parametrize("name", ["Conv_RN50_3x3", "Conv_VGG_3x3"])
+    def test_endpoint_measures_a_conv_spec_as_the_serial_measurer(self, daemon, name):
+        """A convolution's footprint ratios reach the endpoint, so it
+        measures the convolution, not the dense GEMM of its shape."""
+        from repro.workloads.suite import OPERATOR_SUITE
+
+        spec = OPERATOR_SUITE[name]
+        cfgs = enumerate_space(spec, A100, SpaceOptions(max_size=600))[:8]
+        m = Measurer(A100, via_ir=False, endpoints=(daemon.socket_path,))
+        assert m.measure_many(spec, cfgs) == Measurer(A100, via_ir=False).measure_many(spec, cfgs)
+        assert m.telemetry.endpoint_trials == len(cfgs)
+
+    @pytest.mark.parametrize("echo", ["dense", "missing"])
+    def test_spec_mismatch_is_refused(self, daemon, space, monkeypatch, echo):
+        """A daemon that measured another problem (one that drops the
+        footprint ratios, or an older one that echoes no spec) is refused:
+        its latencies must not be committed under this spec's key."""
+        import dataclasses
+
+        measure = daemon._op_measure
+        conv = GemmSpec("fleet-conv", 1, 128, 128, 256, a_footprint_ratio=0.5)
+
+        def foreign_echo(params, deadline=None):
+            result = measure(params, deadline)
+            result.pop("spec", None)
+            if echo == "dense":
+                result["spec"] = dataclasses.asdict(
+                    dataclasses.replace(conv, a_footprint_ratio=1.0))
+            return result
+
+        monkeypatch.setattr(daemon, "_op_measure", foreign_echo)
+        coord = FleetCoordinator(
+            conv, space[:4], gpu=A100, via_ir=False, workers=0,
+            endpoints=(daemon.socket_path,), max_shard_retries=0,
+        )
+        with pytest.raises(WorkerCrash, match="measured spec"):
+            coord.run()
+
     def test_dead_endpoint_does_not_hang_the_sweep(self, tmp_path, space, serial):
         """An unreachable endpoint retires its seat after repeated start
         failures; local workers finish the sweep, bits intact."""

@@ -67,6 +67,14 @@ class TestArtifactKey:
                     space_max=600, version="v1")
         assert artifact_key(**base) != artifact_key(**{**base, **kwargs})
 
+    def test_a_dense_gemm_key_is_pinned(self):
+        """A request's footprint ratios default to 1.0, the value
+        ``artifact_key`` has always hashed for a dense GEMM, so no
+        dense-GEMM key moves when the wire carries them."""
+        spec = GemmSpec("MM_BERT_FC1", 1, 512, 3072, 768)
+        assert artifact_key(A100, spec, "alcop", False, 600, version="v1") == (
+            "acfdd2803695b6282d545af5ec06773f321635b2683c19668c938ac01fffb75e")
+
     def test_shares_compiler_version_with_measurement_cache(self):
         """Default version is the live compiler hash — the same input the
         measurement cache keys on, so both invalidate together."""

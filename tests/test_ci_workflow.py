@@ -145,6 +145,22 @@ class TestServeSmokeJob:
         assert 'warm["stages"] == {}' in cmds
         assert 's2["measurer"]["n_compiled"] == s1["measurer"]["n_compiled"]' in cmds
 
+    def test_checks_the_bytes_of_two_warm_http_replies(self, workflow):
+        """A warm reply is spliced from a result encoded once per artifact:
+        the warm step POSTs the same compile twice with different ids and
+        asserts each body is its own sorted-key JSON line and that the two
+        differ only in id."""
+        step = next(s for s in workflow["jobs"]["serve-smoke"]["steps"]
+                    if s.get("name") == "Second round served from the registry with zero compiles")
+        run = step["run"]
+        assert "for id in w1 w2; do" in run
+        assert "curl -sf http://127.0.0.1:8731/rpc" in run
+        assert '\\"op\\": \\"compile\\", \\"id\\": \\"$id\\"' in run
+        assert '\\"m\\": 512, \\"n\\": 512, \\"k\\": 512' in run
+        assert ('assert body == json.dumps(json.loads(body), sort_keys=True) + "\\n"'
+                in run)
+        assert '''bodies[0].replace('"id": "w1"', '"id": "w2"', 1) == bodies[1]''' in run
+
     def test_runs_latency_benchmark_and_uploads_artifact(self, workflow):
         cmds = job_commands(workflow["jobs"]["serve-smoke"])
         bench = [c for c in cmds if "bench_serve_latency.py" in c]
