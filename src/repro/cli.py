@@ -292,10 +292,7 @@ def _cmd_tune(args) -> int:
         # The exhaustive oracle (a bounded search on the static path); only
         # the best-in-k lines need it, so a plain tune pays for its trials only.
         best = measurer.best(spec, space)[1] if args.oracle else None
-        tuner = methods[args.method](
-            spec, space, measurer=measurer, gpu=gpu, seed=args.seed,
-            prune_ratio=args.prune_ratio or None,
-        )
+        tuner = methods[args.method](spec, space, measurer=measurer, gpu=gpu, seed=args.seed)
         on_trial = session.log_trial if session is not None else None
         history = tuner.tune(args.trials, on_trial=on_trial)
         best_cfg = history.best_config_at(args.trials)
@@ -323,8 +320,6 @@ def _cmd_tune(args) -> int:
         print(f"space: {len(space)} schedules; exhaustive best {best:.1f} us")
     else:
         print(f"space: {len(space)} schedules; {_best_found(history)}")
-    if tuner.prune_stats is not None:
-        print(f"{tuner.prune_stats.summary()}")
     if args.oracle:
         for k in sorted({1, 2, 4, 8, 16, 32, args.trials}):
             if k <= args.trials:
@@ -678,11 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trials to measure (default %d; on --resume, the "
                         "session's own budget)" % _TRIALS_DEFAULT)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--prune-ratio", type=float, default=0.0,
-                   help="model-guided pruning: drop configs the analytical "
-                        "model prices beyond RATIO x its best prediction "
-                        "before measuring (0 = off, the default; "
-                        "docs/performance.md)")
     p.add_argument("--out", default=None, help="write a JSON tuning log here")
     p.add_argument("--session-dir", default=None,
                    help="journal every trial to this directory so a killed "

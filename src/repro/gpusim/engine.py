@@ -42,7 +42,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .config import A100, GpuSpec
-from .occupancy import CompileError, tb_per_sm, tb_per_sm_batch
+from .elementwise import maximum, minimum, where
+from .occupancy import CompileError, occupancy, tb_per_sm
 from .spec import KernelTimingSpec
 
 __all__ = ["LatencyBounds", "SimResult", "simulate_kernel", "simulate_wave"]
@@ -87,34 +88,34 @@ class SimResult:
         return self.total_flops / self.latency_us / 1e6
 
 
-def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs: int) -> float:
+def _dram_fraction(ts: KernelTimingSpec, gpu: GpuSpec, wave_tbs):
     """Fraction of the wave's load traffic that misses L2 and hits DRAM.
 
     Derived from the working set of one threadblock-batch
     (:meth:`KernelTimingSpec.workset_bytes`), as in the paper's memory
-    latency model.
+    latency model. Elementwise over columns, like :func:`_wave_constants`.
     """
-    if ts.a_chunk_bytes + ts.b_chunk_bytes == 0:
-        return 1.0
-    covered = min(wave_tbs, ts.grid)
-    unique = float(ts.workset_bytes(covered))
-    requested = covered * (ts.a_chunk_bytes + ts.b_chunk_bytes)
-    # If the live working set overflows L2, re-reads also go to DRAM.
+    chunk_bytes = ts.a_chunk_bytes + ts.b_chunk_bytes
+    covered = minimum(wave_tbs, ts.grid)
+    unique = ts.workset_bytes(covered)
+    requested = covered * chunk_bytes
+    # If the live working set overflows L2, re-reads also go to DRAM. A
+    # kernel that copies nothing counts as all DRAM, and max(., 1) keeps
+    # its quotient defined: Python raises on a zero divisor.
     resident = unique * (ts.smem_stages + 1)
-    if resident > gpu.l2_size:
-        return 1.0
-    return min(1.0, unique / requested)
+    return where((chunk_bytes == 0) | (resident > gpu.l2_size), 1.0,
+                 minimum(1.0, unique / maximum(requested, 1)))
 
 
 class _WaveConstants(NamedTuple):
     """What one step of a wave costs: the per-wave constants that
     :func:`simulate_wave` runs on and :class:`LatencyBounds` sums (as
-    columns, :func:`_wave_constants_columns`)."""
+    columns)."""
 
     dram_frac: float
     #: latency of a copy after its last byte is served (L2/DRAM blend)
     mem_latency: float
-    #: ``(L2 service, DRAM service)`` of each nonzero operand chunk
+    #: ``(L2 service, DRAM service)`` of the A and the B chunk
     chunk_service: List[Tuple[float, float]]
     issue_cost: float
     #: one fragment load into registers plus its latency
@@ -131,11 +132,14 @@ class _WaveConstants(NamedTuple):
     chunk_fill: bool
 
 
-def _wave_constants(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int,
-                    active_sms: int) -> _WaveConstants:
+def _wave_constants(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm, active_sms) -> _WaveConstants:
     """The constants of a wave of ``n_tb_on_sm`` threadblocks on each of
     ``active_sms`` SMs. Each is the same IEEE expression, on the same
-    operands, as the step that uses it, so computing it once changes no bit."""
+    operands, as the step that uses it, so computing it once changes no bit.
+
+    One kernel's scalars give Python numbers. A static space's timing-spec
+    columns (``n_tb_on_sm`` and ``active_sms`` may be columns too) give
+    each row's constants as columns, bit for bit the same."""
     wave_tbs = n_tb_on_sm * active_sms
     dram_frac = _dram_fraction(ts, gpu, wave_tbs)
 
@@ -143,7 +147,7 @@ def _wave_constants(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int,
     dram_rate = gpu.dram_bw / active_sms
     mem_latency = gpu.l2_latency + dram_frac * (gpu.dram_latency - gpu.l2_latency)
 
-    bank = 1.0 if ts.swizzle else _BANK_CONFLICT_FACTOR
+    bank = where(ts.swizzle, 1.0, _BANK_CONFLICT_FACTOR)
     t_load = ts.frag_bytes_tb * bank / gpu.smem_bw_per_sm
     # One hmma.16816-class instruction covers 2*16^3 FLOPs; its issue slots
     # are not free, which caps achievable utilization below nominal peak.
@@ -153,32 +157,29 @@ def _wave_constants(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm: int,
     # (LDG + STS): the store half occupies the SM's shared-memory ports and
     # issue slots, contending with compute. cp.async bypasses this path —
     # a real Ampere advantage of asynchronous copies.
-    if ts.async_smem_copy:
-        t_store_through = 0.0
-    else:
-        t_store_through = _STORE_THROUGH_FACTOR * ts.smem_chunk_bytes * bank / gpu.smem_bw_per_sm
-    if ts.reg_stages >= 2:
-        # Register double-buffering overlaps the fragment load (and its
-        # latency) with the previous chunk's math.
-        inner_service = max(t_load, t_math) + gpu.issue_overhead
-    else:
-        inner_service = t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead
-    chunk_service = [
-        (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
-        for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
-        if nbytes > 0
-    ]
+    t_store_through = where(
+        ts.async_smem_copy, 0.0,
+        _STORE_THROUGH_FACTOR * ts.smem_chunk_bytes * bank / gpu.smem_bw_per_sm)
+    # Register double-buffering overlaps the fragment load (and its
+    # latency) with the previous chunk's math.
+    inner_service = where(
+        ts.reg_stages >= 2,
+        maximum(t_load, t_math) + gpu.issue_overhead,
+        t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead)
     return _WaveConstants(
         dram_frac=dram_frac,
         mem_latency=mem_latency,
-        chunk_service=chunk_service,
+        chunk_service=[
+            (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
+            for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
+        ],
         issue_cost=2 * gpu.issue_overhead,
         frag_fill=t_load + gpu.smem_latency,
         inner_service=inner_service,
         store_through=t_store_through,
         epilogue_service=ts.epilogue_bytes / dram_rate,
-        hoisted_fill=ts.reg_stages >= 2 and ts.smem_stages >= 2,
-        chunk_fill=ts.reg_stages >= 2 and ts.smem_stages == 1,
+        hoisted_fill=(ts.reg_stages >= 2) & (ts.smem_stages >= 2),
+        chunk_fill=(ts.reg_stages >= 2) & (ts.smem_stages == 1),
     )
 
 
@@ -200,7 +201,10 @@ def simulate_wave(
     c = _wave_constants(ts, gpu, n_tb_on_sm, active_sms)
     dram_frac = c.dram_frac
     mem_latency = c.mem_latency
-    chunk_service = c.chunk_service
+    # A zero-byte chunk posts nothing: queued on the servers, it would
+    # move the time its copy lands.
+    chunk_service = [service for service, nbytes in
+                     zip(c.chunk_service, (ts.a_chunk_bytes, ts.b_chunk_bytes)) if nbytes > 0]
     issue_cost = c.issue_cost
     frag_fill = c.frag_fill
     inner_service = c.inner_service
@@ -374,6 +378,21 @@ def _wave_latency_extrapolated(
     return _extrapolate(t_long, t_short, max_outer_iters, e_short, ts.outer_extent), frac, trace
 
 
+def _waves(ts: KernelTimingSpec, gpu: GpuSpec, occ):
+    """``(full_waves, has_tail, tail_occ, tail_active)`` of launching
+    ``ts``'s grid at ``occ`` threadblocks per SM, on one kernel's ints or
+    a static space's columns. The tail wave runs ``tail_occ``
+    threadblocks on each of ``tail_active`` SMs; without a tail both are
+    1, so a column's tail constants stay finite."""
+    tbs_per_wave = occ * gpu.num_sms
+    full_waves = ts.grid // tbs_per_wave
+    remainder = ts.grid - full_waves * tbs_per_wave
+    # max(., 1) moves only a launch without a tail (remainder 0).
+    tail_occ = maximum(minimum(occ, -(-remainder // gpu.num_sms)), 1)
+    tail_active = maximum(minimum(gpu.num_sms, -(-remainder // tail_occ)), 1)
+    return full_waves, remainder > 0, tail_occ, tail_active
+
+
 def _launch(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[int, int, Optional[Tuple[int, int]]]:
     """``(threadblocks per SM, full waves, tail)`` of launching ``ts`` on
     ``gpu``, where ``tail`` is the tail wave's ``(threadblocks per SM,
@@ -387,15 +406,23 @@ def _launch(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[int, int, Optional[Tupl
             "pipelined kernel cannot be compiled for it"
         )
     occ = tb_per_sm(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread, ts.threads_per_tb)
+    full_waves, has_tail, tail_occ, tail_active = _waves(ts, gpu, occ)
+    return occ, full_waves, (tail_occ, tail_active) if has_tail else None
 
-    tbs_per_wave = occ * gpu.num_sms
-    full_waves = ts.grid // tbs_per_wave
-    remainder = ts.grid - full_waves * tbs_per_wave
-    tail = None
-    if remainder:
-        tail_occ = min(occ, -(-remainder // gpu.num_sms))
-        tail = (tail_occ, min(gpu.num_sms, -(-remainder // tail_occ)))
-    return occ, full_waves, tail
+
+def _launch_columns(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[np.ndarray, ...]:
+    """:func:`_launch` over a static space's timing-spec columns:
+    ``(launchable, occ, full_waves, has_tail, tail_occ, tail_active)``.
+    A static spec always validates (positive dimensions and tiles that
+    divide them), so only the cp.async and occupancy checks can refuse a
+    row, and they clear its ``launchable`` entry where :func:`_launch`
+    raises. A row that cannot launch holds 1 in ``occ``, so every wave's
+    constants stay finite."""
+    occ, launchable = occupancy(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread,
+                                ts.threads_per_tb)
+    if not gpu.has_async_copy:
+        launchable &= ~ts.async_smem_copy
+    return (launchable, occ) + _waves(ts, gpu, occ)
 
 
 def _row(ts: KernelTimingSpec, i: int) -> KernelTimingSpec:
@@ -405,81 +432,12 @@ def _row(ts: KernelTimingSpec, i: int) -> KernelTimingSpec:
         ts, **{k: v[i].item() for k, v in vars(ts).items() if isinstance(v, np.ndarray)})
 
 
-def _launch_columns(ts: KernelTimingSpec, gpu: GpuSpec) -> Tuple[np.ndarray, ...]:
-    """:func:`_launch` over a static space's timing-spec columns:
-    ``(launchable, occ, full_waves, has_tail, tail_occ, tail_active)``.
-    A static spec always validates (positive dimensions and tiles that
-    divide them), so only the cp.async and occupancy checks can refuse a
-    row. Rows without a tail hold 1s in its columns, and rows that cannot
-    launch hold 1 in ``occ``, so every wave's constants stay finite."""
-    occ, launchable = tb_per_sm_batch(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread,
-                                      ts.threads_per_tb)
-    if not gpu.has_async_copy:
-        launchable &= ~ts.async_smem_copy
-    tbs_per_wave = occ * gpu.num_sms
-    full_waves = ts.grid // tbs_per_wave
-    remainder = ts.grid - full_waves * tbs_per_wave
-    # max(., 1) moves only the rows without a tail (remainder 0).
-    tail_occ = np.maximum(np.minimum(occ, -(-remainder // gpu.num_sms)), 1)
-    tail_active = np.maximum(np.minimum(gpu.num_sms, -(-remainder // tail_occ)), 1)
-    return launchable, occ, full_waves, remainder > 0, tail_occ, tail_active
-
-
-def _wave_constants_columns(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm,
-                            active_sms) -> _WaveConstants:
-    """:func:`_wave_constants` of each row's wave, over a static space's
-    timing-spec columns (``n_tb_on_sm`` and ``active_sms`` may be columns
-    too). Each entry is the same IEEE expression, in the same order, as
-    the scalar constant, so it is that constant bit for bit; a parity test
-    keeps the two equal. Both operand chunks of a static spec are nonzero,
-    so ``chunk_service`` always holds two entries. The simulator keeps the
-    scalar function: on one config, ufuncs cost more than the arithmetic."""
-    wave_tbs = n_tb_on_sm * active_sms
-    covered = np.minimum(wave_tbs, ts.grid)
-    unique = ts.workset_bytes(covered)
-    requested = covered * (ts.a_chunk_bytes + ts.b_chunk_bytes)
-    # If the live working set overflows L2, re-reads also go to DRAM.
-    resident = unique * (ts.smem_stages + 1)
-    dram_frac = np.where(resident > gpu.l2_size, 1.0, np.minimum(1.0, unique / requested))
-
-    l2_rate = gpu.l2_bw / active_sms
-    dram_rate = gpu.dram_bw / active_sms
-    mem_latency = gpu.l2_latency + dram_frac * (gpu.dram_latency - gpu.l2_latency)
-
-    bank = np.where(ts.swizzle, 1.0, _BANK_CONFLICT_FACTOR)
-    t_load = ts.frag_bytes_tb * bank / gpu.smem_bw_per_sm
-    mma_ops = ts.flops_chunk_tb / (2 * 16 * 16 * 16)
-    t_math = ts.flops_chunk_tb / gpu.tc_flops_per_sm + mma_ops * gpu.mma_issue_cost
-    t_store_through = np.where(
-        ts.async_smem_copy, 0.0,
-        _STORE_THROUGH_FACTOR * ts.smem_chunk_bytes * bank / gpu.smem_bw_per_sm)
-    inner_service = np.where(
-        ts.reg_stages >= 2,
-        np.maximum(t_load, t_math) + gpu.issue_overhead,
-        t_load + gpu.smem_latency + t_math + 2 * gpu.issue_overhead)
-    return _WaveConstants(
-        dram_frac=dram_frac,
-        mem_latency=mem_latency,
-        chunk_service=[
-            (nbytes / l2_rate, nbytes * dram_frac / dram_rate)
-            for nbytes in (ts.a_chunk_bytes, ts.b_chunk_bytes)
-        ],
-        issue_cost=2 * gpu.issue_overhead,
-        frag_fill=t_load + gpu.smem_latency,
-        inner_service=inner_service,
-        store_through=t_store_through,
-        epilogue_service=ts.epilogue_bytes / dram_rate,
-        hoisted_fill=(ts.reg_stages >= 2) & (ts.smem_stages >= 2),
-        chunk_fill=(ts.reg_stages >= 2) & (ts.smem_stages == 1),
-    )
-
-
 def _wave_bound_columns(ts: KernelTimingSpec, gpu: GpuSpec, n_tb_on_sm, active_sms,
                         E_o: np.ndarray) -> np.ndarray:
     """A lower bound on ``simulate_wave(..., outer_extent=E_o)``'s latency
     for each row's wave: the largest of three sums the event loop provably
     reaches (docs/simulator.md proves each)."""
-    c = _wave_constants_columns(ts, gpu, n_tb_on_sm, active_sms)
+    c = _wave_constants(ts, gpu, n_tb_on_sm, active_sms)
     E_i = ts.inner_extent
     S = ts.smem_stages
     sync = gpu.sync_overhead

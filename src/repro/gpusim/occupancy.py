@@ -9,17 +9,14 @@ model) and it divides the per-threadblock bandwidth share.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
-
 from ..core.errors import CompileError
 from .config import GpuSpec
+from .elementwise import maximum, minimum, where
 
 #: Back-compat re-export: the canonical class now lives in the unified
 #: error taxonomy (:mod:`repro.core.errors`); existing imports of
 #: ``repro.gpusim.occupancy.CompileError`` keep working unchanged.
-__all__ = ["CompileError", "tb_per_sm", "tb_per_sm_batch", "check_launchable"]
+__all__ = ["CompileError", "tb_per_sm", "occupancy", "check_launchable"]
 
 
 def check_launchable(gpu: GpuSpec, smem_bytes: int, regs_per_thread: int, threads: int) -> None:
@@ -43,35 +40,30 @@ def check_launchable(gpu: GpuSpec, smem_bytes: int, regs_per_thread: int, thread
         )
 
 
-def tb_per_sm(gpu: GpuSpec, smem_bytes: int, regs_per_thread: int, threads: int) -> int:
-    """Number of co-resident threadblocks per SM (>= 1, else CompileError)."""
-    check_launchable(gpu, smem_bytes, regs_per_thread, threads)
-    limits = [gpu.max_tb_per_sm, gpu.max_threads_per_sm // threads]
-    if smem_bytes > 0:
-        limits.append(gpu.smem_per_sm // smem_bytes)
-    if regs_per_thread > 0:
-        limits.append(gpu.regs_per_sm // (regs_per_thread * threads))
-    occ = min(limits)
-    if occ < 1:
-        raise CompileError("threadblock resources exceed one SM; kernel cannot launch")
-    return occ
-
-
-def tb_per_sm_batch(gpu: GpuSpec, smem_bytes: np.ndarray, regs_per_thread: np.ndarray,
-                    threads: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`tb_per_sm` over columns: ``(occ, launchable)``, with ``occ``
-    1 where a threadblock cannot launch. :func:`tb_per_sm` stays scalar for
-    the simulator's one call per kernel."""
+def occupancy(gpu: GpuSpec, smem_bytes, regs_per_thread, threads):
+    """The occupancy rule, unchecked: ``(occ, launchable)``, an int and a
+    bool for one kernel's Python ints, or columns for a space's int64
+    columns. ``occ`` is the number of co-resident threadblocks per SM, or
+    1 where a threadblock cannot launch (:func:`tb_per_sm` raises there)."""
+    regs_per_tb = regs_per_thread * threads
     launchable = (
         (smem_bytes <= gpu.max_smem_per_tb)
         & (regs_per_thread <= gpu.max_regs_per_thread)
         & (threads <= gpu.max_threads_per_sm)
-        & (regs_per_thread * threads <= gpu.regs_per_sm)
+        & (regs_per_tb <= gpu.regs_per_sm)
     )
-    # All divisors are >= 1 for real TileConfigs, so the minimum can be
-    # taken unconditionally (the scalar path guards smem > 0 / regs > 0).
-    occ = np.minimum(np.int64(gpu.max_tb_per_sm), gpu.max_threads_per_sm // threads)
-    occ = np.minimum(occ, gpu.smem_per_sm // smem_bytes)
-    occ = np.minimum(occ, gpu.regs_per_sm // (regs_per_thread * threads))
+    occ = minimum(gpu.max_tb_per_sm, gpu.max_threads_per_sm // threads)
+    # A threadblock without shared memory or registers meets no limit on them.
+    occ = where(smem_bytes > 0, minimum(occ, gpu.smem_per_sm // maximum(smem_bytes, 1)), occ)
+    occ = where(regs_per_thread > 0, minimum(occ, gpu.regs_per_sm // maximum(regs_per_tb, 1)), occ)
     launchable &= occ >= 1
-    return np.where(launchable, occ, 1), launchable
+    return where(launchable, occ, 1), launchable
+
+
+def tb_per_sm(gpu: GpuSpec, smem_bytes: int, regs_per_thread: int, threads: int) -> int:
+    """Number of co-resident threadblocks per SM (>= 1, else CompileError)."""
+    check_launchable(gpu, smem_bytes, regs_per_thread, threads)
+    occ, launchable = occupancy(gpu, smem_bytes, regs_per_thread, threads)
+    if not launchable:
+        raise CompileError("threadblock resources exceed one SM; kernel cannot launch")
+    return occ

@@ -13,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-import numpy as np
-
 from ..ir.analysis import loop_extent_int
 from ..ir.buffer import DTYPE_BYTES, Scope
 from ..ir.stmt import (
@@ -29,6 +27,7 @@ from ..ir.stmt import (
 )
 from ..schedule.config import TileConfig, tile_resources
 from ..tensor.operation import GemmSpec
+from .elementwise import minimum
 
 __all__ = ["KernelTimingSpec", "extract_timing_spec"]
 
@@ -80,12 +79,12 @@ class KernelTimingSpec:
         tiles sharing a row re-use the A chunk and tiles sharing a column
         re-use the B chunk.
 
-        Elementwise when ``tbs`` and the fields are columns; a numpy
-        scalar otherwise. Assumes ``tbs >= 0`` and tile counts ``>= 1``.
+        Elementwise when ``tbs`` and the fields are columns; a Python
+        float on Python scalars. Assumes ``tbs >= 0`` and tile counts ``>= 1``.
         """
         batches = -(-tbs // (self.m_tiles * self.n_tiles))
         unique_a = -(-tbs // self.n_tiles)
-        unique_b = np.minimum(tbs, self.n_tiles * batches)
+        unique_b = minimum(tbs, self.n_tiles * batches)
         return (
             unique_a * self.a_chunk_bytes * self.a_footprint_ratio
             + unique_b * self.b_chunk_bytes * self.b_footprint_ratio

@@ -9,9 +9,10 @@ There is one model. :func:`~repro.perfmodel.static_spec.derive_timing_spec`
 and :func:`~repro.perfmodel.kernel_model.table1` are plain arithmetic plus
 numpy ufuncs, so the expressions that price one :class:`TileConfig` also
 price a whole ``enumerate_space`` result laid out as int64 columns. This
-module lays a space out that way, applies the occupancy rule to columns
-and evaluates Table I once, so :func:`predict_latency_batch` is *bitwise
-identical* to the scalar model on every config.
+module lays a space out that way, applies the occupancy rule
+(:func:`~repro.gpusim.occupancy.occupancy`, also written once) to the
+columns and evaluates Table I once, so :func:`predict_latency_batch` is
+*bitwise identical* to the scalar model on every config.
 
 Configurations the scalar path rejects (problem not divisible by the tile,
 or the threadblock cannot launch — occupancy/register/shared-memory limits)
@@ -26,7 +27,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ..gpusim.config import A100, GpuSpec
-from ..gpusim.occupancy import tb_per_sm_batch
+from ..gpusim.occupancy import occupancy
 from ..gpusim.spec import KernelTimingSpec
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec
@@ -86,8 +87,8 @@ def predict_latency_batch(
     spec, cfg), gpu)`` on every accepted config.
     """
     ok, ts = derive_timing_arrays(spec, configs)
-    occ, launchable = tb_per_sm_batch(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread,
-                                      ts.threads_per_tb)
+    occ, launchable = occupancy(gpu, ts.smem_bytes_per_tb, ts.regs_per_thread,
+                                ts.threads_per_tb)
     latency = np.full(len(configs), np.inf)
     latency[ok] = np.where(launchable, table1(ts, gpu, occ).t_kernel, np.inf)
     return latency

@@ -12,7 +12,6 @@ from .features import FEATURE_NAMES, featurize, featurize_batch
 from .fleet import FleetTelemetry, fleet_sweep
 from .gbt import GradientBoostedTrees, RegressionTree
 from .measure import FAILED, Measurer, MeasureTelemetry
-from .prune import DEFAULT_PRUNE_RATIO, PruneStats, prune_space
 from .record import TrialRecord, TuneHistory, best_in_top_k
 from .sa import SimulatedAnnealingSampler
 from .space import (
@@ -51,9 +50,6 @@ __all__ = [
     "TuneHistory",
     "best_in_top_k",
     "SimulatedAnnealingSampler",
-    "DEFAULT_PRUNE_RATIO",
-    "PruneStats",
-    "prune_space",
     "SUBSPACES",
     "SpaceOptions",
     "clear_space_caches",

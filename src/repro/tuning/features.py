@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from ..gpusim.config import A100, GpuSpec
-from ..gpusim.occupancy import CompileError, tb_per_sm
+from ..gpusim.occupancy import occupancy
 from ..schedule.config import TileConfig
 from ..tensor.operation import GemmSpec
 
@@ -47,12 +47,9 @@ FEATURE_NAMES = [
 def featurize(spec: GemmSpec, cfg: TileConfig, gpu: GpuSpec = A100) -> np.ndarray:
     """One schedule -> float feature vector (len == len(FEATURE_NAMES))."""
     res = cfg.resource_usage(spec.dtype)
-    try:
-        occ = tb_per_sm(gpu, res.smem_bytes, res.regs_per_thread, res.threads)
-        launchable = 1.0
-    except CompileError:
+    occ, launchable = occupancy(gpu, res.smem_bytes, res.regs_per_thread, res.threads)
+    if not launchable:
         occ = 0
-        launchable = 0.0
     grid = cfg.grid_size(spec)
     waves = grid / max(1, occ * gpu.num_sms)
     eb = spec.elem_bytes
@@ -79,7 +76,7 @@ def featurize(spec: GemmSpec, cfg: TileConfig, gpu: GpuSpec = A100) -> np.ndarra
             float(res.regs_per_thread),
             flops_chunk / chunk_bytes,
             chunk_bytes / max(1.0, flops_chunk / (gpu.tc_flops_per_sm / 1e3)),
-            launchable,
+            float(launchable),
         ],
         dtype=np.float64,
     )

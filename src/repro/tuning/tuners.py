@@ -29,7 +29,6 @@ from ..tensor.operation import GemmSpec
 from .features import featurize_batch
 from .gbt import GradientBoostedTrees
 from .measure import Measurer
-from .prune import prune_space
 from .record import TuneHistory
 from .sa import SimulatedAnnealingSampler
 
@@ -97,19 +96,12 @@ class Tuner:
         measurer: Optional[Measurer] = None,
         gpu: GpuSpec = A100,
         seed: int = 0,
-        prune_ratio: Optional[float] = None,
     ) -> None:
         if not space:
             raise ValueError("cannot tune over an empty space")
         self.spec = spec
         self.space = list(space)
         self.gpu = gpu
-        self.prune_stats = None
-        if prune_ratio:
-            # Opt-in model-guided pruning (off by default): drop candidates
-            # the analytical model prices far above its own best before any
-            # compile+simulate is spent on them.
-            self.space, self.prune_stats = prune_space(spec, self.space, gpu, prune_ratio)
         self.measurer = measurer or Measurer(gpu)
         self.rng = np.random.default_rng(seed)
         self.history = TuneHistory()

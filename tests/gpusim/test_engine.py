@@ -17,7 +17,6 @@ from repro.gpusim.engine import (
     _launch_columns,
     _row,
     _wave_constants,
-    _wave_constants_columns,
 )
 from repro.gpusim.trace import format_timeline, stall_time
 from repro.perfmodel import derive_timing_arrays, timing_spec_from_config
@@ -358,7 +357,7 @@ def _bits(constants):
 
 
 def _entry(constants, i):
-    """Row ``i`` of columnar wave constants, as Python scalars."""
+    """Row ``i`` of wave constants evaluated on columns, as Python scalars."""
     def pick(x):
         return x[i].item() if isinstance(x, np.ndarray) else x
 
@@ -369,15 +368,16 @@ def _entry(constants, i):
 
 
 def _check_wave_constants(gpu, spec, configs):
-    """Assert that the columnar launch geometry and wave constants of
-    ``configs`` are the scalar ones bit for bit, field by field, and that a
-    row refuses exactly where ``_launch`` raises; returns ``(waves, tail
+    """Assert that the launch geometry and wave constants of ``configs``
+    evaluated on their timing-spec columns give each row what they give
+    its scalar spec, bit for bit and field by field, and that a row
+    refuses exactly where ``_launch`` raises; returns ``(waves, tail
     waves, refused)`` counts."""
     ok, columns = derive_timing_arrays(spec, configs)
     assert ok.all()
     launchable, occ, full_waves, has_tail, tail_occ, tail_active = _launch_columns(columns, gpu)
-    full = _wave_constants_columns(columns, gpu, occ, gpu.num_sms)
-    tail = _wave_constants_columns(columns, gpu, tail_occ, tail_active)
+    full = _wave_constants(columns, gpu, occ, gpu.num_sms)
+    tail = _wave_constants(columns, gpu, tail_occ, tail_active)
     waves = tails = refused = 0
     for i, cfg in enumerate(configs):
         ts = timing_spec_from_config(spec, cfg)
@@ -404,11 +404,13 @@ def _check_wave_constants(gpu, spec, configs):
 
 @pytest.mark.parametrize("gpu", [A100, V100, H100], ids=lambda g: g.name)
 def test_columnar_wave_constants_equal_the_simulators(gpu):
-    """The bound sums its constants from columns while the simulator
-    keeps the scalar ``_wave_constants``: no shared function keeps them
-    equal, this test does. It covers the suite spaces at cap 600 and the
-    six full spaces, each with every third config also unswizzled (a
-    bank factor from a missing swizzle column would read 1.8 for all)."""
+    """The bound evaluates the occupancy rule, the wave geometry and
+    ``_wave_constants`` on a space's columns, and the simulator on one
+    kernel's scalars; each is one definition, and this test checks that
+    the two input kinds agree on every row, refusals included. It covers
+    the suite spaces at cap 600 and the six full spaces, each with every
+    third config also unswizzled (a bank factor from a missing swizzle
+    column would read 1.8 for all)."""
     options = SpaceOptions(max_size=600)
     spaces = [(spec, enumerate_space(spec, gpu, options)) for spec in suite_specs()]
     spaces += [(spec, enumerate_space(spec, gpu))
@@ -420,3 +422,30 @@ def test_columnar_wave_constants_equal_the_simulators(gpu):
     # ``[full waves, tail waves, refused]``; V100 refuses every cp.async kernel.
     assert counts == {"A100": [4237, 31350, 159], "V100": [2714, 11405, 20104],
                       "H100": [3387, 31371, 138]}[gpu.name[:4]]
+
+
+@pytest.mark.parametrize("gpu", [A100, V100], ids=lambda g: g.name)
+def test_scalar_launch_and_wave_constants_are_python_numbers(gpu):
+    """The event loop does all its arithmetic on one kernel's launch
+    geometry and wave constants, which on a static spec must be Python
+    ints, floats and bools: on numpy scalars each step costs more."""
+    def types(value):
+        if isinstance(value, (list, tuple)):
+            return {t for x in value for t in types(x)}
+        return {type(value)}
+
+    checked = 0
+    for ss, rs, swizzle in ((1, 1, True), (1, 2, False), (3, 2, True), (2, 1, False)):
+        ts = dataclasses.replace(ts_for(m=2048, n=2048, k=4096, ss=ss, rs=rs), swizzle=swizzle)
+        try:
+            occ, full_waves, tail = _launch(ts, gpu)
+        except CompileError:
+            continue
+        assert types((occ, full_waves, tail)) == {int}
+        for n_tb, active in ((occ, gpu.num_sms), tail):
+            constants = _wave_constants(ts, gpu, n_tb, active)._asdict()
+            flags = [constants.pop("hoisted_fill"), constants.pop("chunk_fill")]
+            assert types(flags) == {bool}, flags
+            assert types(list(constants.values())) == {float}, constants
+            checked += 1
+    assert checked == {"A100": 8, "V100": 4}[gpu.name[:4]]

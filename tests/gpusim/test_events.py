@@ -9,7 +9,7 @@ worked out by hand.
 
 import dataclasses
 
-from repro.gpusim import A100, KernelTimingSpec
+from repro.gpusim import A100, KernelTimingSpec, simulate_kernel
 from repro.gpusim.engine import _TB_STAGGER, simulate_wave
 
 
@@ -64,6 +64,25 @@ class TestFifoServer:
         # waits for A's to finish.
         _, trace = run(toy_spec(a=100, b=100), toy_gpu())
         assert waits(trace) == [(0, 0.0, 20.0)]
+
+    def test_zero_byte_chunks_are_not_posted(self):
+        # A spec that copies nothing posts no request to either server, so
+        # each chunk lands at the bare memory latency (all of it DRAM's,
+        # 3 us) counted from 0, not from its issue: chunk 1, issued at 7
+        # after 4 us of math, is already there.
+        gpu = toy_gpu(l2_latency=1.0, dram_latency=3.0)
+        latency, trace = run(toy_spec(outer_extent=2), gpu)
+        assert latency == 11.0
+        assert waits(trace, 0) == [(0, 0.0, 3.0)]
+        assert waits(trace, 1) == [(0, 7.0, 7.0)]
+
+    def test_kernel_without_shared_memory_or_registers(self):
+        # Neither count limits occupancy, so the 128 threads do: 16
+        # threadblocks per SM. The grid of 4 is one tail wave of one
+        # threadblock on each of 4 SMs: the 11 us above plus the 3 us launch.
+        gpu = toy_gpu(l2_latency=1.0, dram_latency=3.0)
+        res = simulate_kernel(toy_spec(outer_extent=2, regs_per_thread=0), gpu)
+        assert (res.latency_us, res.tb_per_sm) == (14.0, 16)
 
 
 class TestSimulator:

@@ -23,6 +23,8 @@ from repro.tuning import enumerate_space
 class TestOccupancy:
     def test_thread_limit(self):
         assert tb_per_sm(A100, smem_bytes=0, regs_per_thread=32, threads=1024) == 2
+        # Without shared memory or registers, the threads alone limit it.
+        assert tb_per_sm(A100, smem_bytes=0, regs_per_thread=0, threads=128) == 16
 
     def test_smem_limit(self):
         occ = tb_per_sm(A100, smem_bytes=40 * 1024, regs_per_thread=32, threads=128)

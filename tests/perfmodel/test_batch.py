@@ -2,11 +2,11 @@
 
 The vectorized model (repro.perfmodel.batch) promises *bitwise* agreement
 with predict_latency(timing_spec_from_config(...)) — analytical_rank's
-ordering, the fig12/fig13 outputs, and the model-guided pruner all lean on
-that guarantee, so these tests sweep entire enumerated spaces (including
-non-launchable configs) rather than sampling. Both sides evaluate the same
-Table-I expressions (on columns or on scalars), so the sweeps check the
-evaluation, not the formulas; the pinned digests at the end check those.
+ordering and the fig12/fig13 outputs lean on that guarantee, so these
+tests sweep entire enumerated spaces (including non-launchable configs)
+rather than sampling. Both sides evaluate the same Table-I expressions and
+the same occupancy rule (on columns or on scalars), so the sweeps check
+the evaluation, not the formulas; the pinned digests at the end check those.
 """
 
 import hashlib

@@ -427,3 +427,14 @@ def test_bench_smoke_gates_serve_on_the_bounded_search(workflow):
     serve = cmd.split('if w == "serve":')[1]
     assert 'm["simulate.calls"] == m["measure.configs_compiled"] <= 648' in serve
     assert 'm["simulate.wave_sims"] <= 1300' in serve
+
+
+def test_bench_smoke_pins_each_workloads_chosen_kernel(workflow):
+    """A change that should leave the system's answers alone also leaves
+    the kernel each traced workload chooses: its ``kernel_us``, to four
+    decimals, is pinned per workload."""
+    cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
+               if "perfbench/run.py" in c)
+    assert 'kernel_us = {"compile": 16.7169, "tune": 18.6633, "serve": 22.1455}' in cmd
+    assert 'round(m["kernel_us"], 4) == kernel_us[w]' in cmd
+    assert "ROADMAP.md items 4" in cmd, "say which changes may re-pin them"

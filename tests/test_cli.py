@@ -43,11 +43,14 @@ class TestParser:
          "unrecognized arguments: --breaker-threshold 2"),
         (["fleet-worker", "--socket", "/tmp/w.sock"],
          "invalid choice: 'fleet-worker'"),
+        (["tune", "--m", "64", "--n", "64", "--k", "64", "--prune-ratio", "1.5"],
+         "unrecognized arguments: --prune-ratio 1.5"),
     ])
     def test_retired_fleet_options_are_rejected(self, capsys, argv, message):
         """``--fleet N`` is ``--jobs N --oracle`` and ``fleet-worker`` is
         ``serve``; tune refuses abbreviations, so ``--fleet 3`` is not read
-        as ``--fleet-endpoint 3``."""
+        as ``--fleet-endpoint 3``. ``--prune-ratio`` left with model-guided
+        pruning."""
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
@@ -301,22 +304,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "space: 60 schedules; no valid schedule in 4 trial(s)" in out
         assert "best schedule: None" in out
-
-    def test_tune_prune_ratio_reports_and_matches(self, capsys):
-        base = ["tune", "--m", "128", "--n", "128", "--k", "256", "--space", "40",
-                "--method", "grid", "--trials", "6"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert "prune(" not in plain  # off by default
-        assert main(base + ["--prune-ratio", "0"]) == 0
-        explicit_off = capsys.readouterr().out
-        strip = [ln for ln in plain.splitlines() if not ln.startswith("telemetry")]
-        assert strip == [
-            ln for ln in explicit_off.splitlines() if not ln.startswith("telemetry")
-        ], "--prune-ratio 0 must reproduce the default run exactly"
-        assert main(base + ["--prune-ratio", "1.5"]) == 0
-        pruned = capsys.readouterr().out
-        assert "prune(ratio=1.5): kept" in pruned
 
     def test_cuda_emission(self, capsys, tmp_path):
         out = tmp_path / "k.cu"
