@@ -111,12 +111,12 @@ class AlcopCompiler:
         #: every ladder step taken, in order (surfaced by ``repro suite``
         #: and :func:`repro.models.runtime.estimate_model_latency`).
         self.degradations: List[DegradationEvent] = []
-        self._cache: Dict[Tuple, CompiledKernel] = {}
-        #: per-op ladder resolution: op identity -> first variant that
-        #: compiled, so repeated calls skip known-failing rungs (and record
-        #: each degradation exactly once).
-        self._resolved: Dict[Tuple, str] = {}
-        self._failed: Dict[Tuple, ReproError] = {}
+        self._cache: Dict[Tuple[str, GemmSpec], CompiledKernel] = {}
+        #: per-op ladder resolution: spec -> first variant that compiled, so
+        #: repeated calls skip known-failing rungs (and record each
+        #: degradation exactly once).
+        self._resolved: Dict[GemmSpec, str] = {}
+        self._failed: Dict[GemmSpec, ReproError] = {}
 
     # ------------------------------------------------------------------ search
     def _search_config(self, spec: GemmSpec, variant: Optional[str] = None) -> TileConfig:
@@ -170,7 +170,7 @@ class AlcopCompiler:
     ) -> CompiledKernel:
         """One rung of the ladder: compile ``spec`` under ``variant``'s
         search-space restriction (cached per variant)."""
-        key = (variant, spec.name, spec.batch, spec.m, spec.n, spec.k, spec.dtype)
+        key = (variant, spec)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -194,36 +194,29 @@ class AlcopCompiler:
         cannot compile the op, the last error is re-raised — the model
         runtime then prices the op with its roofline fallback.
         """
-        op_key = (spec.name, spec.batch, spec.m, spec.n, spec.k, spec.dtype)
-        known_failure = self._failed.get(op_key)
+        known_failure = self._failed.get(spec)
         if known_failure is not None:
             raise known_failure
-        start = self._resolved.get(op_key, self.variant)
+        start = self._resolved.get(spec, self.variant)
         ladder = VARIANTS[VARIANTS.index(start):]
         last_error: Optional[Exception] = None
         for i, variant in enumerate(ladder):
             try:
                 out = self._compile_as(spec, variant, graph_output)
-                self._resolved[op_key] = variant
+                self._resolved[spec] = variant
                 return out
             except (ReproError, ValueError) as e:
                 last_error = e
                 next_rung = ladder[i + 1] if i + 1 < len(ladder) else "roofline"
                 self.degradations.append(
-                    DegradationEvent(
-                        op=spec.name,
-                        from_variant=variant,
-                        to_variant=next_rung,
-                        stage=getattr(e, "stage", "unknown"),
-                        reason=str(e).splitlines()[0] if str(e) else repr(e),
-                    )
+                    DegradationEvent.from_error(spec.name, variant, next_rung, e)
                 )
         if not isinstance(last_error, ReproError):
             last_error = CompileError(
                 f"every variant of the ladder failed for {spec.name}",
                 diagnostic={"spec": spec.name, "ladder": list(ladder)},
             )
-        self._failed[op_key] = last_error
+        self._failed[spec] = last_error
         raise last_error
 
     # ---------------------------------------------------------------- backend

@@ -195,6 +195,22 @@ class DegradationEvent:
     stage: str
     reason: str
 
+    @classmethod
+    def from_error(
+        cls, op: str, from_variant: str, to_variant: str, exc: BaseException
+    ) -> "DegradationEvent":
+        """The step taken because ``exc`` failed ``op`` at ``from_variant``:
+        its stage (``unknown`` for errors without one) and its message's
+        first line (its ``repr`` when the message is empty)."""
+        text = str(exc)
+        return cls(
+            op=op,
+            from_variant=from_variant,
+            to_variant=to_variant,
+            stage=getattr(exc, "stage", "unknown"),
+            reason=text.splitlines()[0] if text else repr(exc),
+        )
+
     def __str__(self) -> str:
         return (
             f"{self.op}: {self.from_variant} -> {self.to_variant} "

@@ -224,7 +224,7 @@ def simulate_wave(
     # first argument unless the second compares greater.
     def issue_chunk(now: float) -> float:
         """Post one outer chunk's copies; returns their completion time."""
-        done = 0.0
+        done = now
         for l2_service, dram_service in chunk_service:
             l2 = free[0]
             l2 = (l2 if l2 > now else now) + l2_service

@@ -46,7 +46,6 @@ from .syncheck import (
     format_diagnostics,
 )
 from .validate import ValidationError, validate_kernel, validate_stmt
-from .visitor import StmtMutator, StmtVisitor, post_order_visit, pre_order_find
 
 __all__ = [
     # buffer
@@ -85,10 +84,6 @@ __all__ = [
     "SyncKind",
     "seq",
     # tooling
-    "StmtMutator",
-    "StmtVisitor",
-    "post_order_visit",
-    "pre_order_find",
     "format_kernel",
     "format_stmt",
     "ValidationError",

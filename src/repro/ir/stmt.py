@@ -12,8 +12,8 @@ ALCOP's program transformation (paper Sec. III, Figs. 6-7) operates:
 * :class:`For` / :class:`SeqStmt` / :class:`IfThenElse` / :class:`Allocate`
   for structure.
 
-All statements are immutable; passes rebuild trees via
-:class:`~repro.ir.visitor.StmtMutator`.
+All statements are immutable; a pass that rewrites a tree rebuilds the
+nodes it changes and shares every untouched subtree with its input.
 """
 
 from __future__ import annotations

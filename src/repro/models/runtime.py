@@ -100,13 +100,7 @@ def estimate_model_latency(
                 # Backends without their own ladder (or errors thrown before
                 # it engaged) still get the roofline step on the record.
                 degradations.append(
-                    DegradationEvent(
-                        op=op.spec.name,
-                        from_variant=label,
-                        to_variant="roofline",
-                        stage=getattr(e, "stage", "unknown"),
-                        reason=str(e).splitlines()[0] if str(e) else repr(e),
-                    )
+                    DegradationEvent.from_error(op.spec.name, label, "roofline", e)
                 )
         else:
             # Success may still have stepped down the ladder en route.

@@ -13,7 +13,7 @@ from .detection import (
 )
 from .errors import OrderingError, PipelineRejected, ScheduleError
 from .ordering import RECOMMENDED_ORDER, verify_log_order
-from .schedule import Schedule, create_schedule
+from .schedule import Schedule
 
 __all__ = [
     "auto_schedule",
@@ -31,5 +31,4 @@ __all__ = [
     "RECOMMENDED_ORDER",
     "verify_log_order",
     "Schedule",
-    "create_schedule",
 ]

@@ -29,7 +29,7 @@ from .config import TileConfig
 from .detection import PipelineCheck, check_pipelinable
 from .errors import OrderingError, PipelineRejected, ScheduleError
 
-__all__ = ["Schedule", "create_schedule"]
+__all__ = ["Schedule"]
 
 _SIDES = ("a", "b")
 
@@ -308,8 +308,3 @@ class Schedule:
         for t, s in self.pipeline_marks.items():
             lines.append(f"  pipeline: {t.name} stages={s}")
         return "\n".join(lines)
-
-
-def create_schedule(output: Tensor) -> Schedule:
-    """Create a schedule for a tensor (contraction output or copy graph)."""
-    return Schedule(output)

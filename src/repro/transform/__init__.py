@@ -1,5 +1,5 @@
-"""Pipelining program transformation (paper Sec. III) and companion
-passes: static bounds verification, unrolling, simplification."""
+"""Pipelining program transformation (paper Sec. III) and its static
+bounds verifier."""
 
 from .analysis import (
     BufferPlan,
@@ -9,7 +9,6 @@ from .analysis import (
     analyze,
 )
 from .bounds import BoundsError, Interval, interval_of, verify_in_bounds
-from .cleanup import simplify_pass, unroll_pass
 from .pipeline_pass import PipelineGroupInfo, apply_pipelining
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "Interval",
     "interval_of",
     "verify_in_bounds",
-    "simplify_pass",
-    "unroll_pass",
     "PipelineGroupInfo",
     "apply_pipelining",
 ]

@@ -83,48 +83,6 @@ class PipelineGroupInfo:
         )
 
 
-def _substitute_stmt(stmt: Stmt, mapping: Dict[Var, Expr]) -> Stmt:
-    """Substitute variables inside all regions/conditions of a subtree."""
-    if isinstance(stmt, MemCopy):
-        return MemCopy(
-            stmt.dst.substitute(mapping),
-            stmt.src.substitute(mapping),
-            is_async=stmt.is_async,
-            annotations=stmt.annotations,
-        )
-    if isinstance(stmt, ComputeStmt):
-        return ComputeStmt(
-            stmt.kind,
-            stmt.out.substitute(mapping),
-            [r.substitute(mapping) for r in stmt.inputs],
-            fn=stmt.fn,
-            flops=stmt.flops,
-            annotations=stmt.annotations,
-        )
-    if isinstance(stmt, PipelineSync):
-        # Clone: duplicated statements (e.g. unrolled loop bodies) must be
-        # distinct barriers under the interpreter's fire-once keying.
-        return PipelineSync(stmt.buffer, stmt.kind)
-    if isinstance(stmt, SeqStmt):
-        return SeqStmt([_substitute_stmt(s, mapping) for s in stmt.stmts])
-    if isinstance(stmt, For):
-        return For(
-            stmt.var, stmt.extent, _substitute_stmt(stmt.body, mapping), stmt.kind,
-            stmt.annotations,
-        )
-    if isinstance(stmt, IfThenElse):
-        from ..ir.expr import substitute as esub
-
-        return IfThenElse(
-            esub(stmt.cond, mapping),
-            _substitute_stmt(stmt.then_body, mapping),
-            _substitute_stmt(stmt.else_body, mapping) if stmt.else_body else None,
-        )
-    if isinstance(stmt, Allocate):
-        return Allocate(stmt.buffer, _substitute_stmt(stmt.body, mapping), stmt.attrs)
-    raise TransformError(f"cannot substitute into {type(stmt).__name__}")
-
-
 class _Rewriter:
     """Carries the plan state through one full tree rebuild.
 

@@ -236,16 +236,6 @@ class TuneSession:
         return len(self._trials)
 
     # ----------------------------------------------------------------- meta
-    def spec(self) -> GemmSpec:
-        """The problem recorded in the session metadata."""
-        return GemmSpec(
-            self.meta.get("name", "cli"),
-            batch=int(self.meta.get("batch", 1)),
-            m=int(self.meta["m"]),
-            n=int(self.meta["n"]),
-            k=int(self.meta["k"]),
-        )
-
     def describe(self) -> str:
         m = self.meta
         return (

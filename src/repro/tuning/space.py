@@ -57,51 +57,34 @@ class SpaceOptions:
     max_size: "int | None" = None
 
 
-# Enumeration and variant restriction are pure functions of hashable,
-# frozen inputs, and the compiler's variant ladder plus the benchmarks call
-# them with the same arguments over and over — so both are memoized in
-# small LRU caches. Tuples are stored internally; callers get a fresh list
-# each time, so mutating a returned space can never corrupt the cache.
-# The caches are lock-guarded: the serve daemon enumerates from concurrent
-# request threads, and OrderedDict reordering is not atomic.
+# Enumeration is a pure function of hashable, frozen inputs, and the
+# compiler's variant ladder plus the benchmarks call it with the same
+# arguments over and over — so it is memoized in a small LRU cache. Tuples
+# are stored internally; callers get a fresh list each time, so mutating a
+# returned space can never corrupt the cache. The cache is lock-guarded:
+# the serve daemon enumerates from concurrent request threads, and
+# OrderedDict reordering is not atomic.
 _cache_lock = threading.Lock()
 _ENUM_CACHE_SIZE = 64
 _enum_cache: "OrderedDict[Tuple[GemmSpec, GpuSpec, SpaceOptions], Tuple[TileConfig, ...]]" = (
     OrderedDict()
 )
-_RESTRICT_CACHE_SIZE = 64
-_restrict_cache: "OrderedDict[Tuple[str, Tuple[TileConfig, ...]], Tuple[TileConfig, ...]]" = (
-    OrderedDict()
-)
 
 _SPACE_EVICTIONS = _metrics.counter(
     "repro_space_cache_evictions_total",
-    "Entries evicted from the enumerate/restrict memo caches",
+    "Entries evicted from the enumeration memo cache",
 )
 _ENUM_SIZE_GAUGE = _metrics.gauge(
     "repro_space_enum_cache_entries",
     "Design-space enumerations currently memoized",
 )
 _ENUM_SIZE_GAUGE.set_function(lambda: len(_enum_cache))
-_RESTRICT_SIZE_GAUGE = _metrics.gauge(
-    "repro_space_restrict_cache_entries",
-    "Variant sub-space restrictions currently memoized",
-)
-_RESTRICT_SIZE_GAUGE.set_function(lambda: len(_restrict_cache))
 
 
 def clear_space_caches() -> None:
-    """Drop both memo caches (tests and long-lived sessions)."""
+    """Drop the enumeration memo cache (tests and long-lived sessions)."""
     with _cache_lock:
         _enum_cache.clear()
-        _restrict_cache.clear()
-
-
-def _cache_put(cache: "OrderedDict", size: int, key, value) -> None:
-    cache[key] = value
-    while len(cache) > size:
-        cache.popitem(last=False)
-        _SPACE_EVICTIONS.inc()
 
 
 def enumerate_space(
@@ -121,7 +104,10 @@ def enumerate_space(
     # Only successful enumerations are cached; the empty-space ValueError
     # path stays uncached so its message is always raised fresh.
     with _cache_lock:
-        _cache_put(_enum_cache, _ENUM_CACHE_SIZE, key, tuple(out))
+        _enum_cache[key] = tuple(out)
+        while len(_enum_cache) > _ENUM_CACHE_SIZE:
+            _enum_cache.popitem(last=False)
+            _SPACE_EVICTIONS.inc()
     return out
 
 
@@ -194,13 +180,4 @@ def restrict_space(space: Sequence[TileConfig], variant: str) -> List[TileConfig
         pred = SUBSPACES[variant]
     except KeyError:
         raise ValueError(f"unknown variant {variant!r}; choose from {sorted(SUBSPACES)}")
-    key = (variant, tuple(space))
-    with _cache_lock:
-        cached = _restrict_cache.get(key)
-        if cached is not None:
-            _restrict_cache.move_to_end(key)
-            return list(cached)
-    out = [c for c in space if pred(c)]
-    with _cache_lock:
-        _cache_put(_restrict_cache, _RESTRICT_CACHE_SIZE, key, tuple(out))
-    return out
+    return [c for c in space if pred(c)]

@@ -124,13 +124,5 @@ def degraded_best(
         except (ReproError, ValueError) as e:
             next_rung = ladder[i + 1] if i + 1 < len(ladder) else "roofline"
             if events is not None:
-                events.append(
-                    DegradationEvent(
-                        op=spec.name,
-                        from_variant=rung,
-                        to_variant=next_rung,
-                        stage=getattr(e, "stage", "unknown"),
-                        reason=str(e).splitlines()[0] if str(e) else repr(e),
-                    )
-                )
+                events.append(DegradationEvent.from_error(spec.name, rung, next_rung, e))
     return None, roofline_fallback_latency(spec, measurer.gpu), "roofline"

@@ -1,5 +1,7 @@
 """Tests for the ALCOP compiler driver and the baseline systems."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ class TestAlcopCompiler:
     def test_compile_cached(self):
         comp = _alcop()
         assert comp.compile(self.SPEC) is comp.compile(self.SPEC)
+
+    def test_cache_tells_specs_apart_by_footprint(self):
+        """A conv and a dense GEMM with the same name and dims differ only in
+        ``a_footprint_ratio``; one compiler must not answer one with the
+        other's kernel, on either entry point."""
+        dense = matmul_spec("fp_mm", 3136, 64, 576)
+        conv = dataclasses.replace(dense, a_footprint_ratio=0.12)
+        fresh = _alcop().compile(dense).latency_us
+        comp = _alcop()
+        assert comp.compile(conv).latency_us < fresh
+        assert comp.compile(dense).latency_us == fresh
+        assert comp.gemm_latency(dense) == fresh
 
     def test_alcop_variant_uses_pipelining(self):
         ck = _alcop().compile(self.SPEC)

@@ -67,22 +67,22 @@ class TestFifoServer:
 
     def test_zero_byte_chunks_are_not_posted(self):
         # A spec that copies nothing posts no request to either server, so
-        # each chunk lands at the bare memory latency (all of it DRAM's,
-        # 3 us) counted from 0, not from its issue: chunk 1, issued at 7
-        # after 4 us of math, is already there.
+        # each chunk lands the bare memory latency (all of it DRAM's, 3 us)
+        # after its issue: chunk 1, issued at 7 after 4 us of math, lands
+        # at 10, and its 4 us of math end at 14.
         gpu = toy_gpu(l2_latency=1.0, dram_latency=3.0)
         latency, trace = run(toy_spec(outer_extent=2), gpu)
-        assert latency == 11.0
+        assert latency == 14.0
         assert waits(trace, 0) == [(0, 0.0, 3.0)]
-        assert waits(trace, 1) == [(0, 7.0, 7.0)]
+        assert waits(trace, 1) == [(0, 7.0, 10.0)]
 
     def test_kernel_without_shared_memory_or_registers(self):
         # Neither count limits occupancy, so the 128 threads do: 16
         # threadblocks per SM. The grid of 4 is one tail wave of one
-        # threadblock on each of 4 SMs: the 11 us above plus the 3 us launch.
+        # threadblock on each of 4 SMs: the 14 us above plus the 3 us launch.
         gpu = toy_gpu(l2_latency=1.0, dram_latency=3.0)
         res = simulate_kernel(toy_spec(outer_extent=2, regs_per_thread=0), gpu)
-        assert (res.latency_us, res.tb_per_sm) == (14.0, 16)
+        assert (res.latency_us, res.tb_per_sm) == (17.0, 16)
 
 
 class TestSimulator:

@@ -7,6 +7,8 @@ from repro.interp import InterpreterError, PipelineHazardError, run_kernel
 from repro.ir import Buffer, ComputeStmt, IRBuilder, Kernel, MemCopy, Scope, SyncKind
 from repro.transform import apply_pipelining
 
+from ..sync_mutation import drop_syncs
+
 
 def copy_kernel(n_tiles=4, tile=8, is_async=False, stages=None):
     """O[t] = A[t] streamed through a shared buffer."""
@@ -138,16 +140,9 @@ class TestPipelineMode:
         """If consumer_wait is removed, the consumer reads the NaN-filled
         buffer instead of the staged (not yet applied) copy."""
         k = apply_pipelining(copy_kernel(is_async=True, stages=2))
-
-        from repro.ir import StmtMutator
-
-        class DropWaits(StmtMutator):
-            def visit_pipelinesync(self, s):
-                if s.kind in (SyncKind.CONSUMER_WAIT, SyncKind.CONSUMER_RELEASE):
-                    return None
-                return s
-
-        broken = DropWaits().mutate_kernel(k)
+        broken = drop_syncs(
+            k, lambda s: s.kind in (SyncKind.CONSUMER_WAIT, SyncKind.CONSUMER_RELEASE)
+        )
         try:
             out = run_kernel(broken, {"A": np.arange(32, dtype=np.float16)}, mode="pipeline")
         except PipelineHazardError:

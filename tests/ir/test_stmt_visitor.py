@@ -1,4 +1,4 @@
-"""Tests for statement nodes, visitors, mutators, builder, printer, validation."""
+"""Tests for statement nodes, analysis helpers, builder, printer, validation."""
 
 import pytest
 
@@ -15,21 +15,18 @@ from repro.ir import (
     PipelineSync,
     Scope,
     SeqStmt,
-    StmtMutator,
-    StmtVisitor,
     SyncKind,
     ValidationError,
     Var,
     format_kernel,
     format_stmt,
-    post_order_visit,
-    pre_order_find,
     seq,
     validate_kernel,
 )
 from repro.ir.analysis import (
     buffers_read,
     buffers_written,
+    collect,
     collect_allocates,
     collect_copies,
     collect_computes,
@@ -128,7 +125,7 @@ class TestAnalysis:
 
     def test_loop_extent_int(self):
         k, *_ = _sample_kernel()
-        loop = pre_order_find(k.body, lambda s: isinstance(s, For))
+        loop = collect(k.body, lambda s: isinstance(s, For))[0]
         assert loop_extent_int(loop) == 4
 
     def test_loop_extent_nonconst_raises(self):
@@ -145,58 +142,6 @@ class TestAnalysis:
         k, *_ = _sample_kernel()
         # Allocate, For, SeqStmt, MemCopy, ComputeStmt
         assert count_nodes(k.body) == 5
-
-
-class TestVisitorMutator:
-    def test_visitor_counts(self):
-        k, *_ = _sample_kernel()
-        seen = []
-
-        class V(StmtVisitor):
-            def visit_memcopy(self, s):
-                seen.append(s)
-
-        V().visit(k.body)
-        assert len(seen) == 1
-
-    def test_post_order_visit_order(self):
-        k, *_ = _sample_kernel()
-        order = []
-        post_order_visit(k.body, lambda s: order.append(type(s).__name__))
-        assert order[-1] == "Allocate"  # root visited last
-        assert order.index("MemCopy") < order.index("SeqStmt")
-
-    def test_mutator_identity_preserved(self):
-        k, *_ = _sample_kernel()
-        out = StmtMutator().visit(k.body)
-        assert out is k.body
-
-    def test_mutator_rewrites(self):
-        k, *_ = _sample_kernel()
-
-        class MakeSync(StmtMutator):
-            def visit_memcopy(self, s):
-                return MemCopy(s.dst, s.src, is_async=False)
-
-        out = MakeSync().visit(k.body)
-        assert out is not k.body
-        copies = collect_copies(out)
-        assert not copies[0].is_async
-
-    def test_mutator_deletion_in_seq(self):
-        k, *_ = _sample_kernel()
-
-        class DropCopies(StmtMutator):
-            def visit_memcopy(self, s):
-                return None
-
-        out = DropCopies().visit(k.body)
-        assert collect_copies(out) == []
-        assert len(collect_computes(out)) == 1
-
-    def test_mutate_kernel_wrapper(self):
-        k, *_ = _sample_kernel()
-        assert StmtMutator().mutate_kernel(k) is k
 
 
 class TestBuilder:
@@ -227,8 +172,7 @@ class TestBuilder:
             with b.if_then(i.equal(0)):
                 b.sync(buf, SyncKind.CONSUMER_WAIT)
         stmt = b.finish()
-        found = pre_order_find(stmt, lambda s: isinstance(s, IfThenElse))
-        assert found is not None
+        assert collect(stmt, lambda s: isinstance(s, IfThenElse))
 
     def test_kinds(self):
         b = IRBuilder()

@@ -65,6 +65,16 @@ def test_job_command_lines(workflow):
     )
 
 
+def test_sync_safety_runs_every_example(workflow):
+    """Each ``examples/*.py`` script is a live entry point: the sync-safety
+    job runs all of them and fails on the first nonzero exit."""
+    cmds = job_commands(workflow["jobs"]["sync-safety"])
+    runs = [c for c in cmds if "examples/*.py" in c]
+    assert len(runs) == 1, "sync-safety must run the examples in one step"
+    assert "for f in examples/*.py; do" in runs[0]
+    assert 'PYTHONPATH=src python "$f" || exit 1' in runs[0]
+
+
 def test_chaos_job_contract(workflow):
     """The chaos job must run the chaos test suite AND an end-to-end tune
     under an injected fault plan that exercises all three recovery paths

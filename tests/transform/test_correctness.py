@@ -6,17 +6,19 @@ every stage configuration. This is the reproduction's equivalent of running
 the generated CUDA on hardware and diffing against cuBLAS.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.interp import PipelineHazardError, run_kernel
 from repro.ir import validate_kernel
-from repro.ir.stmt import PipelineSync, SyncKind
-from repro.ir.visitor import StmtMutator
+from repro.ir.stmt import SyncKind
 from repro.schedule import TileConfig
 from repro.transform import apply_pipelining
 
+from ..sync_mutation import drop_syncs
 from .conftest import build_kernel, random_inputs, reference
 
 
@@ -85,22 +87,13 @@ def test_elementwise_fused_into_copy_without_pipelining():
     run_both(kernel, spec, a_fn=lambda x: np.maximum(x, 0))
 
 
-class _DropSync(StmtMutator):
-    """Failure injection: delete the n-th sync statement of a given kind."""
-
-    def __init__(self, kind, index=0, scope=None):
-        self.kind = kind
-        self.index = index
-        self.scope = scope
-        self.seen = 0
-
-    def visit_pipelinesync(self, stmt: PipelineSync):
-        if stmt.kind is self.kind and (self.scope is None or stmt.buffer.scope is self.scope):
-            if self.seen == self.index:
-                self.seen += 1
-                return None
-            self.seen += 1
-        return stmt
+def _nth_sync(kind, index=0, scope=None):
+    """Failure injection: a ``drop_syncs`` predicate for the ``index``-th
+    sync of ``kind`` (in ``scope``, if given)."""
+    seen = itertools.count()
+    return lambda s: (
+        s.kind is kind and (scope is None or s.buffer.scope is scope) and next(seen) == index
+    )
 
 
 class TestFailureInjection:
@@ -109,13 +102,13 @@ class TestFailureInjection:
     these tests fail, the pipeline-semantics interpreter is too lax to act
     as a correctness oracle."""
 
-    def _mutate_and_run(self, mutator):
+    def _mutate_and_run(self, drop):
         cfg = TileConfig(
             16, 16, 16, warp_m=8, warp_n=8, chunk_k=8, smem_stages=3, reg_stages=2
         )
         kernel, spec = build_kernel(m=32, n=32, k=64, cfg=cfg)
         pipelined = apply_pipelining(kernel)
-        broken = mutator.mutate_kernel(pipelined)
+        broken = drop_syncs(pipelined, drop)
         a, b = random_inputs(spec)
         ref = reference(a, b, spec.batch)
         out = run_kernel(broken, {"A": a, "B": b}, mode="pipeline")["C"].astype(np.float32)
@@ -125,7 +118,7 @@ class TestFailureInjection:
     @pytest.mark.parametrize("kind", [SyncKind.CONSUMER_WAIT, SyncKind.PRODUCER_COMMIT])
     def test_dropping_sync_is_caught(self, kind):
         with pytest.raises(PipelineHazardError):
-            self._mutate_and_run(_DropSync(kind))
+            self._mutate_and_run(_nth_sync(kind))
 
     def test_dropping_guarded_smem_wait_is_caught(self):
         from repro.ir import Scope
@@ -133,11 +126,11 @@ class TestFailureInjection:
         # Drop the *in-loop* guarded smem wait (index 1; index 0 is the
         # prologue wait).
         with pytest.raises(PipelineHazardError):
-            self._mutate_and_run(_DropSync(SyncKind.CONSUMER_WAIT, index=1, scope=Scope.SHARED))
+            self._mutate_and_run(_nth_sync(SyncKind.CONSUMER_WAIT, index=1, scope=Scope.SHARED))
 
     def test_dropping_release_deadlocks(self):
         with pytest.raises(PipelineHazardError, match="deadlock|release"):
-            self._mutate_and_run(_DropSync(SyncKind.CONSUMER_RELEASE))
+            self._mutate_and_run(_nth_sync(SyncKind.CONSUMER_RELEASE))
 
     def test_untransformed_async_kernel_rejected_by_pipeline_mode(self):
         cfg = TileConfig(16, 16, 16, warp_m=8, warp_n=8, chunk_k=8, smem_stages=3)

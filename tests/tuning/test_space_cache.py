@@ -1,4 +1,4 @@
-"""Memoization of enumerate_space / restrict_space.
+"""Memoization of enumerate_space.
 
 Tuners, benchmarks and the CLI all re-enumerate the same (spec, gpu,
 options) triples; the cache must hand back equal results without letting
@@ -7,8 +7,8 @@ callers alias (and mutate) each other's lists.
 
 from repro.gpusim import A100, V100
 from repro.tensor import GemmSpec
-from repro.tuning import SpaceOptions, clear_space_caches, enumerate_space, restrict_space
-from repro.tuning.space import _ENUM_CACHE_SIZE, _enum_cache, _restrict_cache
+from repro.tuning import SpaceOptions, clear_space_caches, enumerate_space
+from repro.tuning.space import _ENUM_CACHE_SIZE, _enum_cache
 
 SPEC = GemmSpec("cache_mm", 1, 256, 256, 256)
 
@@ -40,21 +40,10 @@ def test_cache_key_distinguishes_gpu_and_options():
     assert a is not b
 
 
-def test_restrict_space_cached():
-    space = enumerate_space(SPEC, A100)
-    first = restrict_space(space, "alcop")
-    assert len(_restrict_cache) == 1
-    second = restrict_space(space, "alcop")
-    assert second == first and second is not first
-    restrict_space(space, "tvm")
-    assert len(_restrict_cache) == 2
-
-
 def test_clear_space_caches():
     enumerate_space(SPEC, A100)
-    restrict_space(enumerate_space(SPEC, A100), "alcop")
     clear_space_caches()
-    assert not _enum_cache and not _restrict_cache
+    assert not _enum_cache
 
 
 def test_lru_bound():
