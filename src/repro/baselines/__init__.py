@@ -2,7 +2,7 @@
 cuBLAS/cuDNN-like kernel library."""
 
 from .library import LIBRARY_CATALOG, LibraryKernels
-from .tvm_like import ablation_compilers, tvm_compiler, tvm_db_compiler
+from .tvm_like import ablation_compilers, tvm_compiler
 from .xla_like import XlaLikeCompiler
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "LibraryKernels",
     "ablation_compilers",
     "tvm_compiler",
-    "tvm_db_compiler",
     "XlaLikeCompiler",
 ]

@@ -92,12 +92,11 @@ class LibraryKernels:
 
     def gemm_latency(self, spec: GemmSpec) -> float:
         """Latency of the library kernel chosen for ``spec`` (us)."""
-        key = (spec.name, spec.batch, spec.m, spec.n, spec.k)
-        hit = self._cache.get(key)
+        hit = self._cache.get(spec)
         if hit is not None:
             return hit
         cfg = self.dispatch(spec)
         sim = simulate_kernel(timing_spec_from_config(spec, cfg), self.gpu)
         latency = sim.latency_us * _HAND_TUNED_SPEEDUP
-        self._cache[key] = latency
+        self._cache[spec] = latency
         return latency

@@ -1,13 +1,14 @@
 """Vanilla-TVM-like baselines.
 
-Both baselines share ALCOP's entire stack (schedule machinery, lowering,
+The baselines share ALCOP's entire stack (schedule machinery, lowering,
 simulator) with the pipelining features disabled in the search space, so
 measured deltas are attributable to pipelining alone — the paper's
 experimental design:
 
 * :func:`tvm_compiler` — no pipelining at all (``smem == reg == 1``);
-* :func:`tvm_db_compiler` — manually inserted double-buffering (up to
-  2-stage shared-memory pipelining, no multi-stage, no multi-level).
+* :func:`ablation_compilers` — the Fig. 10 set, TVM DB (manually inserted
+  double-buffering: up to 2-stage shared-memory pipelining, no
+  multi-stage, no multi-level) and ALCOP's ablations among them.
 """
 
 from __future__ import annotations
@@ -16,17 +17,12 @@ from ..core.compiler import AlcopCompiler
 from ..gpusim.config import A100, GpuSpec
 from ..tuning.measure import Measurer
 
-__all__ = ["tvm_compiler", "tvm_db_compiler", "ablation_compilers"]
+__all__ = ["tvm_compiler", "ablation_compilers"]
 
 
 def tvm_compiler(gpu: GpuSpec = A100, measurer: Measurer = None, **kwargs) -> AlcopCompiler:
     """Vanilla TVM: exhaustive tiling search, no pipelining."""
     return AlcopCompiler(gpu=gpu, variant="tvm", measurer=measurer, **kwargs)
-
-
-def tvm_db_compiler(gpu: GpuSpec = A100, measurer: Measurer = None, **kwargs) -> AlcopCompiler:
-    """TVM with manual double-buffering primitives (TVM DB in Fig. 10)."""
-    return AlcopCompiler(gpu=gpu, variant="tvm-db", measurer=measurer, **kwargs)
 
 
 def ablation_compilers(gpu: GpuSpec = A100, measurer: Measurer = None, **kwargs):

@@ -86,8 +86,7 @@ class XlaLikeCompiler:
         return simulate_kernel(timing_spec_from_config(spec, cfg), self.gpu).latency_us
 
     def gemm_latency(self, spec: GemmSpec) -> float:
-        key = (spec.name, spec.batch, spec.m, spec.n, spec.k)
-        hit = self._cache.get(key)
+        hit = self._cache.get(spec)
         if hit is not None:
             return hit
         base = self._own_path_latency(spec)
@@ -99,5 +98,5 @@ class XlaLikeCompiler:
             latency = base * _BMM_PENALTY
         else:
             latency = base
-        self._cache[key] = latency
+        self._cache[spec] = latency
         return latency

@@ -334,29 +334,45 @@ def _cmd_tune(args) -> int:
     return 0
 
 
+def _suite_latency(compiler, spec, events):
+    """``(latency_us, rung)`` of ``spec``: the first rung of ``compiler``'s
+    degradation ladder that compiles it, else the roofline fallback. The
+    ladder steps taken are appended to ``events``."""
+    from .core.errors import ReproError
+    from .models.runtime import roofline_fallback_latency
+
+    taken = len(compiler.degradations)
+    try:
+        compiled = compiler.compile_with_fallback(spec)
+        result = compiled.latency_us, compiled.variant
+    except ReproError:
+        result = roofline_fallback_latency(spec, compiler.gpu), "roofline"
+    events.extend(compiler.degradations[taken:])
+    return result
+
+
 def _cmd_suite(args) -> int:
     import time
 
-    from .tuning.space import SpaceOptions, enumerate_space
-    from .workloads.suite import OPERATOR_SUITE, degraded_best
+    from .baselines.tvm_like import tvm_compiler
+    from .core.compiler import AlcopCompiler
+    from .tuning.space import SpaceOptions
+    from .workloads.suite import OPERATOR_SUITE
 
     t0 = time.perf_counter()
     gpu = _GPUS[args.gpu]
     measurer = _measurer(args, gpu)
     options = SpaceOptions(max_size=_space_cap(args))
+    tvm_backend = tvm_compiler(gpu=gpu, measurer=measurer, space_options=options)
+    alcop_backend = AlcopCompiler(gpu=gpu, measurer=measurer, space_options=options)
     names = args.ops.split(",") if args.ops else list(OPERATOR_SUITE)
     events = []
     print(f"{'operator':16s} | {'TVM (us)':>9s} | {'ALCOP (us)':>10s} | {'speedup':>7s}")
     try:
         for name in names:
             spec = OPERATOR_SUITE[name]
-            space = enumerate_space(spec, gpu, options=options)
-            _, tvm, tvm_used = degraded_best(
-                measurer, spec, space, variant="tvm", events=events
-            )
-            _, alcop, alcop_used = degraded_best(
-                measurer, spec, space, variant="alcop", events=events
-            )
+            tvm, tvm_used = _suite_latency(tvm_backend, spec, events)
+            alcop, alcop_used = _suite_latency(alcop_backend, spec, events)
             # A degraded rung is flagged in the table; details follow below.
             note = "" if alcop_used == "alcop" and tvm_used == "tvm" else (
                 f"  [{tvm_used}/{alcop_used}]"

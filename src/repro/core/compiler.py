@@ -1,14 +1,16 @@
 """ALCOP's top-level compiler driver (the architecture of paper Fig. 4).
 
-:class:`AlcopCompiler` wires the whole flow together for one GEMM-family
-problem:
+:class:`AlcopCompiler` is the one place that solves a problem. For one
+GEMM-family problem it runs the whole flow:
 
-1. schedule search over the (variant-restricted) design space — exhaustive
-   or any of the Table II tuning methods;
+1. exhaustive schedule search (:meth:`~repro.tuning.measure.Measurer.best`)
+   over the variant-restricted design space (:meth:`AlcopCompiler.space`);
+   the Table II tuning methods run under ``repro tune``;
 2. automatic schedule construction (cache reads, tiling, pipelining marks
-   with the Sec. II applicability rules);
-3. lowering and the Sec. III pipelining program transformation;
-4. timing on the simulated A100 (and optional functional execution through
+   with the Sec. II applicability rules), lowering and the Sec. III
+   pipelining program transformation
+   (:func:`~repro.core.incremental.fresh_kernel`);
+3. timing on the simulated A100 (and optional functional execution through
    the pipeline-semantics interpreter).
 
 Compiler *variants* (``alcop``, ``alcop-no-ml``, ``alcop-no-ml-no-ms``,
@@ -25,21 +27,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .. import faults
-from ..codegen import lower
 from ..gpusim.config import A100, GpuSpec
 from ..gpusim.engine import SimResult, simulate_kernel
 from ..gpusim.spec import extract_timing_spec
 from ..interp import run_kernel
 from ..ir.stmt import Kernel
-from ..schedule.auto import auto_schedule
 from ..schedule.config import TileConfig
-from ..tensor.operation import GemmSpec, Tensor, gemm_graph
-from ..transform import apply_pipelining
+from ..tensor.operation import GemmSpec, gemm_graph
 from ..tuning.measure import Measurer
 from ..tuning.space import SpaceOptions, enumerate_space, restrict_space
-from ..tuning.tuners import ModelAssistedXGBTuner, XGBTuner
-from . import profiling
 from .errors import CompileError, DegradationEvent, ReproError
+from .incremental import fresh_kernel
 
 __all__ = ["CompiledKernel", "AlcopCompiler", "VARIANTS"]
 
@@ -48,8 +46,6 @@ __all__ = ["CompiledKernel", "AlcopCompiler", "VARIANTS"]
 #: per-op fallback steps rightward until something compiles (and finally to
 #: the roofline fallback in :mod:`repro.models.runtime`).
 VARIANTS = ("alcop", "alcop-no-ml", "alcop-no-ml-no-ms", "tvm-db", "tvm")
-
-_SEARCH_METHODS = ("exhaustive", "model-assisted-xgb", "xgb")
 
 
 @dataclasses.dataclass
@@ -60,6 +56,9 @@ class CompiledKernel:
     config: TileConfig
     kernel: Kernel
     sim: SimResult
+    #: the variant whose search space the config came from (the ladder
+    #: rung that compiled, under :meth:`AlcopCompiler.compile_with_fallback`)
+    variant: str
 
     @property
     def latency_us(self) -> float:
@@ -83,31 +82,19 @@ class AlcopCompiler:
         self,
         gpu: GpuSpec = A100,
         variant: str = "alcop",
-        search: str = "exhaustive",
-        n_trials: int = 50,
-        seed: int = 0,
         measurer: Optional[Measurer] = None,
         space_options: Optional[SpaceOptions] = None,
         verify_sync: bool = True,
-        degrade: bool = True,
     ) -> None:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-        if search not in _SEARCH_METHODS:
-            raise ValueError(f"unknown search {search!r}; choose from {_SEARCH_METHODS}")
         self.gpu = gpu
         self.variant = variant
-        self.search = search
-        self.n_trials = n_trials
-        self.seed = seed
         self.space_options = space_options
         self.measurer = measurer or Measurer(gpu, via_ir=False)
         #: run the static synchronization race checker on every built kernel
         #: (repro.ir.syncheck); a mis-transformed pipeline fails the build.
         self.verify_sync = verify_sync
-        #: when used as an end-to-end backend (:meth:`gemm_latency`), step
-        #: down the variant ladder per-op instead of failing the model.
-        self.degrade = degrade
         #: every ladder step taken, in order (surfaced by ``repro suite``
         #: and :func:`repro.models.runtime.estimate_model_latency`).
         self.degradations: List[DegradationEvent] = []
@@ -119,55 +106,34 @@ class AlcopCompiler:
         self._failed: Dict[GemmSpec, ReproError] = {}
 
     # ------------------------------------------------------------------ search
-    def _search_config(self, spec: GemmSpec, variant: Optional[str] = None) -> TileConfig:
-        variant = variant or self.variant
-        space = restrict_space(
-            enumerate_space(spec, self.gpu, self.space_options), variant
-        )
+    def space(
+        self, spec: GemmSpec, variant: str, options: Optional[SpaceOptions]
+    ) -> List[TileConfig]:
+        """``spec``'s design space under ``options``, restricted to
+        ``variant``. A restriction that leaves nothing raises a
+        :class:`CompileError` naming the spec, the variant and the cap; a
+        problem no tile divides raises :func:`enumerate_space`'s
+        ``ValueError``."""
+        space = restrict_space(enumerate_space(spec, self.gpu, options), variant)
         if not space:
+            cap = options.max_size if options is not None else None
             raise CompileError(
                 f"design space for {spec.name} is empty under the {variant!r} "
-                "variant restriction (no tiling divides the problem within "
-                "the space bounds)",
-                diagnostic={"spec": spec.name, "variant": variant},
+                f"variant restriction (cap {cap})",
+                diagnostic={"spec": spec.name, "variant": variant, "cap": cap},
             )
-        if self.search == "exhaustive":
-            cfg, _ = self.measurer.best(spec, space)
-            return cfg
-        tuner_cls = ModelAssistedXGBTuner if self.search == "model-assisted-xgb" else XGBTuner
-        tuner = tuner_cls(spec, space, measurer=self.measurer, gpu=self.gpu, seed=self.seed)
-        history = tuner.tune(self.n_trials)
-        cfg = history.best_config_at(self.n_trials)
-        if cfg is None:
-            raise CompileError(
-                f"no valid schedule found for {spec.name} (variant {variant!r}) "
-                f"in {self.n_trials} trials: every measured config failed to compile",
-                diagnostic={"spec": spec.name, "variant": variant,
-                            "trials": len(history)},
-            )
-        return cfg
+        return space
 
     # ------------------------------------------------------------------ build
-    def build(
-        self, spec: GemmSpec, config: TileConfig, graph_output: Optional[Tensor] = None
-    ) -> Kernel:
+    def build(self, spec: GemmSpec, config: TileConfig) -> Kernel:
         """Schedule, lower and pipeline one problem at a fixed config."""
-        if graph_output is None:
-            graph_output = gemm_graph(spec)
-        with profiling.stage("schedule"):
-            sch = auto_schedule(graph_output, config)
-        with profiling.stage("lower"):
-            kernel = lower(sch)
-        with profiling.stage("transform"):
-            return apply_pipelining(kernel, verify_sync=self.verify_sync)
+        return fresh_kernel(gemm_graph(spec), config, verify_sync=self.verify_sync)
 
-    def compile(self, spec: GemmSpec, graph_output: Optional[Tensor] = None) -> CompiledKernel:
+    def compile(self, spec: GemmSpec) -> CompiledKernel:
         """Search, build and time a kernel for ``spec`` (cached)."""
-        return self._compile_as(spec, self.variant, graph_output)
+        return self._compile_as(spec, self.variant)
 
-    def _compile_as(
-        self, spec: GemmSpec, variant: str, graph_output: Optional[Tensor] = None
-    ) -> CompiledKernel:
+    def _compile_as(self, spec: GemmSpec, variant: str) -> CompiledKernel:
         """One rung of the ladder: compile ``spec`` under ``variant``'s
         search-space restriction (cached per variant)."""
         key = (variant, spec)
@@ -175,24 +141,23 @@ class AlcopCompiler:
         if hit is not None:
             return hit
         faults.inject("build", token=f"variant={variant};op={spec.name}")
-        config = self._search_config(spec, variant)
-        kernel = self.build(spec, config, graph_output)
+        config, _ = self.measurer.best(spec, self.space(spec, variant, self.space_options))
+        kernel = self.build(spec, config)
         sim = simulate_kernel(extract_timing_spec(kernel), self.gpu)
-        out = CompiledKernel(spec=spec, config=config, kernel=kernel, sim=sim)
+        out = CompiledKernel(spec=spec, config=config, kernel=kernel, sim=sim, variant=variant)
         self._cache[key] = out
         return out
 
-    def compile_with_fallback(
-        self, spec: GemmSpec, graph_output: Optional[Tensor] = None
-    ) -> CompiledKernel:
+    def compile_with_fallback(self, spec: GemmSpec) -> CompiledKernel:
         """Compile ``spec``, stepping down the variant ladder on failure.
 
         A transform rejection, sync-verification race, launch failure or
         injected fault at one rung degrades to the next more conservative
         variant (``alcop → … → tvm``) instead of failing the caller; each
-        step is recorded as a :class:`DegradationEvent`. When even ``tvm``
-        cannot compile the op, the last error is re-raised — the model
-        runtime then prices the op with its roofline fallback.
+        step is recorded as a :class:`DegradationEvent`, and the returned
+        kernel's ``variant`` names the rung that compiled. When even
+        ``tvm`` cannot compile the op, the last error is re-raised — the
+        caller then prices the op with the roofline fallback.
         """
         known_failure = self._failed.get(spec)
         if known_failure is not None:
@@ -202,7 +167,7 @@ class AlcopCompiler:
         last_error: Optional[Exception] = None
         for i, variant in enumerate(ladder):
             try:
-                out = self._compile_as(spec, variant, graph_output)
+                out = self._compile_as(spec, variant)
                 self._resolved[spec] = variant
                 return out
             except (ReproError, ValueError) as e:
@@ -221,12 +186,10 @@ class AlcopCompiler:
 
     # ---------------------------------------------------------------- backend
     def gemm_latency(self, spec: GemmSpec) -> float:
-        """Backend hook for the end-to-end model runtime. With
-        :attr:`degrade` (the default) a failing pipelined build steps down
-        the variant ladder per-op instead of failing the whole model."""
-        if self.degrade:
-            return self.compile_with_fallback(spec).latency_us
-        return self.compile(spec).latency_us
+        """Backend hook for the end-to-end model runtime: a failing
+        pipelined build steps down the variant ladder per-op instead of
+        failing the whole model."""
+        return self.compile_with_fallback(spec).latency_us
 
     #: bandwidth efficiency multiplier for unfused elementwise ops (TVM and
     #: ALCOP fuse simple epilogues but keep layernorm/softmax standalone).

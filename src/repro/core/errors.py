@@ -186,7 +186,7 @@ class DegradationEvent:
     """One step down the compiler degradation ladder for one operator.
 
     Recorded whenever a build fails and a more conservative variant (or the
-    roofline fallback) is used instead: ``alcop → tvm-db → tvm → roofline``.
+    roofline fallback) is used instead: ``alcop → … → tvm → roofline``.
     """
 
     op: str

@@ -54,6 +54,7 @@ from typing import Dict, Optional, Tuple
 
 from ..codegen.lower import lower
 from ..gpusim.spec import KernelTimingSpec, extract_timing_spec
+from ..ir.stmt import Kernel
 from ..obs import metrics as _metrics
 from ..perfmodel.static_spec import timing_spec_from_config
 from ..schedule.auto import auto_schedule
@@ -62,7 +63,7 @@ from ..tensor.operation import ContractionOp, GemmSpec, PlaceholderOp, Tensor
 from ..transform import apply_pipelining
 from . import profiling
 
-__all__ = ["IncrementalEngine", "fresh_timing_spec", "schedule_key", "sort_key"]
+__all__ = ["IncrementalEngine", "fresh_kernel", "fresh_timing_spec", "schedule_key", "sort_key"]
 
 #: Stage counts a tile group's check builds: fully pipelined and fully
 #: un-pipelined. Pipelinability does not depend on the exact count once
@@ -124,16 +125,22 @@ def sort_key(cfg: TileConfig) -> Tuple:
     )
 
 
-def fresh_timing_spec(graph: Tensor, cfg: TileConfig) -> KernelTimingSpec:
-    """The timing spec of a fresh build of ``cfg``: schedule, lower,
-    pipelining transform and extraction from the transformed IR, each
+def fresh_kernel(graph: Tensor, cfg: TileConfig, verify_sync: bool = False) -> Kernel:
+    """A fresh build of ``cfg``: schedule, lower and the pipelining
+    transform (with the static race check when ``verify_sync``), each
     timed under its :mod:`~repro.core.profiling` stage."""
     with profiling.stage("schedule"):
         sched = auto_schedule(graph, cfg)
     with profiling.stage("lower"):
         kernel = lower(sched)
     with profiling.stage("transform"):
-        kernel = apply_pipelining(kernel)
+        return apply_pipelining(kernel, verify_sync=verify_sync)
+
+
+def fresh_timing_spec(graph: Tensor, cfg: TileConfig) -> KernelTimingSpec:
+    """The timing spec of a fresh build of ``cfg``, extracted from the
+    transformed IR under the ``spec-extract`` stage."""
+    kernel = fresh_kernel(graph, cfg)
     with profiling.stage("spec-extract"):
         return extract_timing_spec(kernel)
 

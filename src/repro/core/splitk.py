@@ -19,7 +19,7 @@ and split-K only wins on under-parallelized shapes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from ..tensor.operation import GemmSpec
 from ..tuning.measure import Measurer
 from ..tuning.space import SpaceOptions
 from .compiler import AlcopCompiler, CompiledKernel
+from .errors import CompileError
 
 __all__ = ["SplitKCompiled", "SplitKCompiler", "build_reduce_kernel", "reduce_latency_us"]
 
@@ -146,7 +147,7 @@ class SplitKCompiler:
         self._inner = AlcopCompiler(
             gpu=gpu, measurer=self.measurer, space_options=space_options
         )
-        self._cache: Dict[Tuple, SplitKCompiled] = {}
+        self._cache: Dict[GemmSpec, SplitKCompiled] = {}
 
     def _partial_spec(self, spec: GemmSpec, split_k: int) -> GemmSpec:
         return GemmSpec(
@@ -161,22 +162,32 @@ class SplitKCompiler:
         )
 
     def candidate_splits(self, spec: GemmSpec) -> List[int]:
-        """Feasible split factors for a problem (1 is always included)."""
+        """Feasible split factors for a problem (1 is always included): a
+        split must divide the reduction, leave at least
+        ``min_k_per_split`` of it per group, and leave a partial problem
+        whose design space is not empty."""
         if spec.batch != 1:
             return [1]  # batched problems already have grid parallelism
         out = []
         for s in self.split_candidates:
             if spec.k % s:
                 continue
-            if s > 1 and spec.k // s < self.min_k_per_split:
+            if s > 1 and (spec.k // s < self.min_k_per_split
+                          or not self._has_space(self._partial_spec(spec, s))):
                 continue
             out.append(s)
         return out or [1]
 
+    def _has_space(self, spec: GemmSpec) -> bool:
+        try:
+            self._inner.space(spec, self._inner.variant, self.space_options)
+        except (CompileError, ValueError):
+            return False
+        return True
+
     def compile(self, spec: GemmSpec) -> SplitKCompiled:
         """Pick the best split factor by measured total latency."""
-        key = (spec.name, spec.batch, spec.m, spec.n, spec.k)
-        hit = self._cache.get(key)
+        hit = self._cache.get(spec)
         if hit is not None:
             return hit
         best: Optional[SplitKCompiled] = None
@@ -193,7 +204,7 @@ class SplitKCompiler:
             if best is None or candidate.latency_us < best.latency_us:
                 best = candidate
         assert best is not None
-        self._cache[key] = best
+        self._cache[spec] = best
         return best
 
     def gemm_latency(self, spec: GemmSpec) -> float:

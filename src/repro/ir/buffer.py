@@ -34,10 +34,6 @@ class Scope(enum.Enum):
     REGISTER = "register"
     ACCUMULATOR = "accumulator"
 
-    @property
-    def is_on_chip(self) -> bool:
-        return self is not Scope.GLOBAL
-
     #: The scope an asynchronous copy into this scope reads from. On Ampere,
     #: ``cp.async`` moves global -> shared; register loads read shared memory.
     @property
@@ -209,13 +205,6 @@ class BufferRegion:
             tuple(substitute(o, mapping) for o in self.offsets),
             self.extents,
         )
-
-    def with_offsets(self, offsets: Sequence[ExprLike]) -> "BufferRegion":
-        return BufferRegion(self.buffer, offsets, self.extents)
-
-    def with_buffer(self, buffer: Buffer) -> "BufferRegion":
-        """Rebind the region to a same-rank buffer (offsets/extents kept)."""
-        return BufferRegion(buffer, self.offsets, self.extents)
 
     def concrete_slices(self, env) -> Tuple[slice, ...]:
         """Evaluate offsets under ``env`` and return numpy slices.

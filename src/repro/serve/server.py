@@ -44,7 +44,6 @@ from ..codegen import emit_cuda
 from ..core import profiling
 from ..core.compiler import AlcopCompiler
 from ..core.errors import (
-    CompileError,
     DeadlineExceededError,
     OverloadedError,
     ProtocolError,
@@ -56,7 +55,7 @@ from ..obs import trace as obs_trace
 from ..tensor.operation import GemmSpec
 from ..tuning.cache import MeasurementCache, compiler_version_hash, gpu_fingerprint
 from ..tuning.measure import Measurer
-from ..tuning.space import SpaceOptions, enumerate_space, restrict_space
+from ..tuning.space import SpaceOptions
 from . import protocol
 from .protocol import (
     OPS,
@@ -862,14 +861,7 @@ class ReproServer:
         """The cold path: search the space, build the winning kernel, and
         publish the artifact. ``deadline`` aborts the sweep mid-flight
         (committed trials stay cached, so a retry resumes warm)."""
-        space = restrict_space(
-            enumerate_space(spec, self.gpu, SpaceOptions(max_size=space_cap)), variant
-        )
-        if not space:
-            raise CompileError(
-                f"design space for {spec.name} is empty under the {variant!r} "
-                f"variant restriction (cap {space_cap})"
-            )
+        space = self._compiler.space(spec, variant, SpaceOptions(max_size=space_cap))
         with obs_trace.span("sweep", attrs={"space": len(space)}):
             cfg, latency = self.measurer.best(spec, space, deadline=deadline)
         self._count("sweeps_run")

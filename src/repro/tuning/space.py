@@ -41,16 +41,16 @@ _BLOCK_MN = (16, 32, 64, 128, 256)
 _BLOCK_K = (16, 32, 64)
 _WARP_MN = (16, 32, 64)
 _CHUNK_K = (8, 16, 32)
+#: Pipeline stage counts and warps per threadblock the grid spans.
+_MAX_SMEM_STAGES = 4
+_MAX_REG_STAGES = 2
+_MAX_WARPS = 8
 
 
 @dataclasses.dataclass(frozen=True)
 class SpaceOptions:
-    """Bounds of the enumeration."""
+    """Which configs of the knob grid an enumeration keeps."""
 
-    max_smem_stages: int = 4
-    max_reg_stages: int = 2
-    max_warps: int = 8
-    max_threads: int = 512
     launchable_only: bool = False
     #: deterministic strided subsampling cap (None = full space); used by
     #: end-to-end studies where per-op exhaustive sweeps are unnecessary.
@@ -132,15 +132,14 @@ def _enumerate_space_uncached(
                     for wn in _WARP_MN:
                         if bn % wn:
                             continue
-                        warps = (bm // wm) * (bn // wn)
-                        if warps > opt.max_warps or warps * 32 > opt.max_threads:
+                        if (bm // wm) * (bn // wn) > _MAX_WARPS:
                             continue
                         for ck in _CHUNK_K:
                             if bk % ck:
                                 continue
                             tiles.append((bm, bn, bk, wm, wn, ck))
-    stages = [(ss, rs) for ss in range(1, opt.max_smem_stages + 1)
-              for rs in range(1, opt.max_reg_stages + 1)]
+    stages = [(ss, rs) for ss in range(1, _MAX_SMEM_STAGES + 1)
+              for rs in range(1, _MAX_REG_STAGES + 1)]
     grid = [tile + pair for tile in tiles for pair in stages]
     if opt.launchable_only:
         grid = [knobs for knobs in grid if _launchable(TileConfig(*knobs), spec, gpu)]

@@ -9,27 +9,14 @@ elsewhere.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
-from ..core.errors import DegradationEvent, ReproError
 from ..ops.bmm import bmm_spec
 from ..ops.conv2d import Conv2dShape, conv2d_spec
 from ..ops.matmul import matmul_spec
 from ..tensor.operation import GemmSpec
 
-__all__ = [
-    "OPERATOR_SUITE",
-    "DEGRADATION_LADDER",
-    "suite_specs",
-    "get_operator",
-    "degraded_best",
-]
-
-#: Variant ladder the suite runner steps down when an operator cannot be
-#: measured at its preferred variant (subset of
-#: :data:`repro.core.compiler.VARIANTS` — the ablation variants share
-#: alcop's failure modes, so the suite skips straight to the baselines).
-DEGRADATION_LADDER = ("alcop", "tvm-db", "tvm")
+__all__ = ["OPERATOR_SUITE", "suite_specs", "get_operator"]
 
 
 def _build_suite() -> Dict[str, GemmSpec]:
@@ -94,35 +81,3 @@ def get_operator(name: str) -> GemmSpec:
         return OPERATOR_SUITE[name]
     except KeyError:
         raise KeyError(f"unknown operator {name!r}; choose from {sorted(OPERATOR_SUITE)}")
-
-
-def degraded_best(
-    measurer,
-    spec: GemmSpec,
-    space: Sequence,
-    variant: str = "alcop",
-    events: Optional[List[DegradationEvent]] = None,
-) -> Tuple[Optional[object], float, str]:
-    """Exhaustive best over ``space`` restricted to ``variant``, stepping
-    down :data:`DEGRADATION_LADDER` when a rung fails (empty restricted
-    space, every candidate failing to compile, injected faults).
-
-    Returns ``(config, latency_us, variant_used)``; when even ``tvm``
-    fails the op is priced by the backend-independent roofline fallback
-    (``config is None``, ``variant_used == "roofline"``). Each ladder step
-    is appended to ``events`` when given.
-    """
-    from ..models.runtime import roofline_fallback_latency
-    from ..tuning.space import restrict_space
-
-    start = DEGRADATION_LADDER.index(variant) if variant in DEGRADATION_LADDER else 0
-    ladder = DEGRADATION_LADDER[start:]
-    for i, rung in enumerate(ladder):
-        try:
-            cfg, latency = measurer.best(spec, restrict_space(list(space), rung))
-            return cfg, latency, rung
-        except (ReproError, ValueError) as e:
-            next_rung = ladder[i + 1] if i + 1 < len(ladder) else "roofline"
-            if events is not None:
-                events.append(DegradationEvent.from_error(spec.name, rung, next_rung, e))
-    return None, roofline_fallback_latency(spec, measurer.gpu), "roofline"

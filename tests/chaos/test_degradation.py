@@ -1,18 +1,20 @@
-"""Graceful degradation: the variant ladder in the compiler, the model
-runtime's roofline fallback, and the suite runner's ``degraded_best``."""
+"""Graceful degradation: the variant ladder in the compiler, and the
+roofline fallback of the model runtime and of ``repro suite`` rows."""
+
+import re
 
 import pytest
 
 from repro import faults
+from repro.cli import main
 from repro.core.compiler import VARIANTS, AlcopCompiler
 from repro.core.errors import CompileError, DegradationEvent, ReproError
 from repro.gpusim.config import A100
 from repro.models.graph import GemmOp, ModelGraph
 from repro.models.runtime import estimate_model_latency, roofline_fallback_latency
 from repro.tensor.operation import GemmSpec
-from repro.tuning.measure import Measurer
-from repro.tuning.space import SpaceOptions, enumerate_space
-from repro.workloads.suite import DEGRADATION_LADDER, degraded_best
+from repro.tuning.space import SpaceOptions
+from repro.workloads.suite import OPERATOR_SUITE
 
 SPEC = GemmSpec("deg", 1, 256, 256, 512)
 
@@ -27,7 +29,7 @@ def _fail_variants(*variants, seed=1):
 
 class TestCompilerLadder:
     def test_top_rung_failure_steps_down_once(self):
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         with faults.injected(_fail_variants("alcop")):
             latency = c.gemm_latency(SPEC)
         assert latency > 0
@@ -38,7 +40,7 @@ class TestCompilerLadder:
         assert ev.op == SPEC.name
 
     def test_resolved_rung_is_reused_without_new_events(self):
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         plan = _fail_variants("alcop")
         with faults.injected(plan):
             first = c.gemm_latency(SPEC)
@@ -47,7 +49,7 @@ class TestCompilerLadder:
         assert len(c.degradations) == 1
 
     def test_every_rung_failing_raises_after_full_ladder(self):
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         with faults.injected(_fail_variants(*VARIANTS)):
             with pytest.raises(ReproError):
                 c.compile_with_fallback(SPEC)
@@ -55,7 +57,7 @@ class TestCompilerLadder:
         assert c.degradations[-1].to_variant == "roofline"
 
     def test_total_failure_is_cached(self):
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         with faults.injected(_fail_variants(*VARIANTS)):
             with pytest.raises(ReproError):
                 c.compile_with_fallback(SPEC)
@@ -65,10 +67,12 @@ class TestCompilerLadder:
         assert len(c.degradations) == n  # no duplicate ladder walk
 
     def test_degrade_false_raises_immediately(self):
-        c = AlcopCompiler(search="exhaustive", degrade=False)
+        """``compile`` does not degrade: it is one rung, and a failure
+        there is the caller's."""
+        c = AlcopCompiler()
         with faults.injected(_fail_variants("alcop")):
-            with pytest.raises(Exception):
-                c.gemm_latency(SPEC)
+            with pytest.raises(faults.FaultInjected):
+                c.compile(SPEC)
         assert not c.degradations
 
 
@@ -77,7 +81,7 @@ class TestSearchErrors:
         import repro.core.compiler as compiler_mod
 
         monkeypatch.setattr(compiler_mod, "enumerate_space", lambda *a, **k: [])
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         with pytest.raises(CompileError, match="deg") as ei:
             c.compile(SPEC)
         assert "alcop" in str(ei.value)
@@ -87,7 +91,7 @@ class TestSearchErrors:
 class TestModelRuntime:
     def test_model_estimate_survives_total_op_failure(self):
         graph = ModelGraph(name="toy", gemm_ops=[GemmOp(spec=SPEC, count=2)])
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         with faults.injected(_fail_variants(*VARIANTS)):
             result = estimate_model_latency(graph, c, backend_name="alcop")
         assert result.gemm_us == 0.0
@@ -100,7 +104,7 @@ class TestModelRuntime:
 
     def test_partial_ladder_step_is_surfaced(self):
         graph = ModelGraph(name="toy", gemm_ops=[GemmOp(spec=SPEC, count=1)])
-        c = AlcopCompiler(search="exhaustive")
+        c = AlcopCompiler()
         with faults.injected(_fail_variants("alcop")):
             result = estimate_model_latency(graph, c, backend_name="alcop")
         assert result.fallback_us == 0.0
@@ -109,30 +113,48 @@ class TestModelRuntime:
 
     def test_clean_run_records_nothing(self):
         graph = ModelGraph(name="toy", gemm_ops=[GemmOp(spec=SPEC, count=1)])
-        result = estimate_model_latency(
-            graph, AlcopCompiler(search="exhaustive"), backend_name="alcop"
-        )
+        result = estimate_model_latency(graph, AlcopCompiler(), backend_name="alcop")
         assert result.degradations == []
         assert result.n_degraded_ops == 0
 
 
-class TestDegradedBest:
-    def test_clean_space_uses_requested_variant(self):
-        m = Measurer(A100, via_ir=False)
-        space = enumerate_space(SPEC, A100, SpaceOptions(max_size=30))
-        cfg, latency, used = degraded_best(m, SPEC, space, variant="alcop")
-        assert used == "alcop" and cfg is not None and latency > 0
+def _suite_row(capsys, argv):
+    """Exit code, the MM_RN50_FC row and the whole output of ``repro suite``."""
+    rc = main(["suite", "--ops", "MM_RN50_FC", "--space", "80"] + argv)
+    out = capsys.readouterr().out
+    row = next(line for line in out.splitlines() if line.startswith("MM_RN50_FC"))
+    return rc, row, out
 
-    def test_faulted_rung_steps_down(self):
-        events = []
-        plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
-        m = Measurer(A100, via_ir=False, retries=0, backoff_s=0.001)
-        space = enumerate_space(SPEC, A100, SpaceOptions(max_size=10))
-        with faults.injected(plan):
-            cfg, latency, used = degraded_best(m, SPEC, space, events=events)
-        assert used == "roofline" and cfg is None
-        assert latency == pytest.approx(roofline_fallback_latency(SPEC, A100))
-        assert [ev.from_variant for ev in events] == list(DEGRADATION_LADDER)
+
+class TestDegradedBest:
+    """A ``repro suite`` row prices each backend with the compiler's
+    degradation ladder, and with the roofline once the ladder runs out."""
+
+    def test_clean_space_uses_requested_variant(self, capsys):
+        """A clean row flags no rung and prints each compiler's latency."""
+        rc, row, out = _suite_row(capsys, [])
+        assert rc == 0 and "[" not in row and "degradations:" not in out
+        spec = OPERATOR_SUITE["MM_RN50_FC"]
+        opts = SpaceOptions(max_size=80)
+        want = [
+            AlcopCompiler(variant=v, space_options=opts).compile(spec).latency_us
+            for v in ("tvm", "alcop")
+        ]
+        assert [x.strip() for x in row.split("|")[1:3]] == [f"{x:.1f}" for x in want]
+
+    def test_faulted_rung_steps_down(self, capsys):
+        """With every measurement crashing, ``tvm`` steps to the roofline
+        and ``alcop`` walks all five rungs first: six steps."""
+        plan = "compile:crash"
+        with faults.injected(faults.FaultPlan.parse(plan)):
+            rc, row, out = _suite_row(capsys, ["--retries", "0", "--fault-plan", plan])
+        assert rc == 0
+        assert row.endswith("[roofline/roofline]")
+        roofline = roofline_fallback_latency(OPERATOR_SUITE["MM_RN50_FC"], A100)
+        assert [x.strip() for x in row.split("|")[1:3]] == [f"{roofline:.1f}"] * 2
+        steps = re.findall(r"^  MM_RN50_FC: (\S+) -> (\S+) ", out, re.M)
+        assert "degradations: 6 ladder step(s) over 1 operator(s)" in out
+        assert steps == [("tvm", "roofline")] + list(zip(VARIANTS, VARIANTS[1:] + ("roofline",)))
 
     def test_event_dataclass_renders(self):
         ev = DegradationEvent(

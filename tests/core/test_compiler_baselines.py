@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import LIBRARY_CATALOG, LibraryKernels, XlaLikeCompiler, ablation_compilers
-from repro.core import AlcopCompiler
+from repro.core import AlcopCompiler, SplitKCompiler
 from repro.gpusim.occupancy import CompileError
 from repro.ops import bmm_spec, matmul_spec, reference_matmul
 from repro.tuning import Measurer, SpaceOptions
@@ -81,15 +81,21 @@ class TestAlcopCompiler:
         with pytest.raises(ValueError):
             AlcopCompiler(variant="fastest")
 
-    def test_unknown_search_rejected(self):
-        with pytest.raises(ValueError):
-            AlcopCompiler(search="bayesian")
 
-    def test_trial_based_search(self):
-        comp = _alcop(search="model-assisted-xgb", n_trials=20)
-        ck = comp.compile(self.SPEC)
-        exhaustive = _alcop().compile(self.SPEC)
-        assert ck.latency_us <= exhaustive.latency_us * 1.5
+@pytest.mark.parametrize("backend", [
+    XlaLikeCompiler,
+    LibraryKernels,
+    lambda: SplitKCompiler(measurer=MEAS, space_options=OPTS),
+], ids=["xla", "library", "splitk"])
+def test_backend_memo_tells_specs_apart_by_footprint(backend):
+    """A conv and a dense GEMM with the same name and dims differ only in
+    ``a_footprint_ratio``; a backend that priced the conv must answer the
+    dense GEMM as a fresh instance does."""
+    dense = matmul_spec("fp_mm", 3136, 64, 1024)
+    conv = dataclasses.replace(dense, a_footprint_ratio=0.12)
+    seasoned = backend()
+    assert seasoned.gemm_latency(conv) != backend().gemm_latency(dense)
+    assert seasoned.gemm_latency(dense) == backend().gemm_latency(dense)
 
 
 class TestLibrary:

@@ -57,6 +57,14 @@ class TestCandidateSplits:
         comp = make_compiler()
         assert comp.candidate_splits(bmm_spec("b", 4, 64, 64, 4096)) == [1]
 
+    def test_split_without_a_tile_is_dropped(self):
+        """Split 8 of K = 576 leaves K = 72, which no ``block_k`` divides:
+        it is no candidate, and the op compiles with another split."""
+        comp = make_compiler()
+        spec = matmul_spec("m", 3136, 64, 576)
+        assert comp.candidate_splits(spec) == [1, 2, 4]
+        assert comp.compile(spec).split_k in {1, 2, 4}
+
 
 class TestCompilation:
     def test_deep_reduction_picks_split(self):

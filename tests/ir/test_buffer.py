@@ -42,10 +42,6 @@ class TestBuffer:
         assert Scope.GLOBAL.async_source is None
         assert Scope.ACCUMULATOR.async_source is None
 
-    def test_scope_on_chip(self):
-        assert not Scope.GLOBAL.is_on_chip
-        assert Scope.SHARED.is_on_chip and Scope.REGISTER.is_on_chip
-
 
 class TestBufferRegion:
     def test_full_region(self):
@@ -106,14 +102,3 @@ class TestBufferRegion:
         r = b.region((k, 4), (0, 8))
         with pytest.raises(IndexError):
             r.concrete_slices({k: -1})
-
-    def test_with_buffer_rebind(self):
-        b = Buffer("A", (16, 8))
-        b2 = Buffer("B", (16, 8))
-        r = b.full_region().with_buffer(b2)
-        assert r.buffer is b2
-
-    def test_with_offsets(self):
-        b = Buffer("A", (16, 8))
-        r = b.region((0, 4), (0, 8)).with_offsets([as_expr(4), as_expr(0)])
-        assert r.concrete_slices({})[0] == slice(4, 8)

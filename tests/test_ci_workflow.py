@@ -75,6 +75,17 @@ def test_sync_safety_runs_every_example(workflow):
     assert 'PYTHONPATH=src python "$f" || exit 1' in runs[0]
 
 
+def test_sync_safety_fails_on_a_degraded_suite_row(workflow):
+    """``repro suite`` builds every winner, tvm and alcop, sync-verified: a
+    winner that fails its build steps down the ladder and prints a
+    ``degradations:`` line, which fails the sync-safety job."""
+    cmds = job_commands(workflow["jobs"]["sync-safety"])
+    runs = [c for c in cmds if "repro.cli suite" in c]
+    assert len(runs) == 1, "sync-safety must run the suite in one step"
+    assert "PYTHONPATH=src python -m repro.cli suite --space 400 > suite.txt" in runs[0]
+    assert 'if grep -q "^degradations:" suite.txt; then exit 1; fi' in runs[0]
+
+
 def test_chaos_job_contract(workflow):
     """The chaos job must run the chaos test suite AND an end-to-end tune
     under an injected fault plan that exercises all three recovery paths

@@ -49,27 +49,13 @@ class TestTunersOnAllFailingSpace:
 
 
 class TestCompilerSearch:
-    def test_xgb_search_over_failing_space_raises_clean_error(self):
-        """AlcopCompiler(search=xgb) on a space where every trial fails
-        (faulted compile path, retries exhausted) raises a CompileError
-        that names the spec — not min()'s bare ValueError."""
-        spec = GemmSpec("doomed", 1, 256, 256, 512)
-        plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
-        c = AlcopCompiler(
-            search="xgb", n_trials=6, degrade=False,
-            measurer=Measurer(via_ir=False, retries=0, backoff_s=0.001),
-        )
-        with faults.injected(plan):
-            with pytest.raises(CompileError, match="no valid schedule"):
-                c.compile(spec)
-
     def test_exhaustive_search_over_failing_space_raises_clean_error(self):
+        """A space where every trial fails (faulted compile path, retries
+        exhausted) raises a CompileError that names the spec — not min()'s
+        bare ValueError."""
         spec = GemmSpec("doomed", 1, 256, 256, 512)
         plan = faults.FaultPlan([faults.FaultRule("compile", "crash")], seed=1)
-        c = AlcopCompiler(
-            search="exhaustive", degrade=False,
-            measurer=Measurer(via_ir=False, retries=0, backoff_s=0.001),
-        )
+        c = AlcopCompiler(measurer=Measurer(via_ir=False, retries=0, backoff_s=0.001))
         with faults.injected(plan):
             with pytest.raises(CompileError, match="doomed"):
                 c.compile(spec)

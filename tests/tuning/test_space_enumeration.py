@@ -10,7 +10,16 @@ from repro.gpusim import A100, V100
 from repro.schedule import TileConfig
 from repro.tensor import GemmSpec
 from repro.tuning import SpaceOptions, clear_space_caches, enumerate_space
-from repro.tuning.space import _BLOCK_K, _BLOCK_MN, _CHUNK_K, _WARP_MN, _launchable
+from repro.tuning.space import (
+    _BLOCK_K,
+    _BLOCK_MN,
+    _CHUNK_K,
+    _MAX_REG_STAGES,
+    _MAX_SMEM_STAGES,
+    _MAX_WARPS,
+    _WARP_MN,
+    _launchable,
+)
 
 CAPS = (None, 1, 7, 300, 600, 1200)
 
@@ -38,14 +47,13 @@ def materialize(spec, gpu, opt):
                     for wn in _WARP_MN:
                         if bn % wn:
                             continue
-                        warps = (bm // wm) * (bn // wn)
-                        if warps > opt.max_warps or warps * 32 > opt.max_threads:
+                        if (bm // wm) * (bn // wn) > _MAX_WARPS:
                             continue
                         for ck in _CHUNK_K:
                             if bk % ck:
                                 continue
-                            for ss in range(1, opt.max_smem_stages + 1):
-                                for rs in range(1, opt.max_reg_stages + 1):
+                            for ss in range(1, _MAX_SMEM_STAGES + 1):
+                                for rs in range(1, _MAX_REG_STAGES + 1):
                                     cfg = TileConfig(
                                         bm, bn, bk, warp_m=wm, warp_n=wn, chunk_k=ck,
                                         smem_stages=ss, reg_stages=rs,
@@ -88,16 +96,6 @@ def test_enumeration_equals_materialize_then_stride(gpu, launchable_only):
             assert [c.key() for c in got] == [c.key() for c in want]
     # Spaces above, at and below the largest cap.
     assert max(sizes) > 1200 and 1200 in sizes and sizes[-1] == 16, sizes
-
-
-def test_other_options_stride_the_same_grid():
-    """Fewer stages and a warp limit change the grid, not the striding."""
-    spec = GemmSpec("opts", 1, 512, 768, 1024)
-    opt = SpaceOptions(max_smem_stages=3, max_reg_stages=1, max_warps=4, max_threads=128)
-    for cap in CAPS:
-        capped = SpaceOptions(max_smem_stages=3, max_reg_stages=1, max_warps=4,
-                              max_threads=128, max_size=cap)
-        assert enumerate_space(spec, A100, capped) == stride(materialize(spec, A100, opt), cap)
 
 
 @pytest.mark.parametrize("launchable_only", [False, True])
