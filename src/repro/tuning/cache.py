@@ -22,6 +22,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import pathlib
 import threading
 from typing import Dict, Optional, Union
@@ -81,6 +82,36 @@ def gpu_fingerprint(gpu: GpuSpec) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: ``TileConfig`` field names in the order sorted-key JSON writes them.
+_CONFIG_FIELDS = tuple(sorted(f.name for f in dataclasses.fields(TileConfig)))
+_config_values = operator.attrgetter(*_CONFIG_FIELDS)
+#: A measurement key's payload up to its identity tail: ``"config"`` sorts
+#: first among the payload's keys, so the config object opens it.
+_CONFIG_HEAD = '{"config": {' + ", ".join(f'"{name}": %s' for name in _CONFIG_FIELDS) + "}, "
+
+
+def _json_field(value: object) -> str:
+    """``json.dumps(value)``, without the encoder call for an int or a bool."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
+
+
+@functools.lru_cache(maxsize=256)
+def _identity_tail(gpu: GpuSpec, spec: GemmSpec, via_ir: bool, version: str) -> str:
+    """The rest of a measurement key's sorted JSON payload after its config
+    object: every key but ``"config"``, the same for a problem's configs."""
+    payload = {
+        "gpu": gpu_fingerprint(gpu),
+        "spec": dataclasses.asdict(spec),
+        "via_ir": via_ir,
+        "version": version,
+    }
+    return json.dumps(payload, sort_keys=True)[1:]
+
+
 def measurement_key(
     gpu: GpuSpec,
     spec: GemmSpec,
@@ -88,15 +119,16 @@ def measurement_key(
     via_ir: bool,
     version: Optional[str] = None,
 ) -> str:
-    """Content address of one measurement: the full identity, hashed."""
-    payload = {
-        "gpu": gpu_fingerprint(gpu),
-        "spec": dataclasses.asdict(spec),
-        "config": cfg.as_dict(),
-        "via_ir": bool(via_ir),
-        "version": version if version is not None else compiler_version_hash(),
-    }
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    """Content address of one measurement: the full identity, hashed.
+
+    The hashed bytes are ``json.dumps(payload, sort_keys=True)`` of
+    ``{"gpu": gpu_fingerprint(gpu), "spec": asdict(spec), "config":
+    cfg.as_dict(), "via_ir": bool(via_ir), "version": version}``, built
+    from the config's fields and a memoized tail for the rest."""
+    head = _CONFIG_HEAD % tuple(map(_json_field, _config_values(cfg)))
+    tail = _identity_tail(gpu, spec, bool(via_ir),
+                          version if version is not None else compiler_version_hash())
+    return hashlib.sha256((head + tail).encode()).hexdigest()
 
 
 _MISS = object()

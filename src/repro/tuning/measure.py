@@ -66,7 +66,8 @@ __all__ = ["Measurer", "MeasureTelemetry", "MeasureFailure", "FAILED"]
 #: Latency recorded for configurations that fail to compile/launch.
 FAILED = math.inf
 
-#: Configs a bounded :meth:`Measurer.best` measures per batch.
+#: Configs a bounded :meth:`Measurer.best` measures per batch on the fleet,
+#: to amortise the batch's dispatch. In-process it measures one per step.
 _BOUND_BATCH = 16
 
 #: One uncached trial of a batch: its in-memory identity, its config, and
@@ -358,6 +359,18 @@ class Measurer:
             bound_short_runs=self.n_bound_short_runs,
         )
 
+    @property
+    def _local_workers(self) -> int:
+        """Fleet local workers a batch runs on: ``jobs`` for a width above
+        1 or any ``trial_timeout_s`` (which needs process isolation), else 0."""
+        return self.jobs if self.jobs > 1 or self.trial_timeout_s is not None else 0
+
+    @property
+    def _in_process(self) -> bool:
+        """Whether a batch is measured here, one trial after another: no
+        local workers and no ``endpoints``."""
+        return not self._local_workers and not self.endpoints
+
     def _key(self, spec: GemmSpec, cfg: TileConfig) -> Tuple:
         """Full in-memory identity. The GPU spec and the ``via_ir`` mode are
         part of it: a measurer retargeted across GPU generations (the
@@ -569,11 +582,10 @@ class Measurer:
         daemon uses this to stop burning a worker thread on a request whose
         client budget has already expired.
         """
-        workers = self.jobs if self.jobs > 1 or self.trial_timeout_s is not None else 0
-        if workers or self.endpoints:
+        if not self._in_process:
             from .fleet import fleet_sweep
 
-            return fleet_sweep(self, spec, cfgs, workers=workers,
+            return fleet_sweep(self, spec, cfgs, workers=self._local_workers,
                                endpoints=self.endpoints, deadline=deadline)[0]
 
         def run(order: List[Trial]) -> None:
@@ -634,13 +646,16 @@ class Measurer:
         time the compiler's output. On the static path the search is exact
         branch-and-bound: configs are measured in ascending order of their
         :class:`~repro.gpusim.engine.LatencyBounds` bound (a config already
-        in the memory cache ranks by its latency), in batches of 16, until
-        the next bound exceeds the best latency measured so far. No config
-        left can beat or tie that latency, so the answer is the exhaustive
-        one, bit for bit; only the configs measured reach the caches. An
+        in the memory cache ranks by its latency) until the next bound
+        exceeds the best latency measured so far. No config left can beat
+        or tie that latency, so the answer is the exhaustive one, bit for
+        bit; only the configs measured reach the caches. In-process the
+        search measures one config per step, so it measures exactly the
+        configs whose bound is at most the answer; on the fleet it hands
+        :data:`_BOUND_BATCH` configs at a time to :meth:`measure_many`. An
         extrapolated kernel's closed-form bound is refined by its short
-        simulation only when the search reaches it, and ``deadline`` is
-        also checked before each such refinement.
+        simulation only when the search reaches it. ``deadline`` is checked
+        before each refinement and each batch.
         """
         space = list(space)
         if not space:
@@ -671,7 +686,9 @@ class Measurer:
         refined yet: that one is refined (a ``deadline`` check, then its
         short runs in the ``simulate`` stage), memoized and pushed back. A
         refinement never lowers a bound, so configs reach the batches in
-        the order of their final bounds."""
+        the order of their final bounds. A batch is one config in-process,
+        where the incumbent tightens after every measurement, and
+        :data:`_BOUND_BATCH` on the fleet."""
         keys = [self._key(spec, cfg) for cfg in space]
         with self._lock:
             bounds = [self._cache.get(key) for key in keys]
@@ -699,11 +716,12 @@ class Measurer:
                 self.n_bounds_derived += len(todo) - memoized
         heap = list(zip(bounds, range(len(space))))
         heapq.heapify(heap)
-        n_unrefined, refined = len(unrefined), 0
+        width = 1 if self._in_process else _BOUND_BATCH
+        n_unrefined, refined, measured = len(unrefined), 0, 0
         best_idx, best = len(space), FAILED
         while True:
             batch: List[int] = []
-            while heap and heap[0][0] <= best and len(batch) < _BOUND_BATCH:
+            while heap and heap[0][0] <= best and len(batch) < width:
                 _, i = heapq.heappop(heap)
                 row = unrefined.pop(i, None)
                 if row is None:
@@ -719,7 +737,9 @@ class Measurer:
                 heapq.heappush(heap, (bound, i))
             if not batch:
                 return best_idx, best
+            self._deadline_check(deadline, spec, measured, len(space), "configs measured")
             latencies = self.measure_many(spec, [space[i] for i in batch], deadline=deadline)
+            measured += len(batch)
             for i, latency in zip(batch, latencies):
                 if latency < best or (latency == best and i < best_idx):
                     best_idx, best = i, latency

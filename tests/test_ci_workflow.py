@@ -140,25 +140,28 @@ class TestServeSmokeJob:
         assert 'assert s["counters"]["sweeps_run"] == 1' in cmds
 
     def test_asserts_the_sweep_is_bounded(self, workflow):
-        """The one sweep is a bounded search: a regression to an
-        exhaustive sweep of the 60-config space fails on a count."""
+        """The one sweep is a bounded search that measures one config per
+        step: a regression to an exhaustive sweep of the 60-config space,
+        or to a search that measures a whole 16-config batch, fails on a
+        count."""
         cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
-        assert 'assert 0 < s["measurer"]["n_compiled"] < 60' in cmds
+        assert 'assert 0 < s["measurer"]["n_compiled"] < 16' in cmds
         assert "--space 60" in cmds
 
     def test_asserts_extrapolated_kernels_are_bounded(self, workflow):
         """35 of the long-K request's 60 configs are extrapolated: a
-        search that simulated every one of them fails on the count, and
-        so does one that ran every one's short run before searching."""
+        search that simulated every one of them, or a 16-config batch,
+        fails on the count, and so does one that ran every one's short run
+        before searching or refined the 27 bounds a batched search did."""
         cmds = job_commands(workflow["jobs"]["serve-smoke"])
         longk = [c for c in cmds if "client compile" in c and "--k 4096" in c]
         assert len(longk) == 1
         assert "--m 512 --n 512 --k 4096" in longk[0]
         assert 'n = s3["measurer"]["n_compiled"] - s2["measurer"]["n_compiled"]' in longk[0]
-        assert "assert 0 < n < 35, n" in longk[0]
+        assert "assert 0 < n < 16, n" in longk[0]
         assert ('b = s3["measurer"]["bound_short_runs"] - s2["measurer"]["bound_short_runs"]'
                 in longk[0])
-        assert "assert 0 < b < 35, b" in longk[0]
+        assert "assert 0 < b < 27, b" in longk[0]
 
     def test_asserts_warm_round_from_registry_with_zero_compiles(self, workflow):
         cmds = "\n".join(job_commands(workflow["jobs"]["serve-smoke"]))
@@ -437,17 +440,19 @@ def test_bench_smoke_gates_tune_on_trials_only(workflow):
 
 
 def test_bench_smoke_gates_serve_on_the_bounded_search(workflow):
-    """The traced serve replay's cold solves are bounded searches: a config
-    the bound skips is never simulated, and one measured is simulated once
-    (a bound's short runs are wave simulations, not kernel ones), so a
-    search that measures more, or simulates outside its measurements, fails.
-    A bound's short run runs only when the search reaches it (1,206 wave
-    simulations, 2,200 when every extrapolated bound was refined first)."""
+    """The traced serve replay's cold solves are bounded searches that
+    measure one config per step: a config the bound skips is never
+    simulated, and one measured is simulated once (a bound's short runs are
+    wave simulations, not kernel ones), so a search that measures more (647
+    configs in 16-config batches), or simulates outside its measurements,
+    fails. A bound's short run runs only when the search reaches it (924
+    wave simulations, 1,206 in 16-config batches, 2,200 when every
+    extrapolated bound was refined first)."""
     cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
                if "perfbench/run.py" in c)
     serve = cmd.split('if w == "serve":')[1]
-    assert 'm["simulate.calls"] == m["measure.configs_compiled"] <= 648' in serve
-    assert 'm["simulate.wave_sims"] <= 1300' in serve
+    assert 'm["simulate.calls"] == m["measure.configs_compiled"] <= 481' in serve
+    assert 'm["simulate.wave_sims"] <= 924' in serve
 
 
 def test_bench_smoke_pins_each_workloads_chosen_kernel(workflow):

@@ -198,20 +198,22 @@ class TestCommands:
         assert hits + misses + bypasses == compiled
 
     def test_tune_counts_worker_compiles_like_serial(self, capsys):
-        """Serial and --jobs 2 report the same compiled count and a stage
-        breakdown: compiles run in worker processes are merged into the
-        measurer's telemetry, not mistaken for memory hits."""
+        """Serial and --jobs 2 measure the same configs (the tuner's own
+        trials) and report the same compiled count and a stage breakdown:
+        compiles run in worker processes are merged into the measurer's
+        telemetry, not mistaken for memory hits."""
         argv = ["tune", "--m", "256", "--n", "256", "--k", "512", "--space", "64",
-                "--trials", "8", "--method", "xgb", "--seed", "3", "--profile",
-                "--oracle"]  # the oracle's bounded search measures 16 configs on the workers
-        compiled = []
+                "--trials", "8", "--method", "xgb", "--seed", "3", "--profile"]
+        counts = []
         for extra in ([], ["--jobs", "2"]):
             assert main(argv + extra) == 0
             out = capsys.readouterr().out
-            compiled.append(int(re.search(r"(\d+) compiled \(", out).group(1)))
+            m = re.search(r"(\d+) compiled \(.*?\), (\d+) memory hits", out)
+            counts.append((int(m.group(1)), int(m.group(2))))
+            assert ("fleet    :" in out) == bool(extra), "--jobs 2 compiles on the workers"
             assert "no stages recorded" not in out, extra
             assert "simulate" in out.split("per-stage compile/simulate breakdown")[1]
-        assert compiled == [23, 23]
+        assert counts == [(8, 0), (8, 0)]
 
     def test_tune_jobs_oracle_reports_fleet_recovery(self, capsys):
         """Under the fleet-site plan (every shard's first dispatch loses its

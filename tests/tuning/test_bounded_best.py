@@ -8,6 +8,7 @@ import random
 import time
 import types
 
+import numpy as np
 import pytest
 
 import repro.gpusim.engine as engine
@@ -15,6 +16,7 @@ import repro.tuning.measure as measure
 from repro.core.compiler import VARIANTS
 from repro.core.errors import CompileError, DeadlineExceededError
 from repro.gpusim import A100, V100
+from repro.perfmodel.batch import derive_timing_arrays
 from repro.tensor import GemmSpec
 from repro.tuning import FAILED, Measurer, SpaceOptions, enumerate_space, restrict_space
 from repro.workloads import suite_specs
@@ -84,14 +86,17 @@ def test_bounded_best_measures_a_fraction_of_the_space():
 _SERVE_ANSWERS = "c4ac3f3cb2281d0f1e1592cfd4e326f17530b36d1d787b3bda14166dd09b2357"
 
 
-def test_a_cold_serve_pass_measures_648_configs():
+def test_a_cold_serve_pass_measures_479_configs():
     """One cold measurer answers the 24 serve keys (12 suite ops x
-    {alcop, tvm}, cap 600) as a serve replay meets them. An extrapolated
-    kernel starts at its 64-iteration closed form and runs its short run
-    only when the search reaches it, so the pass runs 352 short runs
-    (1,346 when every extrapolated bound was refined first) and measures
-    648 configs (Conv_VGG_3x3's ``alcop`` search 16 of 600; 1,570 in all
-    when extrapolated kernels had no bound), with the exhaustive answers."""
+    {alcop, tvm}, cap 600) as a serve replay meets them. In-process the
+    search measures one config per step, so the incumbent tightens after
+    every simulation. An extrapolated kernel starts at its 64-iteration
+    closed form and runs its short run only when the search reaches it, so
+    the pass runs 285 short runs (352 with 16-config batches, 1,346 when
+    every extrapolated bound was refined first) and measures 479 configs
+    (Conv_VGG_3x3's ``alcop`` search 3 of 600; 648 with 16-config batches,
+    1,570 when extrapolated kernels had no bound), with the exhaustive
+    answers."""
     measurer = Measurer(A100, via_ir=False)
     answers = hashlib.sha256()
     compiled = {}
@@ -103,10 +108,74 @@ def test_a_cold_serve_pass_measures_648_configs():
             compiled[spec.name, variant] = measurer.telemetry.n_compiled - before
             answers.update(repr((cfg.key(), latency.hex())).encode())
     assert answers.hexdigest() == _SERVE_ANSWERS
-    assert compiled["Conv_VGG_3x3", "alcop"] == 16
+    assert compiled["Conv_VGG_3x3", "alcop"] == 3
     telemetry = measurer.telemetry
-    assert telemetry.n_compiled == sum(compiled.values()) == 648
-    assert (telemetry.bounds_derived, telemetry.bound_short_runs) == (8643, 352)
+    assert telemetry.n_compiled == sum(compiled.values()) == 479
+    assert (telemetry.bounds_derived, telemetry.bound_short_runs) == (8682, 285)
+
+
+def _final_bounds(spec, space):
+    """Each config's final A100 bound (its closed form, refined by the
+    short run for an extrapolated kernel; FAILED where the static path
+    fails), and the closed form of each extrapolated config by index."""
+    ok, ts = derive_timing_arrays(spec, space)
+    columns = engine.LatencyBounds(ts, A100)
+    final, closed = [FAILED] * len(space), {}
+    for row, i in enumerate(np.flatnonzero(ok).tolist()):
+        final[i] = float(columns.bound[row])
+        if columns.short_runs[row]:
+            closed[i], final[i] = final[i], columns.extrapolate(row)
+    return final, closed
+
+
+@pytest.mark.parametrize("name,variant", [
+    ("MM_RN50_FC", "alcop"),
+    ("BMM_GPT2_QK", "alcop"),
+    ("Conv_VGG_3x3", "alcop"),
+    ("MM_BERT_FC2", "tvm"),
+    ("long_k", "alcop"),
+])
+def test_an_in_process_search_measures_exactly_the_configs_that_can_win(name, variant):
+    """With the incumbent tightened after every simulation, a fresh
+    in-process search measures the configs whose final bound is at most
+    the answer and no other, and refines the extrapolated configs whose
+    closed form is at most the answer and no other: a config it reaches
+    can still tie the answer, and one it skips cannot."""
+    spec = (GemmSpec("long_k", 1, 512, 512, 4096) if name == "long_k"
+            else next(s for s in suite_specs() if s.name == name))
+    space = restrict_space(enumerate_space(spec, A100, SpaceOptions(max_size=600)), variant)
+    measurer = Measurer(A100, via_ir=False)
+    _, latency = measurer.best(spec, space)
+    final, closed = _final_bounds(spec, space)
+    if name == "long_k":
+        assert closed, "no extrapolated kernel"
+
+    def keys(indices):
+        return {measurer._key(spec, space[i]) for i in indices}
+
+    measured = keys(i for i, bound in enumerate(final) if bound <= latency)
+    assert set(measurer._cache) == measured
+    assert measurer.telemetry.n_compiled == len(measured)
+    assert set(measurer._simulated_bounds) == keys(i for i, bound in closed.items()
+                                                   if bound <= latency)
+
+
+def test_a_fleet_search_measures_in_16_config_batches(monkeypatch):
+    """On the fleet each batch pays a dispatch, so the search still hands
+    ``measure_many`` 16 configs at a time, and answers as in-process."""
+    spec = next(s for s in suite_specs() if s.name == "MM_BERT_FC2")
+    space = restrict_space(enumerate_space(spec, A100, SpaceOptions(max_size=600)), "alcop")
+    serial = Measurer(A100, via_ir=False).best(spec, space)
+    batches = []
+    measure_many = Measurer.measure_many
+
+    def counted(self, spec, cfgs, deadline=None):
+        batches.append(len(cfgs))
+        return measure_many(self, spec, cfgs, deadline=deadline)
+
+    monkeypatch.setattr(Measurer, "measure_many", counted)
+    assert Measurer(A100, via_ir=False, jobs=2).best(spec, space) == serial
+    assert batches == [16, 16, 16, 16, 16, 14]
 
 
 def _count_refinements(monkeypatch):
@@ -136,11 +205,11 @@ def _count_refinements(monkeypatch):
 
 def test_a_tvm_solve_reuses_the_bounds_of_its_alcop_solve(monkeypatch):
     """The ``tvm`` subspace lies inside the ``alcop`` space. A bound is
-    refined only when a search reaches it, so the ``tvm`` solve refines
-    configs the ``alcop`` search never reached, but it reads the memoized
-    bound of every config that search refined: each refinement adds a new
-    memo entry, so no config is refined twice on one measurer."""
-    spec = next(s for s in suite_specs() if s.name == "Conv_VGG_3x3")
+    refined only when a search reaches it, so MM_BERT_FC2's ``tvm`` solve
+    refines configs the ``alcop`` search never reached, but it reads the
+    memoized bound of every config that search refined: each refinement
+    adds a new memo entry, so no config is refined twice on one measurer."""
+    spec = next(s for s in suite_specs() if s.name == "MM_BERT_FC2")
     full = enumerate_space(spec, A100, SpaceOptions(max_size=600))
     alcop, tvm = restrict_space(full, "alcop"), restrict_space(full, "tvm")
     assert {c.key() for c in tvm} <= {c.key() for c in alcop}
@@ -176,8 +245,8 @@ def test_an_expired_deadline_stops_before_the_first_simulated_bound(monkeypatch)
 
 def test_a_deadline_reports_the_bounds_refined_before_it(monkeypatch):
     """The clock passes the deadline after the 5th refinement. The long-K
-    search refines 27 bounds before its first batch, so the next check is
-    the 6th refinement's, and it reports 5 of the space's 371
+    search refines 7 bounds before its first measurement, so the next check
+    is the 6th refinement's, and it reports 5 of the space's 371
     extrapolated bounds done, not a position in the space."""
     spec = GemmSpec("long_k", 1, 256, 256, 4096)
     space = enumerate_space(spec, A100, SpaceOptions(max_size=600))
@@ -200,6 +269,31 @@ def test_a_deadline_reports_the_bounds_refined_before_it(monkeypatch):
     telemetry = measurer.telemetry
     assert len(refinements) == len(measurer._simulated_bounds) == 5
     assert (telemetry.n_compiled, telemetry.bound_short_runs) == (0, len(waves))
+
+
+def test_a_deadline_reports_the_configs_measured_before_it(monkeypatch):
+    """The clock passes the deadline after the 3rd measurement. MM_BERT_FC1
+    has no extrapolated kernel, so the next check is the 4th measurement's,
+    and it reports 3 of the space's 598 configs measured, not a position
+    in a one-config batch."""
+    spec = next(s for s in suite_specs() if s.name == "MM_BERT_FC1")
+    space = enumerate_space(spec, A100, SpaceOptions(max_size=600))
+    clock = types.SimpleNamespace(monotonic=lambda: 0.0, perf_counter=time.perf_counter,
+                                  sleep=time.sleep)
+    monkeypatch.setattr(measure, "time", clock)
+    compile_and_time = Measurer._compile_and_time
+
+    def expiring_compile(self, spec, cfg, token=""):
+        latency = compile_and_time(self, spec, cfg, token)
+        if self.n_compiled == 3:
+            clock.monotonic = lambda: 2.0
+        return latency
+
+    monkeypatch.setattr(Measurer, "_compile_and_time", expiring_compile)
+    measurer = Measurer(A100, via_ir=False)
+    with pytest.raises(DeadlineExceededError, match=r"after 3/598 configs measured"):
+        measurer.best(spec, space, deadline=1.0)
+    assert measurer.telemetry.n_compiled == len(measurer._cache) == 3
 
 
 def test_via_ir_best_measures_the_whole_space():

@@ -1,12 +1,13 @@
 """Tests for the disk-persistent measurement cache, the full-identity
 cache keys, and parallel batch measurement."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from repro.gpusim.config import A100, V100
+from repro.gpusim.config import A100, H100, V100
 from repro.schedule import TileConfig
 from repro.tensor import GemmSpec
 from repro.tuning import (
@@ -18,6 +19,7 @@ from repro.tuning import (
     gpu_fingerprint,
     measurement_key,
 )
+from repro.workloads import suite_specs
 
 SPEC = GemmSpec("mm", 1, 256, 256, 256)
 CFG = TileConfig(64, 64, 32, warp_m=32, warp_n=32, chunk_k=16)
@@ -42,6 +44,22 @@ class TestKeys:
         other_cfg = CFG.with_stages(3, 2)
         assert measurement_key(A100, SPEC, other_cfg, via_ir=False) != base
         assert measurement_key(A100, SPEC, CFG, via_ir=False) == base
+
+    def test_content_addresses_match_pinned_digest(self):
+        """The key's bytes come from a memoized per-(GPU, spec, via_ir,
+        version) tail plus the config's fields. sha256 over the keys of the
+        12 suite ops' capped spaces on three GPUs in both modes is pinned
+        from the whole-payload ``json.dumps(sort_keys=True)`` it replaced,
+        so no persisted cache entry changes address."""
+        digest = hashlib.sha256()
+        for gpu in (A100, V100, H100):
+            for spec in suite_specs():
+                for cfg in enumerate_space(spec, gpu, SpaceOptions(max_size=600)):
+                    for via_ir in (False, True):
+                        key = measurement_key(gpu, spec, cfg, via_ir, version="0123456789abcdef")
+                        digest.update(key.encode())
+        assert digest.hexdigest() == (
+            "efa5c618faced8cf919774a4d055940974ad186bd4c513949d6ea1120b6c8cb1")
 
 
 class TestMemoryKeyRegression:
