@@ -185,34 +185,48 @@ def spec_to_params(spec: GemmSpec) -> Dict:
     return dataclasses.asdict(spec)
 
 
+def _wire_int(value: object, what: str) -> int:
+    """``value`` as an int: an int, an integral float (``512.0``) or an
+    integer string (``"512"``). A bool, a float with a fraction or no
+    finite value, or anything ``int`` refuses raises :class:`ProtocolError`
+    ``"<what> must be an integer"``."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ProtocolError(f"{what} must be an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ProtocolError(f"{what} must be an integer") from None
+
+
 def spec_from_params(params: Dict) -> GemmSpec:
     """The :class:`~repro.tensor.operation.GemmSpec` that request params
     describe. ``m``, ``n`` and ``k`` are required; ``batch``, ``dtype`` and
     the footprint ratios default as in ``GemmSpec`` (1, ``float16``, 1.0)
-    and ``name`` to ``"serve"``. Anything ``GemmSpec`` refuses (a ratio
-    outside (0, 1], an unknown dtype) raises :class:`ProtocolError`, so a
-    bad request is answered, never crashes a worker."""
+    and ``name`` to ``"serve"``. A dimension or ``batch`` must be an
+    integer (:func:`_wire_int`) and a ratio a number, neither a bool.
+    Anything ``GemmSpec`` refuses (a ratio outside (0, 1], an unknown
+    dtype) raises :class:`ProtocolError` too, so a bad request is
+    answered, never crashes a worker."""
     if not isinstance(params, dict):
         raise ProtocolError("params must be a JSON object")
     dims: Dict = {}
     for dim in _REQUIRED_DIMS:
         if dim not in params:
             raise ProtocolError(f"missing required problem dimension {dim!r}")
-        try:
-            dims[dim] = int(params[dim])
-        except (TypeError, ValueError):
-            raise ProtocolError(f"problem dimension {dim!r} must be an integer") from None
+        dims[dim] = _wire_int(params[dim], f"problem dimension {dim!r}")
         if dims[dim] <= 0:
             raise ProtocolError(f"problem dimension {dim!r} must be positive")
-    try:
-        dims["batch"] = int(params.get("batch", 1))
-    except (TypeError, ValueError):
-        raise ProtocolError("batch must be an integer") from None
+    dims["batch"] = _wire_int(params.get("batch", 1), "batch")
     if dims["batch"] <= 0:
         raise ProtocolError("batch must be positive")
     for ratio in _FOOTPRINT_RATIOS:
+        value = params.get(ratio, 1.0)
+        if isinstance(value, bool):
+            raise ProtocolError(f"{ratio} must be a number")
         try:
-            dims[ratio] = float(params.get(ratio, 1.0))
+            dims[ratio] = float(value)
         except (TypeError, ValueError):
             raise ProtocolError(f"{ratio} must be a number") from None
     try:
@@ -228,15 +242,12 @@ def parse_problem_params(params: Dict) -> Dict:
     Returns a dict with ``spec`` (:func:`spec_from_params`), ``variant`` and
     ``space`` — everything :mod:`repro.serve.server` needs to build the
     artifact key. Raises :class:`ProtocolError` on anything missing or
-    invalid.
+    invalid; ``space``, the design-space cap, is read as a dimension is.
     """
     out: Dict = {"spec": spec_from_params(params)}
     space = params.get("space", None)
     if space is not None:
-        try:
-            space = int(space)
-        except (TypeError, ValueError):
-            raise ProtocolError("space must be an integer cap") from None
+        space = _wire_int(space, "space")
         if space <= 0:
             raise ProtocolError("space must be positive")
     out["space"] = space

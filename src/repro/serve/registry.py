@@ -38,7 +38,6 @@ matching :class:`~repro.tuning.cache.MeasurementCache`).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import os
@@ -75,9 +74,6 @@ INDEX_FILE = "index.json"
 #: concurrent warm hits build one encoding, not one each.
 _ENCODE_LOCK = threading.Lock()
 
-#: Solved problems whose content address :func:`artifact_key` memoizes.
-_ARTIFACT_KEY_MEMO = 1024
-
 
 def artifact_key(
     gpu: GpuSpec,
@@ -91,31 +87,22 @@ def artifact_key(
 
     Same anatomy as :func:`repro.tuning.cache.measurement_key` — GPU
     fingerprint, problem identity, measurement mode, compiler-version
-    hash — plus the search inputs that determine *which* config wins
-    (variant restriction and the design-space cap). Identical inputs on an
-    identical compiler always map to the same artifact; any drift in
-    either orphans the entry. Keys on the live compiler are memoized: a
-    warm request would otherwise pay the hashing again each time.
+    hash (``version``, by default the live compiler's) — plus the search
+    inputs that determine *which* config wins (variant restriction and the
+    design-space cap). Identical inputs on an identical compiler always
+    map to the same artifact; any drift in either orphans the entry. The
+    serve daemon remembers the key of the request params it has answered,
+    so a warm request does not hash again.
     """
-    if version is None:
-        return _live_artifact_key(gpu, spec, variant, bool(via_ir), space_max)
     payload = {
         "gpu": gpu_fingerprint(gpu),
         "spec": dataclasses.asdict(spec),
         "variant": variant,
         "via_ir": bool(via_ir),
         "space": space_max,
-        "version": version,
+        "version": version if version is not None else compiler_version_hash(),
     }
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-@functools.lru_cache(maxsize=_ARTIFACT_KEY_MEMO)
-def _live_artifact_key(gpu: GpuSpec, spec: GemmSpec, variant: str, via_ir: bool,
-                       space_max: Optional[int]) -> str:
-    """:func:`artifact_key` on the live compiler, whose version hash (like
-    ``gpu_fingerprint``) is constant for the process."""
-    return artifact_key(gpu, spec, variant, via_ir, space_max, compiler_version_hash())
 
 
 @dataclasses.dataclass(frozen=True)

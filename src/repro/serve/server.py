@@ -9,9 +9,11 @@ requests for the cost of a registry lookup. The serving loop is:
    speaking HTTP POST) push accepted connections onto a thread-safe
    request queue;
 2. **handle**: a fixed pool of worker threads drains the queue; each
-   request is dispatched to its operation handler under a per-request
-   stage-profiling collector, so every response reports exactly which
-   compile stages (if any) it paid for;
+   request is dispatched to its operation handler. An untraced compile or
+   tune whose params this server has answered before goes straight to the
+   registry under the artifact key they parsed to; any other runs under a
+   per-request stage-profiling collector, so every response reports
+   exactly which compile stages (if any) it paid for;
 3. **dedup**: concurrent requests for the same artifact key share one
    in-flight solve through a futures map — N identical tune requests run
    exactly one sweep, and all N get the same artifact (or the same error);
@@ -26,7 +28,6 @@ accepting, drains the workers, and flushes the registry index last.
 from __future__ import annotations
 
 import collections
-import contextlib
 import dataclasses
 import json
 import os
@@ -102,6 +103,10 @@ DEFAULT_IDLE_TIMEOUT = 120.0
 #: under 4x sustained load answers *something* to every client rather than
 #: growing an invisible backlog of doomed requests.
 DEFAULT_MAX_QUEUE = 64
+
+#: Request params whose artifact key a server remembers, so a warm
+#: compile or tune skips parsing and hashing (``ReproServer._remember``).
+_KEY_MEMO_SIZE = 1024
 
 #: Latency samples kept per endpoint for the p50/p95/p99 estimates.
 _LATENCY_WINDOW = 2048
@@ -197,6 +202,31 @@ def _artifact_result(artifact: KernelArtifact, op: str, served_from: str,
     return result
 
 
+def _memoized_reply(artifact: KernelArtifact, op: str, request_id: object) -> MemoizedReply:
+    """A registry hit's ok response, with its result encoded once per
+    artifact and op."""
+    result = _artifact_result(artifact, op, "registry", {})
+    return MemoizedReply(ok_response(result, request_id), artifact.encoded(
+        op, lambda: json.dumps(result, sort_keys=True).encode()))
+
+
+def _params_memo_key(params: object) -> Optional[tuple]:
+    """What :meth:`ReproServer._remember` keys compile/tune params by, as
+    received: their keys in order, their values, and each value's type, so
+    ``512``, ``512.0`` and ``"512"`` are different entries (as are
+    ``true`` and ``1``, which compare equal). ``None`` for params that are
+    not an object or that hold a list or object value."""
+    if type(params) is not dict:
+        return None
+    values = tuple(params.values())
+    memo = (tuple(params), tuple(map(type, values)), values)
+    try:
+        hash(memo)
+    except TypeError:
+        return None
+    return memo
+
+
 class ReproServer:
     """The compile-as-a-service daemon (see module docstring).
 
@@ -289,6 +319,9 @@ class ReproServer:
             "repro_request_seconds", "End-to-end request handling latency.")
         self._inflight: Dict[str, Future] = {}
         self._inflight_lock = threading.Lock()
+        #: compile/tune params (:func:`_params_memo_key`) -> artifact key
+        self._keys: Dict[tuple, str] = {}
+        self._keys_lock = threading.Lock()
 
         self.trace_dir = trace_dir
         self.trace_sample_rate = max(0.0, min(1.0, float(trace_sample_rate)))
@@ -608,8 +641,10 @@ class ReproServer:
         ``DeadlineExceededError`` envelope, and the remaining budget rides
         into the measurement layer so an in-flight sweep aborts cleanly
         instead of burning a worker thread past the client's patience.
+
+        Only a traced request builds a tracer and its root span; either
+        way the endpoint stats and ``repro_request_seconds`` record it.
         """
-        request_id = message.get("id")
         op = message.get("op")
         t0 = time.perf_counter()
         # `op` is attacker-controlled JSON: an unhashable value (list/dict)
@@ -619,51 +654,23 @@ class ReproServer:
         # ids mean "untraced", never an error (old-client compatibility).
         ctx = obs_trace.extract_context(message)
         tracer, to_file = self._request_tracer(ctx)
-        root_span = None
-        with contextlib.ExitStack() as obs_scope:
-            if tracer is not None:
-                obs_scope.enter_context(obs_trace.activate(tracer))
-                root_span = obs_scope.enter_context(obs_trace.span(
-                    f"serve:{op if isinstance(op, str) else 'invalid'}",
-                    parent=ctx,
-                    attrs={"session": self.session_id},
-                ))
+        if tracer is None:
+            response, ok = self._answer(message, stats_key, queue_wait_s, memoize=True)
+        else:
+            name = f"serve:{op if isinstance(op, str) else 'invalid'}"
+            with obs_trace.activate(tracer), obs_trace.span(
+                    name, parent=ctx, attrs={"session": self.session_id}) as root_span:
                 if queue_wait_s > 0.0:
                     # The queue wait elapsed before any tracer existed;
                     # record it retroactively under the root span.
                     now = time.perf_counter()
                     obs_trace.record_span("queue-wait", now - queue_wait_s, now)
-            try:
-                if not isinstance(op, str) or op not in OPS:
-                    raise ProtocolError(f"unknown op {op!r}; choose from {OPS}")
-                params = message.get("params") or {}
-                deadline = None
-                budget = parse_deadline(message)
-                if budget is not None:
-                    remaining = budget - queue_wait_s
-                    if remaining <= 0:
-                        raise DeadlineExceededError(
-                            f"request spent {queue_wait_s:.3f}s queued, past its "
-                            f"{budget}s deadline; rejected before any work started"
-                        )
-                    deadline = time.monotonic() + remaining
-                if op in ("compile", "tune"):
-                    response = self._artifact_reply(op, params, deadline, request_id,
-                                                    memoize=tracer is None)
-                else:
-                    response = ok_response(self._dispatch(op, params, deadline),
-                                           request_id)
-                ok = True
-            except Exception as e:  # every failure becomes a structured envelope
-                if isinstance(e, DeadlineExceededError):
-                    self._stats[stats_key].record_deadline_exceeded()
-                    self._count("deadline_exceeded")
-                response = error_response(e, request_id)
-                ok = False
+                response, ok = self._answer(message, stats_key, queue_wait_s,
+                                            memoize=False)
         duration = time.perf_counter() - t0
         self._request_seconds.observe(duration)
         self._stats[stats_key].record(duration, ok)
-        if root_span is not None:
+        if tracer is not None:
             if ctx is not None and ok:
                 # Client-initiated trace: ship the server-side spans back
                 # on the result so the client stitches one tree.
@@ -674,6 +681,35 @@ class ReproServer:
             if to_file:
                 self._write_trace(tracer, root_span)
         return response
+
+    def _answer(self, message: Dict, stats_key: str, queue_wait_s: float,
+                memoize: bool) -> Tuple[Dict, bool]:
+        """The response to ``message`` and whether it is ``ok``: every
+        failure becomes a structured error envelope."""
+        request_id = message.get("id")
+        op = message.get("op")
+        try:
+            if not isinstance(op, str) or op not in OPS:
+                raise ProtocolError(f"unknown op {op!r}; choose from {OPS}")
+            params = message.get("params") or {}
+            deadline = None
+            budget = parse_deadline(message)
+            if budget is not None:
+                remaining = budget - queue_wait_s
+                if remaining <= 0:
+                    raise DeadlineExceededError(
+                        f"request spent {queue_wait_s:.3f}s queued, past its "
+                        f"{budget}s deadline; rejected before any work started"
+                    )
+                deadline = time.monotonic() + remaining
+            if op in ("compile", "tune"):
+                return self._artifact_reply(op, params, deadline, request_id, memoize), True
+            return ok_response(self._dispatch(op, params, deadline), request_id), True
+        except Exception as e:
+            if isinstance(e, DeadlineExceededError):
+                self._stats[stats_key].record_deadline_exceeded()
+                self._count("deadline_exceeded")
+            return error_response(e, request_id), False
 
     def _request_tracer(self, ctx) -> Tuple[Optional[obs_trace.Tracer], bool]:
         """Decide whether this request is traced: always when the envelope
@@ -705,22 +741,48 @@ class ReproServer:
 
     def _artifact_reply(self, op: str, params: Dict, deadline: Optional[float],
                         request_id: object, memoize: bool) -> Dict:
-        """The response to a compile or tune request, whose result reports
-        the stages this request paid for under its own stage-profiling
-        collector. With ``memoize`` (an untraced request), a registry hit
-        that paid none is a :class:`~repro.serve.protocol.MemoizedReply`:
-        its result is encoded once per artifact and op, and every later
-        hit splices its id in front of those bytes."""
+        """The response to a compile or tune request.
+
+        With ``memoize`` (an untraced request), params this server has
+        answered before (:func:`_params_memo_key`) go straight to the
+        registry under their remembered key, and a hit is a
+        :class:`~repro.serve.protocol.MemoizedReply`: its result is encoded
+        once per artifact and op, and every later hit splices its id in
+        front of those bytes. Any other request parses its params, and its
+        result reports the stages it paid for under its own
+        stage-profiling collector; a registry hit that paid none is
+        memoized too."""
+        memo = _params_memo_key(params)
+        if memoize:
+            key = self._keys.get(memo)
+            # A registry keeps every artifact it returns in memory, so this
+            # misses only if the server's registry was replaced; such a
+            # request takes the full path.
+            artifact = self.registry.get(key) if key is not None else None
+            if artifact is not None:
+                return _memoized_reply(artifact, op, request_id)
         p = parse_problem_params(params)
         stages = profiling.StageTimes()
         with profiling.collect(stages):
             artifact, served_from = self._ensure_artifact(p, deadline)
+        self._remember(memo, artifact.key)
         paid = {name: round(t, 6) for name, t in stages.ordered()}
-        response = ok_response(_artifact_result(artifact, op, served_from, paid), request_id)
-        if not memoize or served_from != "registry" or paid:
-            return response
-        return MemoizedReply(response, artifact.encoded(op, lambda: json.dumps(
-            _artifact_result(artifact, op, "registry", {}), sort_keys=True).encode()))
+        if memoize and served_from == "registry" and not paid:
+            return _memoized_reply(artifact, op, request_id)
+        return ok_response(_artifact_result(artifact, op, served_from, paid), request_id)
+
+    def _remember(self, memo: Optional[tuple], key: str) -> None:
+        """Map request params (their :func:`_params_memo_key`) to the
+        artifact key they parsed to. The memo holds at most
+        :data:`_KEY_MEMO_SIZE` entries; once full, a new one evicts the
+        oldest. Lookups take no lock."""
+        if memo is None or memo in self._keys:
+            return
+        with self._keys_lock:
+            if memo not in self._keys:
+                if len(self._keys) >= _KEY_MEMO_SIZE:
+                    del self._keys[next(iter(self._keys))]
+                self._keys[memo] = key
 
     def _dispatch(self, op: str, params: Dict,
                   deadline: Optional[float] = None) -> Dict:

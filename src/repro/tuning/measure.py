@@ -646,7 +646,8 @@ class Measurer:
         time the compiler's output. On the static path the search is exact
         branch-and-bound: configs are measured in ascending order of their
         :class:`~repro.gpusim.engine.LatencyBounds` bound (a config already
-        in the memory cache ranks by its latency) until the next bound
+        in the memory cache ranks by its latency, which it contributes
+        without being measured again) until the next bound
         exceeds the best latency measured so far. No config left can beat
         or tie that latency, so the answer is the exhaustive one, bit for
         bit; only the configs measured reach the caches. In-process the
@@ -682,17 +683,20 @@ class Measurer:
         where that path fails, else its columnar
         :class:`~repro.gpusim.engine.LatencyBounds` bound or the memoized
         refinement of it. A config popped at a bound that can still win
-        joins the next batch, unless it is an extrapolated kernel not
-        refined yet: that one is refined (a ``deadline`` check, then its
-        short runs in the ``simulate`` stage), memoized and pushed back. A
-        refinement never lowers a bound, so configs reach the batches in
-        the order of their final bounds. A batch is one config in-process,
-        where the incumbent tightens after every measurement, and
-        :data:`_BOUND_BATCH` on the fleet."""
+        joins the next batch, unless it is in the memory cache, whose
+        latency updates the incumbent at once, or an extrapolated kernel
+        not refined yet: that one is refined (a ``deadline`` check, then
+        its short runs in the ``simulate`` stage), memoized and pushed
+        back. A refinement never lowers a bound, so configs reach the
+        batches in the order of their final bounds, and every config a
+        batch hands :meth:`measure_many` is one the search must measure. A
+        batch is one config in-process, where the incumbent tightens after
+        every measurement, and :data:`_BOUND_BATCH` on the fleet."""
         keys = [self._key(spec, cfg) for cfg in space]
         with self._lock:
             bounds = [self._cache.get(key) for key in keys]
-        todo = [i for i, bound in enumerate(bounds) if bound is None]
+        cached = [bound is not None for bound in bounds]
+        todo = [i for i, hit in enumerate(cached) if not hit]
         # space index -> the LatencyBounds row whose short runs refine its bound
         unrefined: Dict[int, int] = {}
         if todo:
@@ -719,10 +723,18 @@ class Measurer:
         width = 1 if self._in_process else _BOUND_BATCH
         n_unrefined, refined, measured = len(unrefined), 0, 0
         best_idx, best = len(space), FAILED
+
+        def beats_best(i: int, latency: float) -> bool:
+            return latency < best or (latency == best and i < best_idx)
+
         while True:
             batch: List[int] = []
             while heap and heap[0][0] <= best and len(batch) < width:
-                _, i = heapq.heappop(heap)
+                bound, i = heapq.heappop(heap)
+                if cached[i]:
+                    if beats_best(i, bound):
+                        best_idx, best = i, bound
+                    continue
                 row = unrefined.pop(i, None)
                 if row is None:
                     batch.append(i)
@@ -741,5 +753,5 @@ class Measurer:
             latencies = self.measure_many(spec, [space[i] for i in batch], deadline=deadline)
             measured += len(batch)
             for i, latency in zip(batch, latencies):
-                if latency < best or (latency == best and i < best_idx):
+                if beats_best(i, latency):
                     best_idx, best = i, latency

@@ -3,6 +3,7 @@ whole, footprint ratios included, so the daemon solves the problem the
 client asked about (docs/serving.md, "Protocol")."""
 
 import math
+import re
 
 import pytest
 
@@ -45,6 +46,40 @@ class TestSpecParams:
     def test_an_unknown_dtype_is_a_protocol_error(self):
         with pytest.raises(ProtocolError, match="dtype"):
             spec_from_params({"m": 64, "n": 64, "k": 64, "dtype": "int3"})
+
+
+def _field_error(field):
+    """The start of the ProtocolError message that names ``field``."""
+    if field in ("m", "n", "k"):
+        return f"problem dimension '{field}' must be an integer"
+    if field in ("batch", "space"):
+        return f"{field} must be an integer"
+    return f"{field} must be a number"
+
+
+class TestNumbersOnTheWire:
+    """A bool is no number, and a fraction is no integer: each is refused
+    by name instead of being read as 1 or truncated. An integral float and
+    an integer string still read as the integer."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("m", True), ("n", False), ("k", 64.7), ("m", 0.5), ("n", math.inf),
+        ("k", math.nan), ("batch", True), ("batch", 2.5), ("space", True),
+        ("space", 16.5), ("a_footprint_ratio", True), ("b_footprint_ratio", False),
+    ])
+    def test_a_bool_or_a_fraction_is_refused_by_name(self, field, value):
+        with pytest.raises(ProtocolError, match=re.escape(_field_error(field))):
+            parse_problem_params({"m": 64, "n": 64, "k": 64, field: value})
+
+    @pytest.mark.parametrize("field,value,means", [
+        ("m", 64.0, 64), ("n", "64", 64), ("batch", 2.0, 2), ("batch", "2", 2),
+        ("space", 16.0, 16), ("space", "16", 16), ("a_footprint_ratio", 1, 1.0),
+        ("b_footprint_ratio", "0.5", 0.5),
+    ])
+    def test_an_integral_float_or_a_number_string_is_accepted(self, field, value, means):
+        base = {"m": 64, "n": 64, "k": 64}
+        assert parse_problem_params({**base, field: value}) == parse_problem_params(
+            {**base, field: means})
 
 
 @pytest.fixture(scope="module")

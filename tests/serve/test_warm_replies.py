@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import faults
 from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.protocol import (
     MemoizedReply,
     encode_message,
@@ -278,3 +279,170 @@ class TestPerRequestWork:
         assert small_server.registry.stats()["hits"] == registry_hits + n
         assert small_server._stats["compile"].snapshot()["requests"] == requests + n
         assert small_server._request_seconds.count == observed + n
+
+
+# ----------------------------------------------------------- params memo
+#: One suite problem (MM_BERT_FC1) written the ways a client may write it,
+#: two of them refused by the wire. ``true == 1`` and both hash alike, so
+#: only the value's type tells "batch bool" from "batch given".
+BERT = {"name": "MM_BERT_FC1", "m": 512, "n": 3072, "k": 768}
+SPELLINGS = {
+    "as sent": BERT,
+    "keys reordered": {"k": 768, "name": "MM_BERT_FC1", "n": 3072, "m": 512},
+    "m float": {**BERT, "m": 512.0},
+    "m string": {**BERT, "m": "512"},
+    "unknown extra key": {**BERT, "colour": "blue"},
+    "ratios given": {**BERT, "a_footprint_ratio": 1.0, "b_footprint_ratio": 1},
+    "defaults given": {**BERT, "batch": 1, "dtype": "float16", "variant": "alcop"},
+    "list name": {**BERT, "name": ["MM_BERT_FC1"]},
+    "object extra": {**BERT, "extra": {"m": 64}},
+    "tvm variant": {**BERT, "variant": "tvm"},
+    "batch given": {**BERT, "batch": 1},
+    "batch bool": {**BERT, "batch": True},
+    "m fraction": {**BERT, "m": 512.5},
+}
+
+
+def _offline_server(tmp_path, registry, name="d"):
+    return ReproServer(socket_path=str(tmp_path / f"{name}.sock"), registry=registry,
+                       default_space=SPACE)
+
+
+def _forbid_the_full_path(monkeypatch):
+    """Make parsing, key hashing and the stage collector fail, so only a
+    key memo hit can answer."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a memo hit reached the full path")
+
+    for module, name in ((server_module, "parse_problem_params"),
+                         (server_module, "artifact_key"),
+                         (server_module.profiling, "StageTimes"),
+                         (server_module.profiling, "collect")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+def _anonymous(response):
+    """The wire bytes of ``response`` with neither its id nor its
+    ``served_from``; checks first that they are its own encoding."""
+    raw = encode_reply(response)
+    reply = json.loads(raw)
+    assert raw == encode_message(reply)
+    if reply["ok"]:
+        reply["result"]["served_from"] = None
+    return encode_message({**reply, "id": None})
+
+
+class TestParamsMemo:
+    def test_every_spelling_is_answered_as_a_fresh_server_answers_it(self, tmp_path):
+        """For each spelling, a server that has answered every other one
+        answers it, and then again from its memo, exactly as a server that
+        has answered nothing: same envelope, key, kernel and bytes but for
+        the id. All of them share one registry, so every answer is the same
+        stored artifact."""
+        registry = ArtifactRegistry()
+        solver = _offline_server(tmp_path, registry, "solver")
+        for params in SPELLINGS.values():
+            solver.handle({"op": "compile", "params": params})
+        for name, params in SPELLINGS.items():
+            warm = _offline_server(tmp_path, registry, "warm")
+            for other, other_params in SPELLINGS.items():
+                if other != name:
+                    warm.handle({"op": "compile", "params": other_params, "id": other})
+            for op in ("compile", "tune"):
+                first = warm.handle({"op": op, "params": params, "id": 1})
+                again = warm.handle({"op": op, "params": params, "id": 2})
+                fresh = _offline_server(tmp_path, registry, "fresh").handle(
+                    {"op": op, "params": params, "id": 3})
+                for got in (first, again):
+                    assert got["ok"] == fresh["ok"], (name, op)
+                    if not got["ok"]:
+                        assert got["error"] == fresh["error"], (name, op)
+                        assert got["error"]["type"] == "ProtocolError", (name, op)
+                        continue
+                    for field in ("key", "config", "latency_us", "cuda_source", "spec"):
+                        assert got["result"].get(field) == fresh["result"].get(field), (
+                            name, op, field)
+                    assert _anonymous(got) == _anonymous(fresh), (name, op)
+        # 11 spellings parse; the list and object values skip the memo.
+        assert len(warm._keys) == 9
+        assert len(registry) == 3  # alcop, tvm and the list-named problem
+
+    def test_a_memo_hit_parses_nothing(self, tmp_path, monkeypatch):
+        """A hit goes from the params to the registry: no GemmSpec, no
+        artifact-key hash, no stage collector."""
+        server = _offline_server(tmp_path, ArtifactRegistry())
+        warm = server.handle({"op": "compile", "params": BERT, "id": 0})
+        assert warm["ok"]
+        _forbid_the_full_path(monkeypatch)
+        for op in ("compile", "tune"):
+            reply = server.handle({"op": op, "params": BERT, "id": op})
+            assert isinstance(reply, MemoizedReply)
+            assert reply["ok"] and reply["result"]["key"] == warm["result"]["key"]
+        # Each hit returns its own response: no two share a mutable dict.
+        a, b = (server.handle({"op": "compile", "params": BERT, "id": i})["result"]
+                for i in range(2))
+        assert a == b and a is not b
+        assert all(a[f] is not b[f] for f in ("spec", "config", "provenance", "stages"))
+        # A spelling never answered before still takes the full path.
+        assert server.handle({"op": "compile", "params": {**BERT, "m": 512.0}})["error"][
+            "type"] == "AssertionError"
+
+    def test_a_registry_fault_still_fails_a_memo_hit(self, tmp_path, monkeypatch):
+        server = _offline_server(tmp_path, ArtifactRegistry())
+        key = server.handle({"op": "compile", "params": BERT})["result"]["key"]
+        _forbid_the_full_path(monkeypatch)
+        hits = server.registry.stats()["hits"]
+        plan = faults.FaultPlan([faults.FaultRule("registry", "crash", match=f"get:{key}")])
+        with faults.injected(plan):
+            failed = server.handle({"op": "tune", "params": BERT, "id": "b"})
+        assert not failed["ok"] and failed["id"] == "b"
+        assert failed["error"]["type"] == "FaultInjected"
+        again = server.handle({"op": "tune", "params": BERT, "id": "c"})
+        assert again["ok"] and again["result"]["key"] == key
+        assert server.registry.stats()["hits"] == hits + 1
+        assert server._stats["tune"].snapshot()["errors"] == 1
+
+    def test_racing_first_hits_leave_one_entry(self, tmp_path):
+        """8 threads, more than the cores, each the first to send these
+        params to a server whose registry already holds their artifact:
+        one memo entry, and equal replies."""
+        registry = ArtifactRegistry()
+        assert _offline_server(tmp_path, registry, "solver").handle(
+            {"op": "compile", "params": BERT})["ok"]
+        server = _offline_server(tmp_path, registry)
+        barrier = threading.Barrier(8)
+        replies = []
+
+        def first_hit(i):
+            barrier.wait(timeout=10)
+            replies.append(server.handle({"op": "compile", "params": dict(BERT), "id": i}))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_hit, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(server._keys) == 1
+        assert sorted(r["id"] for r in replies) == list(range(8))
+        assert len({_anonymous(r) for r in replies}) == 1
+
+    def test_the_memo_stops_growing_at_its_bound(self, tmp_path, monkeypatch):
+        """Past its bound each new entry evicts the oldest, and an evicted
+        spelling is answered through the full path as before."""
+        monkeypatch.setattr(server_module, "_KEY_MEMO_SIZE", 4)
+        server = _offline_server(tmp_path, ArtifactRegistry())
+        spellings = [{**PROBLEM, "tag": i} for i in range(6)]
+        keys = {server.handle({"op": "tune", "params": p})["result"]["key"]
+                for p in spellings}
+        assert len(keys) == 1
+        assert len(server._keys) == 4
+        kept = [server_module._params_memo_key(p) in server._keys for p in spellings]
+        assert kept == [False, False, True, True, True, True]
+        assert server.handle({"op": "tune", "params": spellings[0]})["ok"]
+        assert len(server._keys) == 4

@@ -185,6 +185,27 @@ class TestServeSmokeJob:
                 in run)
         assert '''bodies[0].replace('"id": "w1"', '"id": "w2"', 1) == bodies[1]''' in run
 
+    def test_a_new_spelling_of_a_warm_problem_keeps_its_bytes(self, workflow):
+        """The daemon remembers the artifact key of each spelling of a
+        problem's params it answered: the warm step sends the 512^3 compile
+        a third time, keys reordered and dims written 512.0, and asserts
+        the body equals w1's but for the id."""
+        step = next(s for s in workflow["jobs"]["serve-smoke"]["steps"]
+                    if s.get("name") == "Second round served from the registry with zero compiles")
+        run = step["run"]
+        assert '"id": "w3", "params": {"k": 512.0, "n": 512.0, "m": 512.0}' in run
+        assert '''bodies[0].replace('"id": "w1"', '"id": "w3"', 1) == w3''' in run
+
+    def test_a_fractional_dimension_is_a_protocol_error(self, workflow):
+        """The wire refuses a non-integral dimension instead of truncating
+        it: the warm step POSTs m = 512.5 and asserts a ProtocolError."""
+        step = next(s for s in workflow["jobs"]["serve-smoke"]["steps"]
+                    if s.get("name") == "Second round served from the registry with zero compiles")
+        run = step["run"]
+        assert '"params": {"m": 512.5, "n": 512, "k": 512}' in run
+        assert 'frac["ok"] is False' in run
+        assert 'frac["error"]["type"] == "ProtocolError"' in run
+
     def test_runs_latency_benchmark_and_uploads_artifact(self, workflow):
         cmds = job_commands(workflow["jobs"]["serve-smoke"])
         bench = [c for c in cmds if "bench_serve_latency.py" in c]
@@ -453,6 +474,18 @@ def test_bench_smoke_gates_serve_on_the_bounded_search(workflow):
     serve = cmd.split('if w == "serve":')[1]
     assert 'm["simulate.calls"] == m["measure.configs_compiled"] <= 481' in serve
     assert 'm["simulate.wave_sims"] <= 924' in serve
+
+
+def test_bench_smoke_gates_serve_on_no_cached_config_measured_again(workflow):
+    """A config already in the memory cache gives the bounded search its
+    latency directly: the traced serve replay makes no memory hit, and
+    every config it requests is compiled (481 and 481 at ``--seed 1``; 486
+    requested with 5 memory hits when cached configs were measured again)."""
+    cmd = next(c for c in job_commands(workflow["jobs"]["bench-smoke"])
+               if "perfbench/run.py" in c)
+    serve = cmd.split('if w == "serve":')[1]
+    assert 'm["measure.memory_hits"] == 0' in serve
+    assert 'm["measure.configs_requested"] == m["measure.configs_compiled"]' in serve
 
 
 def test_bench_smoke_pins_each_workloads_chosen_kernel(workflow):

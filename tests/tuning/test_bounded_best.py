@@ -86,7 +86,7 @@ def test_bounded_best_measures_a_fraction_of_the_space():
 _SERVE_ANSWERS = "c4ac3f3cb2281d0f1e1592cfd4e326f17530b36d1d787b3bda14166dd09b2357"
 
 
-def test_a_cold_serve_pass_measures_479_configs():
+def test_a_cold_serve_pass_measures_479_configs(monkeypatch):
     """One cold measurer answers the 24 serve keys (12 suite ops x
     {alcop, tvm}, cap 600) as a serve replay meets them. In-process the
     search measures one config per step, so the incumbent tightens after
@@ -96,7 +96,17 @@ def test_a_cold_serve_pass_measures_479_configs():
     every extrapolated bound was refined first) and measures 479 configs
     (Conv_VGG_3x3's ``alcop`` search 3 of 600; 648 with 16-config batches,
     1,570 when extrapolated kernels had no bound), with the exhaustive
-    answers."""
+    answers. A ``tvm`` search reaches configs its ``alcop`` search measured;
+    it takes their latencies from the memory cache without handing them to
+    ``measure_many`` (5 such memory hits when it did)."""
+    measure_many = Measurer.measure_many
+
+    def uncached_only(self, spec, cfgs, deadline=None):
+        cached = [cfg for cfg in cfgs if self._key(spec, cfg) in self._cache]
+        assert not cached, cached
+        return measure_many(self, spec, cfgs, deadline=deadline)
+
+    monkeypatch.setattr(Measurer, "measure_many", uncached_only)
     measurer = Measurer(A100, via_ir=False)
     answers = hashlib.sha256()
     compiled = {}
@@ -112,6 +122,7 @@ def test_a_cold_serve_pass_measures_479_configs():
     telemetry = measurer.telemetry
     assert telemetry.n_compiled == sum(compiled.values()) == 479
     assert (telemetry.bounds_derived, telemetry.bound_short_runs) == (8682, 285)
+    assert telemetry.memory_hits == 0
 
 
 def _final_bounds(spec, space):
